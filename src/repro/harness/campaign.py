@@ -24,6 +24,7 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.codegen.machine import MachineProgram
 from repro.experiments.common import build_pair, format_table, prebuild_pairs, resolve_workloads
 from repro.harness.executor import TaskExecutor, derive_seed
 from repro.harness.report import Telemetry
@@ -347,18 +348,41 @@ class FaultCampaignSummary:
         return total
 
 
-def _fault_unit(payload: dict) -> dict:
-    """Worker: one trial-shard of one workload × flavour (or backend)."""
+def campaign_target(
+    original: MachineProgram,
+    idempotent: MachineProgram,
+    flavour: str,
+    backend=None,
+) -> Tuple[MachineProgram, Optional[Callable]]:
+    """The binary and injector factory a campaign label runs.
+
+    A recovery backend campaigns its own program under its own policy;
+    a bare flavour campaigns that build under the paper's rp recovery
+    (factory ``None``: :class:`~repro.sim.faults.FaultInjector`).
+    """
+    if backend is not None:
+        return (
+            backend.campaign_program(original, idempotent),
+            backend.make_injector,
+        )
+    return (idempotent if flavour == "idempotent" else original), None
+
+
+def prepare_unit(payload: dict):
+    """``(program, injector_factory, reference, reference_output)`` of
+    one campaign work unit (a trial shard or an incremental section).
+
+    The recovery target is the idempotent build's fault-free run (the
+    same convention as ``python -m repro faults``); every scheme must
+    reproduce it to count as recovered.  A crashing reference means the
+    *build* is broken — deterministic for every retry — so it is
+    reported as a structured, permanently-classified unit error rather
+    than escaping as a raw exception string.
+    """
+    from repro.recovery.backends import get_backend
+
     name = payload["workload"]
-    flavour = payload["flavour"]
-    backend_name = payload.get("backend")
     original, idempotent = build_pair(name)
-    # The recovery target is the idempotent build's fault-free run (the
-    # same convention as ``python -m repro faults``); every scheme must
-    # reproduce it to count as recovered.  A crashing reference means
-    # the *build* is broken — deterministic for every retry — so it is
-    # reported as a structured, permanently-classified unit error
-    # rather than escaping as a raw exception string.
     try:
         reference_sim = Simulator(idempotent.program)
         reference = reference_sim.run(payload["entry"])
@@ -366,42 +390,37 @@ def _fault_unit(payload: dict) -> dict:
     except Exception as exc:
         raise PermanentUnitError(
             f"reference run failed for workload {name!r} "
-            f"(flavour {flavour}, entry {payload['entry']!r}): "
+            f"(flavour {payload['flavour']}, entry {payload['entry']!r}): "
             f"{type(exc).__name__}: {exc}"
         ) from exc
-    if backend_name is not None:
-        from repro.recovery.backends import get_backend
+    backend_name = payload.get("backend")
+    program, factory = campaign_target(
+        original.program, idempotent.program, payload["flavour"],
+        get_backend(backend_name) if backend_name else None,
+    )
+    return program, factory, reference, reference_output
 
-        campaign = get_backend(backend_name).campaign(
-            original.program,
-            idempotent.program,
-            reference,
-            reference_output,
-            trials=payload["trials"],
-            func=payload["entry"],
-            kind=payload["kind"],
-            seed=payload["unit_seed"],
-            detection_latency=payload["detection_latency"],
-            start_trial=payload["start_trial"],
-        )
-    else:
-        program = idempotent.program if flavour == "idempotent" else original.program
-        campaign = fault_campaign(
-            program,
-            reference,
-            reference_output,
-            trials=payload["trials"],
-            func=payload["entry"],
-            kind=payload["kind"],
-            seed=payload["unit_seed"],
-            detection_latency=payload["detection_latency"],
-            start_trial=payload["start_trial"],
-        )
+
+def _fault_unit(payload: dict) -> dict:
+    """Worker: one trial-shard of one workload × flavour (or backend)."""
+    program, factory, reference, reference_output = prepare_unit(payload)
+    campaign = fault_campaign(
+        program,
+        reference,
+        reference_output,
+        trials=payload["trials"],
+        func=payload["entry"],
+        kind=payload["kind"],
+        seed=payload["unit_seed"],
+        detection_latency=payload["detection_latency"],
+        start_trial=payload["start_trial"],
+        injector_factory=factory,
+    )
     row = asdict(campaign)
-    row["workload"] = name
-    row["flavour"] = flavour
-    if backend_name is not None:
-        row["backend"] = backend_name
+    row["workload"] = payload["workload"]
+    row["flavour"] = payload["flavour"]
+    if payload.get("backend") is not None:
+        row["backend"] = payload["backend"]
     return row
 
 
@@ -425,6 +444,37 @@ def campaign_labels(
     return flavour_list, backend_list
 
 
+def campaign_label_specs(
+    flavours: Optional[Sequence[str]] = None,
+    backends: Optional[Sequence[str]] = None,
+) -> List[Tuple[str, str, object, str]]:
+    """``(label, flavour, backend, seed_key)`` of every label a campaign
+    runs, in report order (see :func:`campaign_labels`).
+
+    ``backend`` is None for a bare flavour. Backend units derive their
+    seeds from the backend's ``seed_key`` — for the ``idempotent``
+    backend that is the legacy ``"idempotent"`` flavour key, so its
+    units (and therefore their results) are bit-identical to flavour
+    campaigns at the same parameters.
+    """
+    from repro.recovery.backends import get_backend
+
+    flavour_list, backend_list = campaign_labels(flavours, backends)
+    specs: List[Tuple[str, str, object, str]] = [
+        (flavour, flavour, None, flavour) for flavour in flavour_list
+    ]
+    for name in backend_list:
+        backend = get_backend(name)
+        specs.append((name, backend.flavour, backend, backend.seed_key))
+    return specs
+
+
+def label_tag(label: str, backend) -> str:
+    """A label as campaign unit ids name it (``backend-<name>`` for a
+    recovery backend)."""
+    return f"backend-{label}" if backend is not None else label
+
+
 def fault_campaign_units(
     names: Optional[Sequence[str]],
     trials: int,
@@ -438,67 +488,36 @@ def fault_campaign_units(
     """The (unit_id, payload) work list of a suite-wide fault campaign.
 
     Trials shard into chunks of ``shard_trials`` (default: all trials in
-    one unit per workload × flavour).  Unit ids encode every parameter
+    one unit per workload × label).  Unit ids encode every parameter
     that affects the unit's result, so a manifest written with one
-    configuration never satisfies another.
-
-    ``flavours``/``backends`` select scheme subsets (see
-    :func:`campaign_labels`). Backend units derive their seeds from the
-    backend's ``seed_key`` — for the ``idempotent`` backend that is the
-    legacy ``"idempotent"`` flavour key, so its units (and therefore
-    their results) are bit-identical to flavour campaigns at the same
-    parameters.
+    configuration never satisfies another.  ``flavours``/``backends``
+    select scheme subsets (see :func:`campaign_label_specs`).
     """
-    from repro.recovery.backends import get_backend
-
-    flavour_list, backend_list = campaign_labels(flavours, backends)
+    specs = campaign_label_specs(flavours, backends)
     shard = trials if not shard_trials else max(1, int(shard_trials))
     units: List[Tuple[str, dict]] = []
     for workload in resolve_workloads(names):
-        for flavour in flavour_list:
-            unit_seed = derive_seed(seed, workload.name, flavour)
+        for label, flavour, backend, seed_key in specs:
+            unit_seed = derive_seed(seed, workload.name, seed_key)
             for start in range(0, trials, shard):
                 count = min(shard, trials - start)
                 unit_id = (
-                    f"{workload.name}:{flavour}:{kind}:seed{seed}"
-                    f":lat{detection_latency}:t{start}+{count}"
+                    f"{workload.name}:{label_tag(label, backend)}:{kind}"
+                    f":seed{seed}:lat{detection_latency}:t{start}+{count}"
                 )
-                units.append((
-                    unit_id,
-                    {
-                        "workload": workload.name,
-                        "flavour": flavour,
-                        "entry": workload.entry,
-                        "trials": count,
-                        "start_trial": start,
-                        "unit_seed": unit_seed,
-                        "kind": kind,
-                        "detection_latency": detection_latency,
-                    },
-                ))
-        for backend_name in backend_list:
-            backend = get_backend(backend_name)
-            unit_seed = derive_seed(seed, workload.name, backend.seed_key)
-            for start in range(0, trials, shard):
-                count = min(shard, trials - start)
-                unit_id = (
-                    f"{workload.name}:backend-{backend_name}:{kind}:seed{seed}"
-                    f":lat{detection_latency}:t{start}+{count}"
-                )
-                units.append((
-                    unit_id,
-                    {
-                        "workload": workload.name,
-                        "flavour": backend.flavour,
-                        "backend": backend_name,
-                        "entry": workload.entry,
-                        "trials": count,
-                        "start_trial": start,
-                        "unit_seed": unit_seed,
-                        "kind": kind,
-                        "detection_latency": detection_latency,
-                    },
-                ))
+                payload = {
+                    "workload": workload.name,
+                    "flavour": flavour,
+                    "entry": workload.entry,
+                    "trials": count,
+                    "start_trial": start,
+                    "unit_seed": unit_seed,
+                    "kind": kind,
+                    "detection_latency": detection_latency,
+                }
+                if backend is not None:
+                    payload["backend"] = label
+                units.append((unit_id, payload))
     return units
 
 
@@ -522,7 +541,7 @@ def run_fault_campaign(
     telemetry = telemetry or Telemetry(label="fault campaign")
     if manifest_path:
         get_observer().log(f"campaign manifest: {manifest_path}")
-    flavour_list, backend_list = campaign_labels(flavours, backends)
+    specs = campaign_label_specs(flavours, backends)
     units = fault_campaign_units(
         names, trials, seed, kind=kind,
         detection_latency=detection_latency, shard_trials=shard_trials,
@@ -544,9 +563,8 @@ def run_fault_campaign(
         fp_key = (payload["workload"], payload["flavour"])
         if fp_key not in fingerprints:
             original, idempotent = build_pair(payload["workload"])
-            program = (
-                idempotent.program if payload["flavour"] == "idempotent"
-                else original.program
+            program, _factory = campaign_target(
+                original.program, idempotent.program, payload["flavour"]
             )
             fingerprints[fp_key] = program_fingerprint(program)
         provenance[unit_id] = {
@@ -563,7 +581,7 @@ def run_fault_campaign(
 
     summary = FaultCampaignSummary(
         trials=trials, seed=seed, kind=kind,
-        labels=flavour_list + backend_list,
+        labels=tuple(label for label, _f, _b, _s in specs),
         executed_units=runner.executed,
         skipped_units=runner.skipped,
         failed_units=runner.failed,

@@ -18,8 +18,8 @@ Trial ``i``'s fault plan is a pure function of ``(seed, i, span)``
 (:func:`repro.sim.faults.trial_plan`), and the faulted run's dynamic
 prefix is identical to the fault-free run up to the injection point.  So
 one fault-free *eligibility trace* — recording the dynamic position and
-region of every fault-eligible event with the injectors' exact arming
-rules — predicts where every trial lands without running it.  Sections
+region of every fault site, by calling the fault model's own site rule —
+predicts where every trial lands without running it.  Sections
 then execute exactly their assigned trial indices through
 :func:`repro.sim.faults.run_planned_trial` (the same code path the
 monolithic loop uses), and the composed buckets match trial for trial.
@@ -51,22 +51,25 @@ import json
 import os
 import tempfile
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.codegen.machine import MachineProgram, format_machine_function
 from repro.harness.cache import DEFAULT_CACHE_DIR, PIPELINE_VERSION
 from repro.harness.campaign import (
-    FLAVOURS,
     CampaignRunner,
     FaultCampaignSummary,
     RunManifest,
-    campaign_labels,
+    campaign_label_specs,
+    campaign_target,
+    label_tag,
+    prepare_unit,
 )
 from repro.harness.executor import derive_seed
 from repro.harness.report import Telemetry
 from repro.harness.resilience import UNIT_ERROR, PermanentUnitError
 from repro.obs.context import get_observer
+from repro.sim import faults
 from repro.sim.faults import (
     FAULT_VALUE,
     REGION_UNKNOWN,
@@ -76,6 +79,7 @@ from repro.sim.faults import (
     format_rate,
     region_key,
     run_planned_trial,
+    target_span,
     trial_plan,
 )
 from repro.sim.simulator import Simulator
@@ -131,15 +135,15 @@ def region_owner(region: str, entry: str) -> str:
 # ----------------------------------------------------------------------
 @dataclass
 class EligibilityTrace:
-    """Fault-eligible events of one fault-free run, in dynamic order.
+    """Fault sites of one fault-free run, in dynamic order.
 
-    ``value_events[i]`` is the dynamic instruction index at which the
-    ``i``-th value-eligible instruction (has a destination register, not
-    a memory op) retires — the exact quantity
-    :class:`~repro.sim.faults.FaultInjector` compares against the trial
-    target — and ``value_regions[i]`` is the region key the injector
-    would attribute a fault there to.  ``control_*`` mirror the ``bnz``
-    pre-hook arithmetic (``instructions + 1``).
+    ``value_events[i]`` is the retired-instruction count at which the
+    ``i``-th :func:`~repro.sim.faults.value_site` retires, and
+    ``control_events[i]`` the count before the ``i``-th
+    :func:`~repro.sim.faults.control_site` issues — the quantity
+    :class:`~repro.sim.faults.FaultInjector` compares against a plan's
+    :attr:`~repro.sim.faults.FaultPlan.strike_count`.  ``*_regions[i]``
+    is the region key the injector would attribute a fault there to.
     """
 
     span: int
@@ -161,23 +165,25 @@ def trace_eligibility(
     args: Tuple = (),
     max_instructions: int = 50_000_000,
 ) -> EligibilityTrace:
-    """One fault-free run recording every fault-eligible event.
+    """One fault-free run recording every fault site.
 
-    The hooks replicate the injectors' arming checks exactly, at the
-    same pre/post points, so a trial whose target resolves to event
-    ``i`` here injects at precisely that instruction (the faulted run's
+    The hooks call the fault model's own site rule at the points the
+    injector does (control sites before they issue, value sites after
+    they retire), so a trial whose strike count resolves to event ``i``
+    here injects at precisely that instruction (the faulted run's
     dynamic prefix equals the fault-free prefix up to injection).
     """
     sim = Simulator(program, max_instructions=max_instructions)
     trace = EligibilityTrace(span=1, instructions=0)
+    value_site, control_site = faults.value_site, faults.control_site
 
     def pre(s: Simulator, instr) -> None:
-        if instr.opcode == "bnz":
-            trace.control_events.append(s.instructions + 1)
+        if control_site(instr):
+            trace.control_events.append(s.instructions)
             trace.control_regions.append(region_key(s))
 
     def post(s: Simulator, instr, loc) -> None:
-        if instr.dst is not None and not instr.is_memory:
+        if value_site(instr):
             trace.value_events.append(s.instructions)
             trace.value_regions.append(region_key(s))
 
@@ -185,7 +191,7 @@ def trace_eligibility(
     sim.post_hook = post
     sim.run(func, args)
     trace.instructions = sim.instructions
-    trace.span = max(sim.instructions - 2, 1)
+    trace.span = target_span(sim.instructions)
     return trace
 
 
@@ -210,10 +216,10 @@ def assign_trials(
 ) -> TrialAssignment:
     """Map every trial index to the region its fault lands in.
 
-    Pure arithmetic over the trace: trial ``i``'s target comes from the
+    Pure arithmetic over the trace: trial ``i``'s plan comes from the
     exact :func:`~repro.sim.faults.trial_plan` the executing run will
-    use, and the landing event is the first eligible event at or past
-    it (binary search).
+    use, and the landing event is the first fault site at or past its
+    strike count (binary search).
     """
     events, regions = trace.events(kind)
     assignment = TrialAssignment(span=trace.span)
@@ -222,7 +228,7 @@ def assign_trials(
             seed, index, trace.span, kind=kind,
             detection_latency=detection_latency,
         )
-        pos = bisect_left(events, plan.target_instruction)
+        pos = bisect_left(events, plan.strike_count)
         if pos >= len(events):
             assignment.uninjected.append(index)
         else:
@@ -444,18 +450,10 @@ def detect_gap_histogram(rows: Sequence[Sequence[object]]) -> Dict[str, int]:
 
 def summarize_rows(rows: Sequence[Sequence[object]]) -> Dict[str, int]:
     """Campaign-bucket totals of a section's trial rows."""
-    summary = {
-        "trials": 0, "injected": 0, "detected": 0,
-        "recovered_correctly": 0, "wrong_result": 0, "crashed": 0,
-        "undetected": 0,
-    }
+    summary = CampaignResult()
     for _index, bucket, detected, _gap in rows:
-        summary["trials"] += 1
-        summary["injected"] += 1
-        if detected:
-            summary["detected"] += 1
-        summary[bucket] += 1
-    return summary
+        summary.count(bucket, detected)
+    return asdict(summary)
 
 
 def make_section_record(
@@ -650,27 +648,6 @@ def compose_campaign(
 # ----------------------------------------------------------------------
 # Section execution — worker for the distributed CampaignRunner path
 # ----------------------------------------------------------------------
-def _resolve_campaign_program(
-    name: str, flavour: str, backend_name: Optional[str]
-):
-    """(program, injector_factory, entry-agnostic) for one campaign label."""
-    from repro.experiments.common import build_pair
-
-    original, idempotent = build_pair(name)
-    if backend_name is not None:
-        from repro.recovery.backends import get_backend
-
-        backend = get_backend(backend_name)
-        program = backend.campaign_program(
-            original.program, idempotent.program
-        )
-        return idempotent.program, program, backend.make_injector
-    program = (
-        idempotent.program if flavour == "idempotent" else original.program
-    )
-    return idempotent.program, program, None
-
-
 def run_section_trials(
     program: MachineProgram,
     reference_result: object,
@@ -688,9 +665,9 @@ def run_section_trials(
 
     Every trial must land in the section's region — the assignment
     predicted it from the shared fault-free prefix — so a mismatch means
-    the eligibility trace diverged from the injector's arming rules and
-    is raised as a permanent (non-retryable) unit error rather than
-    silently mis-filed.
+    the faulted run diverged from the eligibility trace before the fault
+    struck, and is raised as a permanent (non-retryable) unit error
+    rather than silently mis-filed.
     """
     rows: List[List[object]] = []
     for index in indices:
@@ -714,19 +691,9 @@ def run_section_trials(
 
 def _section_unit(payload: dict) -> dict:
     """Worker: inject one section's missing trial indices."""
-    name = payload["workload"]
-    idem_program, program, injector_factory = _resolve_campaign_program(
-        name, payload["flavour"], payload.get("backend")
+    program, injector_factory, reference, reference_output = prepare_unit(
+        payload
     )
-    try:
-        reference_sim = Simulator(idem_program)
-        reference = reference_sim.run(payload["entry"])
-        reference_output = list(reference_sim.output)
-    except Exception as exc:
-        raise PermanentUnitError(
-            f"reference run failed for workload {name!r} "
-            f"(entry {payload['entry']!r}): {type(exc).__name__}: {exc}"
-        ) from exc
     rows = run_section_trials(
         program, reference, reference_output,
         region=payload["region"], indices=payload["indices"],
@@ -736,7 +703,7 @@ def _section_unit(payload: dict) -> dict:
         injector_factory=injector_factory,
     )
     return {
-        "workload": name,
+        "workload": payload["workload"],
         "label": payload["label"],
         "region": payload["region"],
         "rows": rows,
@@ -792,19 +759,10 @@ def incremental_campaign(
     benched program re-injects only that function's sections.
     """
     store = store or default_store()
-    if backend is not None:
-        label = backend.name
-        program = backend.campaign_program(
-            original_program, idempotent_program
-        )
-        injector_factory = backend.make_injector
-    else:
-        label = flavour
-        program = (
-            idempotent_program if flavour == "idempotent"
-            else original_program
-        )
-        injector_factory = None
+    label = backend.name if backend is not None else flavour
+    program, injector_factory = campaign_target(
+        original_program, idempotent_program, flavour, backend
+    )
 
     trace = trace_eligibility(program, func=func)
     assignment = assign_trials(
@@ -931,30 +889,24 @@ def run_incremental_fault_campaign(
     re-injected.  Composed results are bit-identical to the monolithic
     campaign at equal budgets.
     """
-    from repro.experiments.common import prebuild_pairs, resolve_workloads
-    from repro.recovery.backends import get_backend
+    from repro.experiments.common import (
+        build_pair,
+        prebuild_pairs,
+        resolve_workloads,
+    )
 
     telemetry = telemetry or Telemetry(label="incremental campaign")
     observer = get_observer()
     if manifest_path:
         observer.log(f"campaign manifest: {manifest_path}")
     store = store or default_store()
-    flavour_list, backend_list = campaign_labels(flavours, backends)
+    label_specs = campaign_label_specs(flavours, backends)
     workloads = resolve_workloads(names)
     prebuild_pairs([w.name for w in workloads], jobs=jobs, telemetry=telemetry)
 
     # ------------------------------------------------------------------
     # Plan: one eligibility trace per workload × label, then store probes
     # ------------------------------------------------------------------
-    label_specs: List[Tuple[str, str, Optional[str], str]] = []
-    for flavour in flavour_list:
-        label_specs.append((flavour, flavour, None, flavour))
-    for backend_name in backend_list:
-        backend = get_backend(backend_name)
-        label_specs.append(
-            (backend_name, backend.flavour, backend_name, backend.seed_key)
-        )
-
     campaign_plans: Dict[Tuple[str, str], List[_SectionPlan]] = {}
     uninjected: Dict[Tuple[str, str], int] = {}
     units: List[Tuple[str, dict]] = []
@@ -964,9 +916,10 @@ def run_incremental_fault_campaign(
         "plan", units=len(workloads) * max(1, len(label_specs))
     ):
         for workload in workloads:
-            for label, flavour, backend_name, seed_key in label_specs:
-                _idem, program, _factory = _resolve_campaign_program(
-                    workload.name, flavour, backend_name
+            original, idempotent = build_pair(workload.name)
+            for label, flavour, backend, seed_key in label_specs:
+                program, _factory = campaign_target(
+                    original.program, idempotent.program, flavour, backend
                 )
                 unit_seed = derive_seed(seed, workload.name, seed_key)
                 trace = trace_eligibility(program, func=workload.entry)
@@ -982,20 +935,18 @@ def run_incremental_fault_campaign(
                 uninjected[(workload.name, label)] = len(
                     assignment.uninjected
                 )
-                label_tag = (
-                    f"backend-{backend_name}" if backend_name else flavour
-                )
+                tag = label_tag(label, backend)
                 for plan_index, plan in enumerate(plans):
                     if not plan.missing:
                         continue
                     unit_id = _section_unit_id(
-                        workload.name, label_tag, kind, seed,
+                        workload.name, tag, kind, seed,
                         detection_latency, plan.status.key, plan.missing,
                     )
                     units.append((unit_id, {
                         "workload": workload.name,
                         "flavour": flavour,
-                        "backend": backend_name,
+                        "backend": label if backend is not None else None,
                         "label": label,
                         "entry": workload.entry,
                         "region": plan.status.region,
@@ -1008,7 +959,7 @@ def run_incremental_fault_campaign(
                     provenance[unit_id] = {
                         "pipeline": PIPELINE_VERSION,
                         "schema": STORE_SCHEMA,
-                        "label": label_tag,
+                        "label": tag,
                         "cfg": plan.status.fingerprint,
                     }
                     unit_meta[unit_id] = (

@@ -18,7 +18,6 @@ from repro.recovery.backends import (
     CheckpointLogInjector,
     IdempotentBackend,
     RecoveryBackend,
-    RecoveryOutcome,
     TMRBackend,
     TMRInjector,
     get_backend,
@@ -75,7 +74,6 @@ __all__ = [
     "IdempotentBackend",
     "OutcomePrediction",
     "RecoveryBackend",
-    "RecoveryOutcome",
     "RegionComparison",
     "RegionPrediction",
     "RegionProfile",

@@ -3,17 +3,21 @@
 :mod:`repro.recovery.schemes` prices the paper's recovery schemes (their
 *fault-free* dynamic cost); this module makes each of them a
 :class:`RecoveryBackend` that can actually *drive* a fault campaign, so
-overhead and recovery behaviour come from the same pluggable layer:
+overhead and recovery behaviour come from the same pluggable layer.
 
-- ``idempotent`` — the paper's scheme, exactly as
-  :class:`repro.sim.faults.FaultInjector` has always run it: discard the
-  store buffer and jump to the restart pointer. Campaign results are
-  bit-identical to the pre-zoo code path (same program, same seeds, same
-  injector).
+The fault model — where a fault strikes, what it corrupts, which region
+it is attributed to, when it is detected — is written once, in
+:class:`repro.sim.faults.FaultInjector`. Each backend contributes only a
+recovery policy over it:
+
+- ``idempotent`` — the paper's scheme, the core's own policy: discard
+  the store buffer and jump to the restart pointer. Campaign results
+  are bit-identical to the pre-zoo code path (same program, same seeds,
+  same injector).
 - ``tmr`` — instruction-level triple-modular redundancy. Three copies of
   every operation vote at each check point; a single-fault model means
-  the corrupted lane is always outvoted, so architectural state is never
-  corrupted and "recovery" is a zero-cost in-place correction. Highest
+  the corrupted lane is always outvoted, so the policy only marks the
+  fault and "recovery" is a zero-cost in-place correction. Highest
   dynamic overhead, best recovery.
 - ``checkpoint_log`` — checkpoint-and-log in the AutoCheck mould:
   periodic register-file checkpoints plus an undo log of committed
@@ -21,11 +25,10 @@ overhead and recovery behaviour come from the same pluggable layer:
   The statically derived checkpoint contents come from
   :mod:`repro.recovery.checkpoint` (live sets at region boundaries).
 
-All three report the common :class:`RecoveryOutcome` (an alias of
-:class:`repro.sim.faults.FaultOutcome` — recovered / detected /
-undetected / crashed plus region attribution), reuse the campaign
-bucket arithmetic of :func:`repro.sim.faults.fault_campaign`, and price
-their fault-free overhead through :func:`repro.recovery.schemes.run_scheme`.
+All three report a :class:`repro.sim.faults.FaultOutcome` per trial,
+reuse the campaign bucket arithmetic of
+:func:`repro.sim.faults.fault_campaign`, and price their fault-free
+overhead through :func:`repro.recovery.schemes.run_scheme`.
 """
 
 from __future__ import annotations
@@ -42,25 +45,19 @@ from repro.recovery.schemes import (
     run_scheme,
 )
 from repro.sim.faults import (
-    FAULT_CONTROL,
     FAULT_VALUE,
     CampaignResult,
     FaultInjector,
-    FaultOutcome,
     FaultPlan,
     fault_campaign,
-    region_key,
 )
 from repro.sim.simulator import Simulator
-
-#: The common outcome record every backend reports per trial.
-RecoveryOutcome = FaultOutcome
 
 #: Sentinel for "address was unmapped before this store" in the undo log.
 _UNMAPPED = object()
 
 
-class TMRInjector:
+class TMRInjector(FaultInjector):
     """Instruction-level TMR under a single-fault model.
 
     The fault corrupts one of three redundant lanes; the majority vote at
@@ -70,68 +67,12 @@ class TMRInjector:
     a fault is the same way DMR does: detection latency outlives the
     program (``undetected`` bucket — result still correct, since the
     voted value was).
-
-    Injection eligibility mirrors :class:`FaultInjector` exactly (same
-    target arithmetic, same eligible opcodes), so a TMR campaign faces
-    the identical fault set as an idempotence campaign over the same
-    program.
     """
 
-    def __init__(self, sim: Simulator, plan: FaultPlan, recover: bool = True) -> None:
-        self.sim = sim
-        self.plan = plan
-        self.recover = recover
-        self.outcome = FaultOutcome()
-        self._pending = False
-        self._armed = True
-        self._injected_at = 0
-        sim.pre_hook = self._pre
-        sim.post_hook = self._post
-
-    def _pre(self, sim: Simulator, instr: MachineInstr) -> None:
-        if (
-            self._pending
-            and instr.opcode in Simulator.CHECK_POINTS
-            and sim.instructions - self._injected_at >= self.plan.detection_latency
-        ):
-            self._pending = False
-            self.outcome.detected = True
-            self.outcome.detect_gap = sim.instructions - self._injected_at
-            if self.recover:
-                # Majority vote corrects in place: no rollback, no
-                # re-execution, nothing to restore.
-                self.outcome.recovered = True
-            return
-        if (
-            self._armed
-            and self.plan.kind == FAULT_CONTROL
-            and sim.instructions + 1 >= self.plan.target_instruction
-            and instr.opcode == "bnz"
-        ):
-            # One lane mispredicts the branch condition; the other two
-            # outvote it, so the branch resolves correctly — record the
-            # injection without perturbing state.
-            self._mark(sim)
-
-    def _post(self, sim: Simulator, instr: MachineInstr, loc) -> None:
-        if (
-            self._armed
-            and self.plan.kind == FAULT_VALUE
-            and sim.instructions >= self.plan.target_instruction
-            and instr.dst is not None
-            and not instr.is_memory
-        ):
-            self._mark(sim)
-
-    def _mark(self, sim: Simulator) -> None:
-        self._armed = False
-        self.outcome.injected = True
-        self.outcome.region = region_key(sim)
-        self._injected_at = sim.instructions
-        self._pending = True
+    corrupts = False
 
 
-class CheckpointLogInjector:
+class CheckpointLogInjector(FaultInjector):
     """Checkpoint-and-log recovery over the store-instrumented binary.
 
     State capture is the scheme's defining move: every ``interval``-th
@@ -163,20 +104,12 @@ class CheckpointLogInjector:
         recover: bool = True,
         interval: int = DEFAULT_INTERVAL,
     ) -> None:
-        self.sim = sim
-        self.plan = plan
-        self.recover = recover
+        super().__init__(sim, plan, recover=recover)
         self.interval = interval
-        self.outcome = FaultOutcome()
         self.checkpoints_taken = 0
-        self._pending = False
-        self._armed = True
-        self._injected_at = 0
         self._ckpt: Optional[Tuple] = None
         self._undo: List[Tuple[int, object]] = []
         self._since = 0
-        sim.pre_hook = self._pre
-        sim.post_hook = self._post
 
     # ------------------------------------------------------------------
     # Checkpoint machinery
@@ -192,7 +125,8 @@ class CheckpointLogInjector:
         self._since = 0
         self.checkpoints_taken += 1
 
-    def _restore(self, sim: Simulator) -> None:
+    def roll_back(self, sim: Simulator) -> None:
+        """Restore the last checkpoint and unwind the undo log."""
         depth, int_regs, float_regs, loc = self._ckpt
         # Depth equality is structural: every call-depth change takes a
         # fresh checkpoint, so detection always happens in the frame the
@@ -212,26 +146,18 @@ class CheckpointLogInjector:
         sim.loc = loc.copy()
 
     # ------------------------------------------------------------------
-    # Hooks
+    # Snapshot bookkeeping: every instruction, around the fault model
     # ------------------------------------------------------------------
+    def _install(self, sim: Simulator, pre, post) -> None:
+        self._model_pre, self._model_post = pre, post
+        sim.pre_hook, sim.post_hook = self._pre, self._post
+
     def _pre(self, sim: Simulator, instr: MachineInstr) -> None:
         if sim.frames and (self._ckpt is None or len(sim.frames) != self._ckpt[0]):
             self._take(sim)
-        if instr.opcode in Simulator.CHECK_POINTS:
-            if (
-                self._pending
-                and sim.instructions - self._injected_at >= self.plan.detection_latency
-            ):
-                self.outcome.detected = True
-                self.outcome.detect_gap = sim.instructions - self._injected_at
-                self._pending = False
-                if self.recover:
-                    mark = sim.instructions
-                    self._restore(sim)
-                    sim.redirect()
-                    self.outcome.recovered = True
-                    self.outcome.recovery_instructions = mark
-                return
+        if instr.opcode in Simulator.CHECK_POINTS and not (
+            self._pending and self.detects(sim, instr)
+        ):
             self._since += 1
             if self._since >= self.interval:
                 self._take(sim)
@@ -243,40 +169,12 @@ class CheckpointLogInjector:
                 except KeyError:
                     old = _UNMAPPED
                 self._undo.append((addr, old))
-        if (
-            self._armed
-            and self.plan.kind == FAULT_CONTROL
-            and sim.instructions + 1 >= self.plan.target_instruction
-            and instr.opcode == "bnz"
-        ):
-            cond = instr.srcs[0]
-            value = sim.get_reg(cond)
-            sim.set_reg(cond, 0 if value else 1)
-            self._armed = False
-            self.outcome.injected = True
-            self.outcome.region = region_key(sim)
-            self._injected_at = sim.instructions
-            self._pending = True
+        if self._model_pre is not None:
+            self._model_pre(sim, instr)
 
     def _post(self, sim: Simulator, instr: MachineInstr, loc) -> None:
-        if (
-            self._armed
-            and self.plan.kind == FAULT_VALUE
-            and sim.instructions >= self.plan.target_instruction
-            and instr.dst is not None
-            and not instr.is_memory
-        ):
-            value = sim.get_reg(instr.dst)
-            if isinstance(value, float):
-                corrupted = -(value + 1.0)
-            else:
-                corrupted = value ^ self.plan.flip_mask
-            sim.set_reg(instr.dst, corrupted)
-            self._armed = False
-            self.outcome.injected = True
-            self.outcome.region = region_key(sim)
-            self._injected_at = sim.instructions
-            self._pending = True
+        if self._model_post is not None:
+            self._model_post(sim, instr, loc)
         if instr.opcode == "callb":
             # I/O and allocation are not replayable; never allow a
             # restore to cross them.
@@ -287,11 +185,11 @@ class RecoveryBackend:
     """One recovery strategy: a program to run, an injector, a price.
 
     Subclasses define which binary executes under fault injection
-    (:meth:`campaign_program`) and which injector drives detection and
-    recovery (:meth:`make_injector`); the shared :meth:`campaign` /
-    :meth:`overhead` machinery then reports the common
-    :class:`RecoveryOutcome` buckets and the scheme's fault-free dynamic
-    overhead against the DMR baseline.
+    (:meth:`campaign_program`) and which recovery policy drives the
+    fault model (:meth:`make_injector`); the shared :meth:`campaign` /
+    :meth:`overhead` machinery then reports the common campaign buckets
+    and the scheme's fault-free dynamic overhead against the DMR
+    baseline.
     """
 
     #: registry key (``--backends``, serve ``scheme``, bench rows)
@@ -347,36 +245,6 @@ class RecoveryBackend:
             start_trial=start_trial,
             injector_factory=self.make_injector,
             per_region=per_region,
-        )
-
-    def run_trial(
-        self,
-        program: MachineProgram,
-        seed: int,
-        index: int,
-        span: int,
-        func: str = "main",
-        args: Tuple = (),
-        kind: str = FAULT_VALUE,
-        detection_latency: int = 0,
-        recover: bool = True,
-    ) -> FaultOutcome:
-        """One campaign trial under this backend's injector.
-
-        ``program`` must be this backend's :meth:`campaign_program` —
-        computed once per campaign so per-section drivers do not
-        re-instrument it per trial.  Outcomes are bit-identical to the
-        corresponding trial of :meth:`campaign` at the same
-        ``(seed, index, span)``, which is what lets the incremental
-        harness (:mod:`repro.harness.incremental`) campaign all backends
-        per-section through one interface.
-        """
-        from repro.sim.faults import run_planned_trial
-
-        return run_planned_trial(
-            program, seed, index, span, func=func, args=args, kind=kind,
-            detection_latency=detection_latency, recover=recover,
-            injector_factory=self.make_injector,
         )
 
     def overhead(

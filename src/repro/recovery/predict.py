@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.codegen.machine import MachineInstr, MachineProgram
+from repro.sim import faults
 from repro.sim.faults import CampaignResult, region_key
 from repro.sim.simulator import Simulator
 
@@ -44,8 +45,8 @@ class RegionProfile:
     key: str
     entries: int = 0       # dynamic executions of the region
     instructions: int = 0  # dynamic instructions attributed to it
-    eligible: int = 0      # value-fault-eligible instructions (dst, non-memory)
-    branches: int = 0      # control-fault-eligible instructions (bnz)
+    eligible: int = 0      # value-fault sites (faults.value_site)
+    branches: int = 0      # control-fault sites (faults.control_site)
     checks: int = 0        # dynamic check points (detection opportunities)
     stores: int = 0        # memory writes (st/stslot)
 
@@ -74,12 +75,14 @@ def profile_regions(
 
     Regions are keyed by :func:`repro.sim.faults.region_key` — the
     restart pointer active at each instruction — so profile keys line up
-    exactly with the ``region`` attribution on campaign outcomes.
+    exactly with the ``region`` attribution on campaign outcomes, and
+    fault sites are counted by the fault model's own site rule.
     Returns ``(profiles, result, sim)``.
     """
     sim = Simulator(program, max_instructions=max_instructions)
     profiles: Dict[str, RegionProfile] = {}
     current = [None]
+    value_site, control_site = faults.value_site, faults.control_site
 
     def pre(s: Simulator, instr: MachineInstr) -> None:
         key = region_key(s)
@@ -90,9 +93,9 @@ def profile_regions(
             profile.entries += 1
             current[0] = key
         profile.instructions += 1
-        if instr.dst is not None and not instr.is_memory:
+        if value_site(instr):
             profile.eligible += 1
-        if instr.opcode == "bnz":
+        if control_site(instr):
             profile.branches += 1
         if instr.opcode in Simulator.CHECK_POINTS:
             profile.checks += 1
@@ -212,11 +215,7 @@ def measured_region_results(
             index, bucket, detected = int(row[0]), str(row[1]), row[2]
             if allowed is not None and index not in allowed:
                 continue
-            sub.trials += 1
-            sub.injected += 1
-            if detected:
-                sub.detected += 1
-            setattr(sub, bucket, getattr(sub, bucket) + 1)
+            sub.count(bucket, detected)
     return regions
 
 

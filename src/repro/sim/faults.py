@@ -9,11 +9,21 @@ call, or region boundary — before that operation commits, so corrupted
 stores never reach memory and corrupted values never cross an undetected
 region boundary.
 
-Recovery is the paper's idempotence scheme: discard unverified stores and
-jump to the restart pointer ``rp``. On an idempotent binary this always
-reproduces the fault-free result; on an original (non-idempotent) binary
-the same procedure silently corrupts state — the negative control used in
-tests.
+This module is the one owner of that model. Where a fault may strike is
+:func:`value_site` / :func:`control_site` plus
+:attr:`FaultPlan.strike_count`; what it does to the value or branch is
+:meth:`FaultPlan.corrupt`; the region it lands in is :func:`region_key`;
+when it surfaces is :meth:`FaultInjector.detects`. The eligibility trace
+of :mod:`repro.harness.incremental` and the region profile of
+:mod:`repro.recovery.predict` call the same functions.
+
+Recovery is a policy over that core. :class:`FaultInjector`'s own is the
+paper's idempotence scheme: discard unverified stores and jump to the
+restart pointer ``rp``. On an idempotent binary this always reproduces
+the fault-free result; on an original (non-idempotent) binary the same
+procedure silently corrupts state — the negative control used in tests.
+The TMR and checkpoint-and-log policies of :mod:`repro.recovery.backends`
+subclass it.
 """
 
 from __future__ import annotations
@@ -49,6 +59,29 @@ class FaultPlan:
     kind: str = FAULT_VALUE
     flip_mask: int = 0x1
     detection_latency: int = 0
+
+    @property
+    def strike_count(self) -> int:
+        """Retired-instruction count from which the fault strikes a site.
+
+        A value fault corrupts a result after its instruction retires, so
+        it strikes the first site retiring at or past
+        ``target_instruction``. A control fault flips a branch before it
+        issues — the ``bnz`` that will retire at or past the target — so
+        it strikes one retired instruction earlier.
+        """
+        if self.kind == FAULT_CONTROL:
+            return self.target_instruction - 1
+        return self.target_instruction
+
+    def corrupt(self, value):
+        """The faulty value: the opposite branch decision, or a result
+        with ``flip_mask`` flipped (floats are negated and shifted)."""
+        if self.kind == FAULT_CONTROL:
+            return 0 if value else 1
+        if isinstance(value, float):
+            return -(value + 1.0)
+        return value ^ self.flip_mask
 
 
 @dataclass
@@ -86,8 +119,38 @@ def region_key(sim: Simulator) -> str:
     return f"{loc.func}@{loc.block}.{loc.index}"
 
 
+def value_site(instr: MachineInstr) -> bool:
+    """Can a value fault corrupt ``instr``'s result?
+
+    Every register-writing instruction except memory operations, whose
+    loads DMR verifies directly.
+    """
+    return instr.dst is not None and not instr.is_memory
+
+
+def control_site(instr: MachineInstr) -> bool:
+    """Can a control fault flip ``instr``'s decision? Conditional branches."""
+    return instr.opcode == "bnz"
+
+
 class FaultInjector:
-    """Drives a simulator run with one planned fault and rp recovery."""
+    """Drives a simulator run with one planned fault and rp recovery.
+
+    The hooks are the fault model, installed only while there is
+    something to watch: an armed control fault strikes in the pre-issue
+    hook and an armed value fault in the post-retire hook, each at the
+    first site reached once ``plan.strike_count`` instructions have
+    retired; the pending fault then surfaces in the pre-issue hook of
+    the first check point :meth:`detects` accepts, and no hook runs
+    after that. The scheme-specific parts are the recovery policy:
+    :attr:`corrupts` and :meth:`roll_back`, and :meth:`_install` for a
+    policy that watches every instruction itself. None of them restates
+    when a fault strikes or surfaces.
+    """
+
+    #: Whether the fault reaches architectural state. A scheme that masks
+    #: it (TMR's vote) only marks it, and recovery has nothing to undo.
+    corrupts = True
 
     def __init__(self, sim: Simulator, plan: FaultPlan, recover: bool = True) -> None:
         self.sim = sim
@@ -95,64 +158,80 @@ class FaultInjector:
         self.recover = recover
         self.outcome = FaultOutcome()
         self._pending = False
-        self._armed = True
         self._injected_at = 0
-        sim.pre_hook = self._pre
-        sim.post_hook = self._post
+        self._strike_at = plan.strike_count
+        self._install(
+            sim,
+            self._strike_branch if plan.kind == FAULT_CONTROL else None,
+            self._strike_result if plan.kind == FAULT_VALUE else None,
+        )
+
+    def _install(self, sim: Simulator, pre, post) -> None:
+        """Hook the fault model's current phase (None: nothing to watch)."""
+        sim.pre_hook = pre
+        sim.post_hook = post
 
     # ------------------------------------------------------------------
-    # Hooks
+    # The fault model
     # ------------------------------------------------------------------
-    def _pre(self, sim: Simulator, instr: MachineInstr) -> None:
-        if (
-            self._pending
-            and instr.opcode in Simulator.CHECK_POINTS
-            and sim.instructions - self._injected_at >= self.plan.detection_latency
-        ):
-            self.outcome.detected = True
-            self.outcome.detect_gap = sim.instructions - self._injected_at
-            self._pending = False
-            if self.recover:
-                mark = sim.instructions
-                sim.recover_to_rp()
-                sim.redirect()
-                self.outcome.recovered = True
-                self.outcome.recovery_instructions = mark
+    def _strike_branch(self, sim: Simulator, instr: MachineInstr) -> None:
+        if sim.instructions >= self._strike_at and control_site(instr):
+            self._inject(sim, instr.srcs[0])
+
+    def _strike_result(self, sim: Simulator, instr: MachineInstr, loc) -> None:
+        if sim.instructions >= self._strike_at and value_site(instr):
+            self._inject(sim, instr.dst)
+
+    def _await_detection(self, sim: Simulator, instr: MachineInstr) -> None:
+        if self.detects(sim, instr):
+            self._detect(sim)
+
+    def detects(self, sim: Simulator, instr: MachineInstr) -> bool:
+        """Does a pending fault surface before ``instr`` issues?
+
+        At the first check point at least ``detection_latency`` dynamic
+        instructions after injection.
+        """
+        return (
+            instr.opcode in Simulator.CHECK_POINTS
+            and sim.instructions - self._injected_at
+            >= self.plan.detection_latency
+        )
+
+    def _inject(self, sim: Simulator, reg) -> None:
+        if self.corrupts:
+            sim.set_reg(reg, self.plan.corrupt(sim.get_reg(reg)))
+        self.outcome.injected = True
+        self.outcome.region = region_key(sim)
+        self._injected_at = sim.instructions
+        self._pending = True
+        self._install(sim, self._await_detection, None)
+
+    def _detect(self, sim: Simulator) -> None:
+        outcome = self.outcome
+        outcome.detected = True
+        outcome.detect_gap = sim.instructions - self._injected_at
+        self._pending = False
+        self._install(sim, None, None)
+        if not self.recover:
             return
-        if (
-            self._armed
-            and self.plan.kind == FAULT_CONTROL
-            and sim.instructions + 1 >= self.plan.target_instruction
-            and instr.opcode == "bnz"
-        ):
-            cond = instr.srcs[0]
-            value = sim.get_reg(cond)
-            sim.set_reg(cond, 0 if value else 1)
-            self._armed = False
-            self.outcome.injected = True
-            self.outcome.region = region_key(sim)
-            self._injected_at = sim.instructions
-            self._pending = True  # detected at the next check point after this branch
+        if self.corrupts:
+            mark = sim.instructions
+            self.roll_back(sim)
+            sim.redirect()
+            outcome.recovery_instructions = mark
+        outcome.recovered = True
 
-    def _post(self, sim: Simulator, instr: MachineInstr, loc) -> None:
-        if (
-            self._armed
-            and self.plan.kind == FAULT_VALUE
-            and sim.instructions >= self.plan.target_instruction
-            and instr.dst is not None
-            and not instr.is_memory  # loads are verified directly by DMR
-        ):
-            value = sim.get_reg(instr.dst)
-            if isinstance(value, float):
-                corrupted = -(value + 1.0)
-            else:
-                corrupted = value ^ self.plan.flip_mask
-            sim.set_reg(instr.dst, corrupted)
-            self._armed = False
-            self.outcome.injected = True
-            self.outcome.region = region_key(sim)
-            self._injected_at = sim.instructions
-            self._pending = True
+    # ------------------------------------------------------------------
+    # Recovery policy
+    # ------------------------------------------------------------------
+    def roll_back(self, sim: Simulator) -> None:
+        """Undo the fault's effects; execution resumes at ``sim.loc``.
+
+        The idempotence scheme: discard the unverified stores and jump to
+        the restart pointer.
+        """
+        sim.recover_to_rp()
 
 
 def run_with_fault(
@@ -171,6 +250,10 @@ def run_with_fault(
     signature exposing an ``outcome`` attribute. The default is the
     paper's idempotence scheme (``FaultInjector``); the alternatives
     live in :mod:`repro.recovery.backends`.
+
+    A run the fault makes trap (an unmapped address, a zero divisor, a
+    math domain error) or run away is ``crashed``; any other exception
+    is a simulator bug and propagates.
     """
     sim = Simulator(program, max_instructions=max_instructions)
     factory = injector_factory or FaultInjector
@@ -217,6 +300,17 @@ class CampaignResult:
         if not self.injected:
             return float("nan")
         return self.recovered_correctly / self.injected
+
+    def count(self, bucket: Optional[str], detected: bool = False) -> None:
+        """Tally one trial classified by :func:`classify_outcome`
+        (``bucket`` is None when nothing was injected)."""
+        self.trials += 1
+        if bucket is None:
+            return
+        self.injected += 1
+        if detected:
+            self.detected += 1
+        setattr(self, bucket, getattr(self, bucket) + 1)
 
     def merge(self, other: "CampaignResult") -> "CampaignResult":
         """Fold in another shard of the same campaign (in place)."""
@@ -302,7 +396,13 @@ def campaign_span(
     """
     baseline = Simulator(program)
     baseline.run(func, args)
-    return max(baseline.instructions - 2, 1)
+    return target_span(baseline.instructions)
+
+
+def target_span(instructions: int) -> int:
+    """The span (targets are ``[1, span)``) of a fault-free run that
+    retires ``instructions``."""
+    return max(instructions - 2, 1)
 
 
 def run_planned_trial(
@@ -372,23 +472,12 @@ def fault_campaign(
             detection_latency=detection_latency, recover=recover,
             injector_factory=injector_factory,
         )
-        result.trials += 1
         bucket = classify_outcome(outcome, reference_result, reference_output)
-        if bucket is None:
-            continue
-        result.injected += 1
-        if outcome.detected:
-            result.detected += 1
-        setattr(result, bucket, getattr(result, bucket) + 1)
-        if per_region is not None:
-            sub = per_region.setdefault(
+        result.count(bucket, outcome.detected)
+        if per_region is not None and bucket is not None:
+            per_region.setdefault(
                 outcome.region or REGION_UNKNOWN, CampaignResult()
-            )
-            sub.trials += 1
-            sub.injected += 1
-            if outcome.detected:
-                sub.detected += 1
-            setattr(sub, bucket, getattr(sub, bucket) + 1)
+            ).count(bucket, outcome.detected)
     _publish_campaign_metrics(result, kind)
     return result
 

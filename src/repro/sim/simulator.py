@@ -41,7 +41,7 @@ from repro.codegen.machine import (
     MachineProgram,
     Reg,
 )
-from repro.interp.interpreter import _int_div, _int_rem, wrap64
+from repro.interp.interpreter import ExecutionError, _int_div, _int_rem, wrap64
 from repro.interp.memory import Memory
 
 
@@ -516,12 +516,12 @@ class Simulator:
             ints[0] = wrap64(abs(ints[0]))
         elif name == "fabs":
             floats[0] = abs(floats[0])
-        elif name == "sqrt":
-            floats[0] = math.sqrt(floats[0])
-        elif name == "exp":
-            floats[0] = math.exp(floats[0])
-        elif name == "log":
-            floats[0] = math.log(floats[0])
+        elif name in _MATH_BUILTINS:
+            try:
+                floats[0] = _MATH_BUILTINS[name](floats[0])
+            except (ValueError, OverflowError) as exc:
+                # An argument outside the function's domain traps.
+                raise SimulationError(f"{name}({floats[0]!r}): {exc}") from None
         elif name == "min":
             ints[0] = min(ints[0], ints[1])
         elif name == "max":
@@ -534,12 +534,29 @@ class Simulator:
             raise SimulationError(f"unknown builtin {name!r}")
 
 
+_MATH_BUILTINS = {"sqrt": math.sqrt, "exp": math.exp, "log": math.log}
+
+
+# Division by zero traps, as in the interpreter.
 def _sdiv(a, b):
-    return wrap64(_int_div(a, b))
+    try:
+        return wrap64(_int_div(a, b))
+    except ExecutionError as exc:
+        raise SimulationError(str(exc)) from None
 
 
 def _srem(a, b):
-    return wrap64(_int_rem(a, b))
+    try:
+        return wrap64(_int_rem(a, b))
+    except ExecutionError as exc:
+        raise SimulationError(str(exc)) from None
+
+
+def _fdiv(a, b):
+    try:
+        return a / b
+    except ZeroDivisionError:
+        raise SimulationError("float division by zero") from None
 
 
 _INT_BINOPS = {
@@ -565,7 +582,7 @@ _FLOAT_BINOPS = {
     "fadd": lambda a, b: a + b,
     "fsub": lambda a, b: a - b,
     "fmul": lambda a, b: a * b,
-    "fdiv": lambda a, b: a / b,
+    "fdiv": _fdiv,
     "fcmpeq": lambda a, b: int(a == b),
     "fcmpne": lambda a, b: int(a != b),
     "fcmplt": lambda a, b: int(a < b),

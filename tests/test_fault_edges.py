@@ -1,12 +1,20 @@
 """Fault-injection edge cases: end-of-program faults, detection latency
-outliving the run, and empty-campaign accounting."""
+outliving the run, faults that make the program trap, and
+empty-campaign accounting."""
 
 import math
 
+import pytest
+
 from repro.compiler import compile_minic
-from repro.sim import Simulator
+from repro.harness.campaign import campaign_target
+from repro.harness.executor import derive_seed
+from repro.interp import ExecutionError, run_module
+from repro.recovery.backends import BACKEND_NAMES, get_backend
+from repro.sim import SimulationError, Simulator
 from repro.sim.faults import (
     CampaignResult,
+    FaultInjector,
     FaultPlan,
     fault_campaign,
     format_rate,
@@ -82,6 +90,94 @@ class TestDetectionLatencyPastEnd:
             result.crashed + result.wrong_result + result.undetected
             == result.injected
         )
+
+
+# A corrupted ``(i & 1) + 1`` is a zero divisor in 50 of the ~900
+# value-fault targets; campaign seed 3 draws four of them in 40 trials.
+DIVIDE = """
+int main() {
+  int s = 0;
+  for (int i = 0; i < 50; i = i + 1) {
+    s = s + 1000 / ((i & 1) + 1);
+  }
+  return s;
+}
+"""
+
+FLOAT_DIVIDE = """
+float g;
+int main() {
+  print_float(1.0 / g);
+  return 1;
+}
+"""
+
+
+def _partitioned(result):
+    return (
+        result.recovered_correctly + result.wrong_result
+        + result.crashed + result.undetected
+    ) == result.injected
+
+
+class TestTrappingFaults:
+    """A fault that makes the program trap crashes its trial, not the
+    campaign."""
+
+    @pytest.mark.parametrize("latency", (0, 4))
+    @pytest.mark.parametrize("label", ("original",) + BACKEND_NAMES)
+    def test_zero_divisor_crashes_the_trial(self, label, latency):
+        original = compile_minic(DIVIDE, idempotent=False).program
+        idempotent = compile_minic(DIVIDE, idempotent=True).program
+        clean = Simulator(idempotent)
+        reference = clean.run("main")
+        backend = None if label == "original" else get_backend(label)
+        program, factory = campaign_target(original, idempotent, label, backend)
+        result = fault_campaign(
+            program, reference, list(clean.output), trials=40, seed=3,
+            detection_latency=latency, injector_factory=factory,
+        )
+        assert result.injected == 40
+        assert _partitioned(result)
+        if label == "tmr":
+            assert result.crashed == 0  # the vote masks the bad divisor
+        else:
+            assert result.crashed > 0
+
+    def test_math_domain_error_crashes_the_trial(self):
+        """``repro campaign blackscholes --trials 7 --latency 4 --flavours
+        idempotent``: trial 6 hands ``sqrt``/``log`` a corrupted argument."""
+        from repro.experiments.common import build_pair
+
+        original, idempotent = build_pair("blackscholes")
+        clean = Simulator(idempotent.program)
+        reference = clean.run("main")
+        seed = derive_seed(12345, "blackscholes", "idempotent")
+        for name in BACKEND_NAMES:
+            result = get_backend(name).campaign(
+                original.program, idempotent.program, reference,
+                list(clean.output), trials=1, start_trial=6, seed=seed,
+                detection_latency=4,
+            )
+            assert _partitioned(result), name
+            if name == "idempotent":
+                assert result.crashed == 1
+
+    def test_float_division_by_zero_traps_like_the_interpreter(self):
+        build = compile_minic(FLOAT_DIVIDE, idempotent=True)
+        with pytest.raises(ExecutionError, match="float division by zero"):
+            run_module(build.module, "main")
+        with pytest.raises(SimulationError, match="float division by zero"):
+            Simulator(build.program).run("main")
+
+    def test_simulator_bugs_still_propagate(self):
+        class Broken(FaultInjector):
+            def roll_back(self, sim):
+                raise KeyError("not a trap")
+
+        program, _reference, _output, span = _build()
+        with pytest.raises(KeyError):
+            run_with_fault(program, FaultPlan(span // 2), injector_factory=Broken)
 
 
 class TestEmptyCampaignAccounting:
