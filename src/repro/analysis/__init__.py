@@ -13,9 +13,9 @@
 - :class:`AnalysisManager` — invalidation-aware per-function cache of the
   above; :class:`NullAnalysisManager` disables caching for bit-identity
   comparisons (see ``docs/performance.md``)
-- :mod:`repro.analysis.reference` — the pre-bitset implementations, kept
-  as oracles for the kernel equivalence suite (never imported by the
-  compiler)
+
+The pre-bitset implementations are frozen in ``tests/frozen_kernels.py``
+as oracles for the kernel equivalence suite.
 
 **Tier summary** (AnalysisManager invalidation contract): ``cfg``,
 ``domtree``, ``frontiers``, ``loops``, ``reachability``, ``bitcfg`` are

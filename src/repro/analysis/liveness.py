@@ -20,7 +20,7 @@ the fixpoint sweeps blocks in reverse RPO.  φ-nodes are handled
 edge-wise: a φ operand is live-out of the corresponding predecessor,
 not live-in to the φ's own block.  Results are materialized back into
 ordinary sets, bit-identical to the pre-rewrite per-block solver
-(asserted against :mod:`repro.analysis.reference` in
+(asserted against the frozen solver of ``tests/frozen_kernels.py`` in
 ``tests/test_bitset_kernels.py``).
 
 Doctest — a value defined in entry and used past a branch is live

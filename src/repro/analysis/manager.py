@@ -178,22 +178,6 @@ class AnalysisManager:
         if "cfg" not in keep:
             self._checksums.pop(func, None)
 
-    def invalidate_all(self) -> None:
-        """Forget every function (e.g. after module-level surgery)."""
-        self._cache.clear()
-        self._checksums.clear()
-
-    def retained(self) -> int:
-        """How many functions currently have cached analyses.
-
-        Long-lived holders (the ``repro serve`` workers share one
-        manager across requests) use this to bound retention: past a
-        limit they call :meth:`invalidate_all` so the cache — keyed by
-        :class:`~repro.ir.function.Function` identity — cannot pin an
-        unbounded number of dead modules in memory.
-        """
-        return len(self._cache)
-
     # ------------------------------------------------------------------
     # Analyses
     # ------------------------------------------------------------------

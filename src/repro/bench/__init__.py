@@ -35,14 +35,6 @@ from repro.bench.recovery import (
     validate_recovery_bench_file,
     write_recovery_bench_json,
 )
-from repro.bench.serve import (
-    SERVE_BENCH_SCHEMA,
-    load_serve_bench_file,
-    serve_bench_payload,
-    summarize_serve_bench,
-    validate_serve_bench_file,
-    write_serve_bench_json,
-)
 from repro.bench.runner import (
     BENCH_SCHEMA,
     FAST_SUBSET,
@@ -62,26 +54,21 @@ __all__ = [
     "CAMPAIGN_CACHE_SCHEMA",
     "FAST_SUBSET",
     "RECOVERY_BENCH_SCHEMA",
-    "SERVE_BENCH_SCHEMA",
     "compare_bench",
     "default_workloads",
     "format_comparison",
     "load_bench_file",
     "load_campaign_cache_file",
     "load_recovery_bench_file",
-    "load_serve_bench_file",
     "recovery_bench_payload",
     "run_bench",
     "run_campaign_cache_bench",
-    "serve_bench_payload",
     "summarize_bench",
     "summarize_campaign_cache",
     "summarize_recovery_bench",
-    "summarize_serve_bench",
     "validate_bench_file",
     "validate_campaign_cache_file",
     "validate_recovery_bench_file",
-    "validate_serve_bench_file",
     "write_bench_json",
     "write_campaign_cache_json",
     "write_recovery_bench_json",

@@ -1,7 +1,6 @@
 """``BENCH_recovery.json`` — the recovery-zoo benchmark schema.
 
-Where ``repro.bench/1`` dumps record *compiler phase* wall-times and
-``repro.serve.bench/1`` records service throughput, a
+Where ``repro.bench/1`` dumps record *compiler phase* wall-times, a
 ``repro.recovery.bench/1`` dump records the Fig. 12 trade-off as
 measured by ``repro recovery compare``: per-backend dynamic overhead
 (geomean vs the DMR baseline) against the fault-campaign outcome

@@ -26,20 +26,12 @@ Commands:
   emit schema-tagged ``BENCH_*.json``, and optionally gate against a
   baseline (``--baseline FILE --max-regression PCT``; see
   ``docs/performance.md``)
-- ``serve``           — long-lived async compile/run/faults service over
-  newline-delimited JSON, with admission control, request batching onto
-  one persistent worker pool, shared build/analysis caches, and graceful
-  drain (``docs/serving.md``); ``--load`` runs a self-contained
-  server+loadgen benchmark
-- ``loadgen``         — deterministic seeded load generator against a
-  running ``repro serve``; emits a ``BENCH_serve.json`` (requests/sec,
-  p50/p99 latency) that ``repro stats`` validates
 - ``stats``           — validate and summarize emitted trace/metrics/bench
   files
 - ``workloads``       — list the benchmark suite
 
-``repro --version`` prints the package version (also stamped into the
-serve handshake and every ``BENCH_serve.json``).
+``repro --version`` prints the package version (also stamped into
+every ``BENCH_recovery.json`` and ``BENCH_campaign_cache.json``).
 
 The ``experiment`` and ``campaign`` commands print a telemetry summary
 (wall time, per-phase breakdown, cache effectiveness) to stderr, so
@@ -85,6 +77,18 @@ def _config_from_args(args) -> ConstructionConfig:
         max_region_size=args.max_region_size,
         trust_argument_noalias=args.trust_noalias,
     )
+
+
+def _trial_count(text: str) -> int:
+    """argparse type of every ``--trials``: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _split_names(value: Optional[str]) -> Optional[List[str]]:
@@ -190,9 +194,6 @@ def cmd_compile(args) -> int:
         idempotent=not args.original,
         config=_config_from_args(args),
     )
-    # The serve front-end's --check contract compares its responses
-    # byte-for-byte against this output, so both must go through
-    # format_asm_listing.
     sys.stdout.write(format_asm_listing(result))
     return 0
 
@@ -557,96 +558,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _serve_config_from_args(args):
-    from repro.serve import ServeConfig
-
-    return ServeConfig(
-        host=args.host,
-        port=args.port,
-        jobs=args.jobs,
-        queue_depth=args.queue_depth,
-        max_inflight_bytes=args.max_inflight_bytes,
-        batch_window_s=args.batch_window,
-        batch_max=args.batch_max,
-        retries=args.retries,
-        unit_timeout=args.unit_timeout,
-    )
-
-
-def _run_load(host: str, port: int, args) -> int:
-    """Shared loadgen driver for ``loadgen`` and ``serve --load``."""
-    from repro.bench import validate_serve_bench_file, write_serve_bench_json
-    from repro.serve import LoadConfig, format_load_report, run_loadgen
-
-    config = LoadConfig(
-        trials=args.trials,
-        seed=args.seed,
-        concurrency=args.concurrency,
-        flavour=args.flavour,
-        emit=args.emit,
-        check=args.check,
-        rps=args.rps,
-    )
-    report = run_loadgen(host, port, config)
-    print(format_load_report(report))
-    if args.out:
-        write_serve_bench_json(args.out, report.bench_payload())
-        count = validate_serve_bench_file(args.out)
-        print(f"[serve] bench: {args.out} ({count} completed requests)",
-              file=sys.stderr)
-    return 0 if report.ok else 1
-
-
-def cmd_serve(args) -> int:
-    from repro.serve import ServerThread, run_server
-
-    _setup_obs(args)
-    config = _serve_config_from_args(args)
-    if args.load:
-        thread = ServerThread(config)
-        host, port = thread.start()
-        print(f"[serve] listening on {host}:{port} "
-              f"(jobs={config.jobs}, load mode)", file=sys.stderr)
-        try:
-            status = _run_load(host, port, args)
-        finally:
-            thread.stop()
-        _finalize_obs(args)
-        return status
-
-    def announce(server) -> None:
-        print(f"[serve] listening on {server.host}:{server.port} "
-              f"(jobs={config.jobs})", file=sys.stderr)
-
-    status = run_server(config, drain_after=args.drain_after,
-                        announce=announce)
-    _finalize_obs(args)
-    return status
-
-
-def cmd_loadgen(args) -> int:
-    from repro.obs import write_metrics_json
-    from repro.serve import ProtocolError, ServeClient
-
-    status = _run_load(args.host, args.port, args)
-    if args.fetch_metrics or args.stop_server:
-        try:
-            with ServeClient(args.host, args.port) as client:
-                if args.fetch_metrics:
-                    payload = client.metrics()
-                    count = write_metrics_json(
-                        args.fetch_metrics, payload["metrics"]
-                    )
-                    print(f"[serve] metrics: {args.fetch_metrics} "
-                          f"({count} instruments)", file=sys.stderr)
-                if args.stop_server:
-                    client.shutdown()
-        except (OSError, ProtocolError) as exc:
-            print(f"[serve] post-run request failed: {exc}", file=sys.stderr)
-            return 1
-    return status
-
-
 def cmd_stats(args) -> int:
     from repro.obs import ObsExportError, summarize_file
 
@@ -701,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("faults", help="fault injection campaign")
     p.add_argument("file")
     p.add_argument("--entry", default="main")
-    p.add_argument("--trials", type=int, default=30)
+    p.add_argument("--trials", type=_trial_count, default=30)
     p.add_argument("--kind", choices=["value", "control"], default="value")
     _add_config_flags(p)
     p.set_defaults(func=cmd_faults)
@@ -723,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="suite-wide fault-injection campaign (sharded, resumable)",
     )
     p.add_argument("workloads", nargs="*", help="workload subset (default: all)")
-    p.add_argument("--trials", type=int, default=40,
+    p.add_argument("--trials", type=_trial_count, default=40,
                    help="fault trials per workload and flavour")
     p.add_argument("--seed", type=int, default=12345,
                    help="campaign seed; per-trial seeds derive from it")
@@ -777,7 +688,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backends", default=None, metavar="NAMES",
                    help="comma-separated backend subset (idempotent, "
                         "checkpoint_log, tmr; default: all three)")
-    p.add_argument("--trials", type=int, default=24,
+    p.add_argument("--trials", type=_trial_count, default=24,
                    help="fault trials per workload and backend")
     p.add_argument("--seed", type=int, default=12345,
                    help="campaign seed; per-backend seeds derive from it "
@@ -815,18 +726,16 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz",
         help="differential fuzzing campaign against the oracle stack",
     )
-    p.add_argument("--trials", type=int, default=50,
+    p.add_argument("--trials", type=_trial_count, default=50,
                    help="fuzz trials (one generated program each)")
     p.add_argument("--seed", type=int, default=0,
                    help="campaign seed; per-trial generator seeds derive "
                         "from it spawn-key style")
     p.add_argument("-j", "--jobs", type=int, default=1,
                    help="shard trials over N processes")
-    p.add_argument("--shrink", action="store_true", default=True,
-                   help="minimize failing programs with the delta-debugging "
-                        "reducer (default: on)")
     p.add_argument("--no-shrink", dest="shrink", action="store_false",
-                   help="write raw failing programs without reduction")
+                   help="write raw failing programs without the "
+                        "delta-debugging reducer (default: minimize them)")
     p.add_argument("--time-budget", type=float, default=None,
                    metavar="SECONDS",
                    help="stop launching new trials once this much wall "
@@ -883,100 +792,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(writes a BENCH_campaign_cache.json with --out; "
                         "docs/campaigns.md)")
     p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser(
-        "serve",
-        help="long-lived NDJSON compile/run/faults service "
-             "(docs/serving.md)",
-    )
-    p.add_argument("--host", default="127.0.0.1",
-                   help="interface to bind (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=0,
-                   help="TCP port (default 0: pick a free port; the bound "
-                        "address is printed to stderr)")
-    p.add_argument("-j", "--jobs", type=int, default=1,
-                   help="worker processes in the persistent compile pool")
-    p.add_argument("--queue-depth", type=int, default=64,
-                   help="admission control: max queued work requests "
-                        "before rejection with retry_after")
-    p.add_argument("--max-inflight-bytes", type=int, default=8 * 1024 * 1024,
-                   help="admission control: max total bytes of queued "
-                        "request sources")
-    p.add_argument("--batch-window", type=float, default=0.005,
-                   metavar="SECONDS",
-                   help="coalescing window before a batch is dispatched")
-    p.add_argument("--batch-max", type=int, default=16,
-                   help="max requests dispatched per batch")
-    p.add_argument("--drain-after", type=float, default=None,
-                   metavar="SECONDS",
-                   help="gracefully drain and exit after this long "
-                        "(default: run until SIGINT/SIGTERM)")
-    p.add_argument("--load", action="store_true",
-                   help="self-contained benchmark: start the server, run "
-                        "the seeded load generator against it, drain, exit")
-    p.add_argument("--trials", type=int, default=20,
-                   help="with --load: requests in the synthetic stream")
-    p.add_argument("--seed", type=int, default=0,
-                   help="with --load: stream seed (programs + pacing)")
-    p.add_argument("--concurrency", type=int, default=2,
-                   help="with --load: client connections")
-    p.add_argument("--flavour", choices=["idempotent", "original"],
-                   default="idempotent",
-                   help="with --load: compile flavour requested")
-    p.add_argument("--emit", choices=["ir", "asm"], default="asm",
-                   help="with --load: compile output requested")
-    p.add_argument("--check", action="store_true",
-                   help="with --load: byte-compare every response against "
-                        "a one-shot in-process compile")
-    p.add_argument("--rps", type=float, default=None,
-                   help="with --load: target arrival rate (default: "
-                        "closed-loop, no pacing)")
-    p.add_argument("--out", metavar="FILE", default=None,
-                   help="with --load: write a BENCH_serve.json dump")
-    p.add_argument("--retries", type=int, default=None, metavar="N",
-                   help="re-execute transiently failed work units up to "
-                        "N extra times (same semantics as campaign)")
-    p.add_argument("--unit-timeout", type=float, default=None,
-                   metavar="SECONDS",
-                   help="kill work units running longer than this; the "
-                        "pool is rebuilt and surviving units resubmitted")
-    _add_obs_flags(p)
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "loadgen",
-        help="seeded load generator against a running repro serve",
-    )
-    p.add_argument("--host", default="127.0.0.1",
-                   help="server host (default 127.0.0.1)")
-    p.add_argument("--port", type=int, required=True,
-                   help="server port (from the serve stderr banner)")
-    p.add_argument("--trials", type=int, default=20,
-                   help="requests in the synthetic stream")
-    p.add_argument("--seed", type=int, default=0,
-                   help="stream seed; programs and pacing derive from it "
-                        "spawn-key style (no wall clock in the stream)")
-    p.add_argument("--concurrency", type=int, default=2,
-                   help="client connections (worker threads)")
-    p.add_argument("--flavour", choices=["idempotent", "original"],
-                   default="idempotent",
-                   help="compile flavour requested")
-    p.add_argument("--emit", choices=["ir", "asm"], default="asm",
-                   help="compile output requested")
-    p.add_argument("--check", action="store_true",
-                   help="byte-compare every response against a one-shot "
-                        "in-process compile")
-    p.add_argument("--rps", type=float, default=None,
-                   help="target arrival rate (default: closed-loop)")
-    p.add_argument("--out", metavar="FILE", default=None,
-                   help="write a BENCH_serve.json dump (repro stats "
-                        "validates it)")
-    p.add_argument("--fetch-metrics", metavar="FILE", default=None,
-                   help="after the run, dump the server's metrics "
-                        "snapshot to FILE (repro stats validates it)")
-    p.add_argument("--stop-server", action="store_true",
-                   help="after the run, ask the server to drain and exit")
-    p.set_defaults(func=cmd_loadgen)
 
     p = sub.add_parser(
         "stats",

@@ -58,7 +58,6 @@ def compile_ir_module(
     config: Optional[ConstructionConfig] = None,
     verify: bool = True,
     analysis_cache: bool = True,
-    manager=None,
 ) -> CompileResult:
     """Compile an IR module (mutated in place) down to machine code.
 
@@ -74,7 +73,6 @@ def compile_ir_module(
         with obs.span("construction.module", module=module.name, flavour=flavour):
             construction = construct_module_regions(
                 module, config, analysis_cache=analysis_cache,
-                manager=manager,
             )
     else:
         with obs.span("transforms.module", module=module.name, flavour=flavour):
@@ -111,21 +109,15 @@ def compile_minic(
     verify: bool = True,
     name: str = "minic",
     analysis_cache: bool = True,
-    manager=None,
 ) -> CompileResult:
-    """Compile MiniC source text to machine code.
-
-    ``manager`` optionally supplies a shared
-    :class:`~repro.analysis.manager.AnalysisManager` (see
-    :func:`repro.core.construction.construct_module_regions`).
-    """
+    """Compile MiniC source text to machine code."""
     flavour = "idempotent" if idempotent else "original"
     with obs.span("compile.minic", name=name, flavour=flavour):
         with obs.span("frontend.compile", name=name):
             module = compile_source(source, name)
         return compile_ir_module(
             module, idempotent=idempotent, config=config, verify=verify,
-            analysis_cache=analysis_cache, manager=manager,
+            analysis_cache=analysis_cache,
         )
 
 
@@ -134,8 +126,8 @@ def format_asm_listing(result: CompileResult) -> str:
 
     One block per function: the formatted machine code followed by its
     allocator statistics line.  This is exactly what ``repro compile``
-    prints, factored out so the serve protocol can return byte-identical
-    text (the loadgen ``--check`` contract).
+    prints, and the text the hash-seed determinism test compares across
+    processes.
     """
     from repro.codegen import format_machine_function
 

@@ -318,17 +318,12 @@ def construct_module_regions(
     module: Module,
     config: Optional[ConstructionConfig] = None,
     analysis_cache: bool = True,
-    manager: Optional[AnalysisManager] = None,
 ) -> Dict[str, ConstructionResult]:
     """Run the region construction over every defined function.
 
     ``analysis_cache=False`` makes every construction phase recompute
     its graph analyses from scratch (bit-identical output, used by the
-    ``repro bench`` cached-vs-fresh comparison and by tests).  Passing
-    an explicit ``manager`` lets long-lived callers (the ``repro serve``
-    workers) share one :class:`AnalysisManager` across successive
-    compiles instead of building a fresh one per module; output is
-    bit-identical either way.
+    ``repro bench`` cached-vs-fresh comparison and by tests).
 
     The cyclic collector is paused for the duration of the pass: the
     rewrites detach thousands of instructions whose operand ``Use``
@@ -337,8 +332,7 @@ def construct_module_regions(
     the pass.  Deferred garbage is reclaimed by the next natural
     collection after the pass returns.
     """
-    if manager is None:
-        manager = AnalysisManager() if analysis_cache else NullAnalysisManager()
+    manager = AnalysisManager() if analysis_cache else NullAnalysisManager()
     was_enabled = gc.isenabled()
     if was_enabled:
         gc.disable()

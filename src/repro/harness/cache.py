@@ -347,15 +347,8 @@ def cached_compile(
     config: Optional[ConstructionConfig] = None,
     name: str = "minic",
     cache: Optional[ArtifactCache] = None,
-    manager=None,
 ) -> CompileResult:
-    """``compile_minic`` through the artifact cache.
-
-    ``manager`` optionally shares an
-    :class:`~repro.analysis.manager.AnalysisManager` across cache-miss
-    builds (the ``repro serve`` workers do); it does not enter the cache
-    key because it cannot change build output.
-    """
+    """``compile_minic`` through the artifact cache."""
     if cache is None:
         cache = default_cache()
     key = cache_key(source, idempotent=idempotent, config=config, name=name)
@@ -363,6 +356,6 @@ def cached_compile(
     if isinstance(artifact, CompileResult):
         return artifact
     result = compile_minic(source, idempotent=idempotent, config=config,
-                           name=name, manager=manager)
+                           name=name)
     cache.put(key, result)
     return result

@@ -488,18 +488,20 @@ def fault_campaign_units(
     """The (unit_id, payload) work list of a suite-wide fault campaign.
 
     Trials shard into chunks of ``shard_trials`` (default: all trials in
-    one unit per workload × label).  Unit ids encode every parameter
+    one unit per workload × label); ``trials=0`` still yields one empty
+    unit per workload × label, so the report keeps its ``n/a`` rows as
+    the incremental campaign's does.  Unit ids encode every parameter
     that affects the unit's result, so a manifest written with one
     configuration never satisfies another.  ``flavours``/``backends``
     select scheme subsets (see :func:`campaign_label_specs`).
     """
     specs = campaign_label_specs(flavours, backends)
-    shard = trials if not shard_trials else max(1, int(shard_trials))
+    shard = max(1, int(shard_trials or trials))
     units: List[Tuple[str, dict]] = []
     for workload in resolve_workloads(names):
         for label, flavour, backend, seed_key in specs:
             unit_seed = derive_seed(seed, workload.name, seed_key)
-            for start in range(0, trials, shard):
+            for start in range(0, max(trials, 1), shard):
                 count = min(shard, trials - start)
                 unit_id = (
                     f"{workload.name}:{label_tag(label, backend)}:{kind}"

@@ -198,40 +198,15 @@ class TaskExecutor:
         retry: Optional[RetryPolicy] = None,
         unit_timeout: Optional[float] = None,
         chaos: Optional[ChaosPolicy] = None,
-        persistent: bool = False,
     ) -> None:
         self.jobs = max(1, int(jobs or 1))
         self.retry = retry
         self.unit_timeout = unit_timeout
         self.chaos = chaos
-        #: Keep the worker pool alive across ``map``/``imap`` calls (the
-        #: ``repro serve`` usage pattern: many small batches against warm
-        #: workers).  Call :meth:`close` (or use the executor as a
-        #: context manager) to shut the pool down.  A persistent executor
-        #: is not thread-safe: one submission stream at a time.
-        self.persistent = bool(persistent)
-        self._pool: Optional[ProcessPoolExecutor] = None
-        #: Number of process pools built over this executor's lifetime
-        #: (rebuilds after timeouts/breakage included); lets tests assert
-        #: a persistent executor does not re-spawn per batch.
-        self.pool_builds = 0
         #: True once a pool failed to start and we fell back inline.
         self.degraded = False
 
     # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Shut down a persistent pool (no-op otherwise, and idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "TaskExecutor":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
-
     @property
     def _policy(self) -> RetryPolicy:
         return self.retry if self.retry is not None else DEFAULT_RETRY
@@ -299,18 +274,13 @@ class TaskExecutor:
     # Pool orchestration: parent-side queue, retries, timeouts, rebuilds
     # ------------------------------------------------------------------
     def _new_pool(self, size: int) -> Optional[ProcessPoolExecutor]:
-        # A persistent pool is sized for the executor, not the first
-        # batch, so a small warm-up batch does not cap later ones.
-        workers = self.jobs if self.persistent else min(self.jobs, size)
         try:
-            pool = ProcessPoolExecutor(
-                max_workers=workers,
+            return ProcessPoolExecutor(
+                max_workers=min(self.jobs, size),
                 initializer=ensure_deep_pickle,
             )
         except Exception:
             return None
-        self.pool_builds += 1
-        return pool
 
     @staticmethod
     def _kill_pool(pool: ProcessPoolExecutor) -> None:
@@ -335,11 +305,7 @@ class TaskExecutor:
         observer = get_observer()
         policy = self._policy
         max_workers = min(self.jobs, len(items))
-        if self.persistent and self._pool is not None:
-            pool = self._pool
-            self._pool = None  # taken for this run; re-stowed in finally
-        else:
-            pool = self._new_pool(len(items))
+        pool = self._new_pool(len(items))
         enable_trace = observer.enabled
 
         pending: deque = deque(
@@ -490,9 +456,7 @@ class TaskExecutor:
             if pool is not None and inflight:
                 self._kill_pool(pool)  # abandoned mid-run (gen close)
                 pool = None
-            if self.persistent:
-                self._pool = pool  # keep warm workers for the next batch
-            elif pool is not None:
+            if pool is not None:
                 pool.shutdown(wait=True)
 
     # ------------------------------------------------------------------

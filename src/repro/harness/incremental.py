@@ -711,7 +711,7 @@ def _section_unit(payload: dict) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Inline driver (serve, recovery compare, bench)
+# Inline driver (recovery compare, bench)
 # ----------------------------------------------------------------------
 @dataclass
 class InlineCampaign:
@@ -746,17 +746,16 @@ def incremental_campaign(
     """Store-backed campaign of one program, sections run inline.
 
     The single-process analogue of :func:`run_incremental_fault_campaign`
-    — used by the ``serve`` ``faults`` op (incremental by default), the
-    ``repro recovery compare --use-store`` join, and the campaign-cache
-    bench.  ``seed`` is the *unit* seed (callers derive it exactly as
-    their monolithic path would), so the composed result is bit-identical
-    to :func:`repro.sim.faults.fault_campaign` (or
+    — used by the ``repro recovery compare --use-store`` join and the
+    campaign-cache bench.  ``seed`` is the *unit* seed (callers derive it
+    exactly as their monolithic path would), so the composed result is
+    bit-identical to :func:`repro.sim.faults.fault_campaign` (or
     ``backend.campaign(...)``) at the same parameters.
 
     ``name`` scopes store keys and should be stable across source edits
     (it is provenance, not content — the code content is in the
-    per-function fingerprints), so editing one function of a served or
-    benched program re-injects only that function's sections.
+    per-function fingerprints), so editing one function of a benched
+    program re-injects only that function's sections.
     """
     store = store or default_store()
     label = backend.name if backend is not None else flavour

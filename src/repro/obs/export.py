@@ -257,21 +257,6 @@ def summarize_file(path: str) -> str:
     except (OSError, ValueError) as exc:
         raise ObsExportError(f"{path}: unreadable ({exc})") from exc
     if isinstance(payload, dict) and isinstance(payload.get("schema"), str) \
-            and payload["schema"].startswith("repro.serve.bench/"):
-        # Lazy import: repro.bench itself builds on repro.obs.
-        from repro.bench import BenchError, load_serve_bench_file
-        from repro.bench import summarize_serve_bench
-
-        try:
-            bench = load_serve_bench_file(path)
-        except BenchError as exc:
-            raise ObsExportError(str(exc)) from exc
-        header = (
-            f"{path}: valid serve bench dump, "
-            f"{bench['completed']} completed requests"
-        )
-        return header + "\n" + summarize_serve_bench(bench)
-    if isinstance(payload, dict) and isinstance(payload.get("schema"), str) \
             and payload["schema"].startswith("repro.recovery.bench/"):
         # Lazy import: repro.bench itself builds on repro.obs.
         from repro.bench import BenchError, load_recovery_bench_file

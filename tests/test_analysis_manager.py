@@ -116,13 +116,6 @@ class TestInvalidation:
         with pytest.raises(ValueError, match="unknown"):
             am.invalidate(func, preserve={"cfg", "points_to"})
 
-    def test_invalidate_all(self):
-        func = _main_func()
-        am = AnalysisManager()
-        old = am.cfg(func)
-        am.invalidate_all()
-        assert am.cfg(func) is not old
-
     def test_kind_sets_are_consistent(self):
         assert CFG_ANALYSES < ALL_ANALYSES
         assert "liveness" in ALL_ANALYSES - CFG_ANALYSES

@@ -4,10 +4,12 @@ bit-identical to the pre-rewrite implementations.
 The corpus is ``repro.fuzz.generator.sources()`` (deterministic seeds,
 so a divergence reported by CI reproduces locally verbatim) plus
 hand-built edge-case CFGs: single block, unreachable blocks, and an
-irreducible loop.  References live in ``repro.analysis.reference`` —
+irreducible loop.  References live in ``tests/frozen_kernels.py`` —
 the original implementations, frozen verbatim when the kernels landed
 (see ``docs/kernels.md``).
 """
+
+import doctest
 
 import pytest
 
@@ -19,18 +21,19 @@ from repro.analysis import (
     Liveness,
     compute_dominance_frontiers,
 )
-from repro.analysis.reference import (
-    reference_dominates,
-    reference_frontiers,
-    reference_liveness,
-    reference_reaches,
-)
 from repro.core.construction import ConstructionConfig, construct_idempotent_regions
 from repro.core.verify import BoundarySegments
 from repro.frontend import compile_source
 from repro.fuzz.generator import sources
 from repro.ir.instructions import Boundary
 from repro.ir.parser import parse_module
+from tests import frozen_kernels
+from tests.frozen_kernels import (
+    reference_dominates,
+    reference_frontiers,
+    reference_liveness,
+    reference_reaches,
+)
 
 CORPUS_SIZE = 12
 
@@ -191,3 +194,9 @@ def test_boundary_segments_match_legacy_dfs(func):
         assert segments.boundary_free_path_exists(
             ad.read, ad.write
         ) == _legacy_boundary_free_path_exists(func, ad.read, ad.write)
+
+
+def test_reference_doctest():
+    results = doctest.testmod(frozen_kernels, verbose=False)
+    assert results.failed == 0
+    assert results.attempted > 0

@@ -160,6 +160,26 @@ class TestCampaign:
         assert "unknown flavour(s) bogus" in capsys.readouterr().err
 
 
+class TestTrialCounts:
+    @pytest.mark.parametrize("argv", [
+        ["faults", "demo.c"],
+        ["campaign", "bzip2", "--no-manifest"],
+        ["recovery", "compare", "bzip2"],
+        ["fuzz", "--no-manifest"],
+    ])
+    def test_negative_trials_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--trials", "-1"])
+        assert exc.value.code == 2
+        assert "--trials: must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_non_integer_trials_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "bzip2", "--trials", "many"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'many'" in capsys.readouterr().err
+
+
 class TestRecovery:
     def test_compare_reports_all_backends(self, capsys):
         assert main(["recovery", "compare", "bzip2",
@@ -247,6 +267,19 @@ class TestCampaignIncremental:
                 "--explain-stale"]
         assert main(argv) == 2
         assert "--explain-stale requires --incremental" in capsys.readouterr().err
+
+    def test_zero_trials_table_matches_monolithic(self, isolated_store, capsys):
+        argv = ["campaign", "bzip2", "--trials", "0", "--no-manifest"]
+        assert main(argv) == 0
+        monolithic = capsys.readouterr().out.splitlines()
+        assert main(argv + ["--incremental"]) == 0
+        incremental = capsys.readouterr().out.splitlines()
+        assert monolithic[:len(incremental)] == incremental
+        rows = incremental[2:4]
+        assert [row.split()[1:3] for row in rows] == [
+            ["original", "0"], ["idempotent", "0"],
+        ]
+        assert all(row.endswith("n/a") for row in rows)
 
     def test_incremental_rejects_shard_trials(self, capsys):
         argv = ["campaign", "bzip2", "--trials", "2", "--no-manifest",

@@ -1,13 +1,12 @@
 """CLI/docs drift: flag tables and the module map must match reality.
 
-The README's per-subcommand flags table (and the serve/loadgen table in
-``docs/serving.md``) promise exact flag spellings.  These tests diff the
-tables against :func:`repro.cli.build_parser` in **both** directions, so
-adding a flag without documenting it fails just like documenting a flag
-that does not exist.  The same bidirectional discipline applies to
-``docs/architecture.md``: every top-level ``repro.*`` package must
-appear on the map, and every ``repro.*`` name the map mentions must
-exist under ``src/repro/``.
+The README's per-subcommand flags table promises exact flag spellings.
+These tests diff the table against :func:`repro.cli.build_parser` in
+**both** directions, so adding a flag without documenting it fails just
+like documenting a flag that does not exist.  The same bidirectional
+discipline applies to ``docs/architecture.md``: every top-level
+``repro.*`` package must appear on the map, and every ``repro.*`` name
+the map mentions must exist under ``src/repro/``.
 """
 
 import argparse
@@ -23,7 +22,6 @@ from repro.cli import build_parser
 
 REPO = Path(__file__).resolve().parent.parent
 README = REPO / "README.md"
-SERVING = REPO / "docs" / "serving.md"
 ARCHITECTURE = REPO / "docs" / "architecture.md"
 SRC_REPRO = REPO / "src" / "repro"
 
@@ -55,8 +53,8 @@ def parser_flags():
 def table_flags(path):
     """Parse ``| `cmd` | `--flag` ... |`` rows from ``Command | Flags`` tables.
 
-    Only tables headed exactly ``| Command | Flags |`` count — the ops
-    table in docs/serving.md and other markdown tables are ignored.
+    Only tables headed exactly ``| Command | Flags |`` count — other
+    markdown tables are ignored.
     """
     table = {}
     in_table = False
@@ -94,22 +92,6 @@ class TestReadmeTable:
                 f"`{command}` flag drift:\n"
                 f"  README : {documented}\n"
                 f"  --help : {actual[command]}"
-            )
-
-
-class TestServingDocTable:
-    def test_serve_and_loadgen_rows_present(self):
-        documented = table_flags(SERVING)
-        assert {"serve", "loadgen"} <= set(documented)
-
-    def test_flags_match_exactly(self):
-        actual = parser_flags()
-        for command, documented in table_flags(SERVING).items():
-            if command not in actual:
-                continue  # the ops table reuses `| `op` | ... |` rows
-            assert documented == actual[command], (
-                f"docs/serving.md `{command}` row drifted from --help: "
-                f"{documented} vs {actual[command]}"
             )
 
 
@@ -172,7 +154,7 @@ class TestVersionFlag:
 class TestTableSanity:
     """Guard the parsers themselves: no row should be empty by accident."""
 
-    @pytest.mark.parametrize("path", [README, SERVING])
+    @pytest.mark.parametrize("path", [README])
     def test_tables_were_actually_found(self, path):
         table = table_flags(path)
         assert table, f"no flag-table rows parsed from {path.name}"

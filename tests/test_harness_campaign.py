@@ -227,6 +227,14 @@ class TestFaultCampaign:
         sharded = fault_campaign_units(["bzip2"], trials=4, seed=1, shard_trials=2)
         assert len(sharded) == 2 * len(value_units)
 
+    def test_zero_trials_keep_one_empty_unit_per_label(self):
+        for shard_trials in (None, 2):
+            units = fault_campaign_units(
+                ["bzip2"], trials=0, seed=1, shard_trials=shard_trials
+            )
+            assert [payload["trials"] for _, payload in units] == [0, 0]
+            assert all(uid.endswith(":t0+0") for uid, _ in units)
+
     def test_end_to_end_resume_and_determinism(self, tmp_path, isolated_cache):
         """A full (tiny) campaign: resumable, and sharding-invariant."""
         manifest_path = str(tmp_path / "campaign.jsonl")

@@ -106,102 +106,3 @@ class TestParallel:
         assert {r.key for r in results} == {"a", "b"}
         assert all(not r.ok for r in results)
         assert all(r.category == WORKER_LOST for r in results)
-
-
-def pid_of(_x):
-    import os
-
-    return os.getpid()
-
-
-def sleepy(duration):
-    time.sleep(duration)
-    return duration
-
-
-class TestPersistentPool:
-    """The serve usage pattern: one warm pool across many batches."""
-
-    def test_pool_not_rebuilt_per_batch(self):
-        with TaskExecutor(2, persistent=True) as executor:
-            for batch in range(4):
-                results = executor.map(square, [batch * 2, batch * 2 + 1])
-                assert all(r.ok for r in results)
-            assert executor.pool_builds == 1
-
-    def test_workers_stay_warm_across_batches(self):
-        # Which of the two workers answers a given batch is scheduler
-        # luck; what the warm pool guarantees is that no *new* worker
-        # processes ever appear across batches.
-        with TaskExecutor(2, persistent=True) as executor:
-            pids = set()
-            for _ in range(4):
-                pids |= {r.value for r in executor.map(pid_of, [0, 1, 2, 3])}
-            assert len(pids) <= 2
-            assert executor.pool_builds == 1
-
-    def test_transient_executor_rebuilds_per_batch(self):
-        executor = TaskExecutor(2)
-        executor.map(square, [1, 2])
-        executor.map(square, [3, 4])
-        assert executor.pool_builds == 2
-
-    def test_persistent_pool_full_width_after_small_batch(self):
-        # A 2-item warm-up batch must not cap a later 6-item batch at
-        # two workers: the persistent pool is sized by `jobs`.
-        with TaskExecutor(3, persistent=True) as executor:
-            executor.map(square, [1, 2])
-            pids = {r.value for r in executor.map(pid_of, list(range(12)))}
-            assert len(pids) <= 3
-            assert executor.pool_builds == 1
-
-    def test_close_is_idempotent_and_reopens_on_demand(self):
-        executor = TaskExecutor(2, persistent=True)
-        executor.map(square, [1, 2])
-        executor.close()
-        executor.close()
-        results = executor.map(square, [5, 6])  # builds a fresh pool
-        assert [r.value for r in results] == [25, 36]
-        assert executor.pool_builds == 2
-        executor.close()
-
-    def test_unit_errors_keep_the_pool(self):
-        with TaskExecutor(2, persistent=True) as executor:
-            results = executor.map(boom, [1, 2], reraise=False)
-            assert all(not r.ok for r in results)
-            results = executor.map(square, [3, 4])
-            assert [r.value for r in results] == [9, 16]
-            assert executor.pool_builds == 1
-
-    def test_retry_semantics_hold_on_persistent_pool(self):
-        from repro.harness.resilience import ChaosPolicy, RetryPolicy
-
-        with TaskExecutor(
-            2,
-            retry=RetryPolicy(max_attempts=3, backoff_base=0.0),
-            chaos=ChaosPolicy(crash_units=("2", "3")),
-            persistent=True,
-        ) as executor:
-            results = executor.map(square, [2, 3], reraise=False)
-            assert {r.value for r in results} == {4, 9}
-            assert all(r.attempts > 1 for r in results)
-            # And the next batch still runs on a live pool.
-            assert all(r.ok for r in executor.map(square, [4, 5]))
-
-    def test_timeout_rebuild_then_next_batch_works(self):
-        from repro.harness.resilience import RetryPolicy
-
-        with TaskExecutor(
-            2,
-            retry=RetryPolicy(max_attempts=1),
-            unit_timeout=0.3,
-            persistent=True,
-        ) as executor:
-            results = executor.map(sleepy, [30.0, 30.0], reraise=False)
-            assert all(not r.ok for r in results)
-            assert all(r.category == "timeout" for r in results)
-            rebuilt = executor.pool_builds
-            assert rebuilt >= 2  # the hung pool was killed and replaced
-            results = executor.map(square, [6, 7])
-            assert [r.value for r in results] == [36, 49]
-            assert executor.pool_builds == rebuilt  # rebuilt pool reused

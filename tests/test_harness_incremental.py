@@ -46,7 +46,6 @@ from repro.harness.incremental import (
     run_incremental_fault_campaign,
     section_identity,
     section_key,
-    set_default_store,
     summarize_rows,
     trace_eligibility,
 )
@@ -641,45 +640,3 @@ class TestReports:
         summary = FaultCampaignSummary(trials=2, seed=1, labels=("idempotent",))
         summary.results[("wl", "idempotent")] = CampaignResult(trials=2)
         assert "quarantined units" not in format_campaign_report(summary)
-
-
-class TestServeIncremental:
-    def test_repeated_faults_requests_compose_from_store(
-        self, isolated_cache, tmp_path, monkeypatch
-    ):
-        from repro.obs import get_observer
-        from repro.serve.work import execute_unit
-
-        previous = set_default_store(OutcomeStore(root=str(tmp_path / "serve")))
-        try:
-            item = {"op": "faults", "source": KERNEL, "flavour": "idempotent",
-                    "entry": "main", "trials": 5, "kind": "value", "seed": 7,
-                    "scheme": "idempotent", "config": None}
-            cold = execute_unit(dict(item))
-            counters = get_observer().metrics
-            warm = execute_unit(dict(item))
-            assert warm == cold
-            snapshot = counters.snapshot()
-            assert any(name.startswith("campaign.trials") for name in snapshot)
-        finally:
-            set_default_store(previous)
-
-    def test_different_sources_never_share_sections(
-        self, isolated_cache, tmp_path
-    ):
-        """The serve namespace is fingerprint-scoped: an edited source is
-        a different namespace, so its campaign starts cold rather than
-        composing another program's sections."""
-        from repro.serve.work import execute_unit
-
-        previous = set_default_store(OutcomeStore(root=str(tmp_path / "serve")))
-        try:
-            item = {"op": "faults", "source": KERNEL, "flavour": "idempotent",
-                    "entry": "main", "trials": 4, "kind": "value", "seed": 7,
-                    "scheme": "idempotent", "config": None}
-            a = execute_unit(dict(item))
-            edited = dict(item, source=KERNEL.replace("acc * 31", "acc * 37"))
-            b = execute_unit(edited)
-            assert a["campaigns"] != b["campaigns"] or a["reference"] != b["reference"]
-        finally:
-            set_default_store(previous)
