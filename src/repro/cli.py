@@ -9,10 +9,11 @@ Commands:
 - ``experiment NAME`` — regenerate a paper figure/table (fig4, fig8,
   fig9, fig10, fig12, table2, or ``all``), with ``--jobs N`` sharding
   and the persistent artifact cache (``--no-cache`` to bypass)
-- ``campaign``        — suite-wide fault-injection campaign: sharded,
-  resumable via a JSON-lines manifest, deterministic under any sharding;
-  ``--flavours``/``--backends`` select which binaries and recovery
-  backends to campaign
+- ``campaign``        — suite-wide fault-injection campaign: one unit per
+  workload and label, composed from the per-region sections of the
+  outcome store so only missing sections inject; resumable via a
+  JSON-lines manifest; ``--flavours``/``--backends`` select which
+  binaries and recovery backends to campaign
 - ``recovery``        — recovery-strategy zoo: idempotence vs TMR vs
   checkpoint-and-log under one interface — per-backend dynamic overhead
   and fault-campaign buckets, per-region predicted-vs-measured recovery
@@ -331,18 +332,14 @@ def cmd_experiment(args) -> int:
 def cmd_campaign(args) -> int:
     from repro.experiments.common import configure
     from repro.harness.cache import default_cache
-    from repro.harness.campaign import format_campaign_report, run_fault_campaign
+    from repro.harness.campaign import (
+        format_campaign_report,
+        format_section_accounting,
+        format_stale_report,
+        run_fault_campaign,
+    )
     from repro.harness.report import Telemetry
 
-    if args.explain_stale and not args.incremental:
-        print("campaign error: --explain-stale requires --incremental",
-              file=sys.stderr)
-        return 2
-    if args.incremental and args.shard_trials is not None:
-        print("campaign error: --incremental sections replace --shard-trials "
-              "sharding (sections are the resume granularity)",
-              file=sys.stderr)
-        return 2
     _setup_obs(args)
     retry, unit_timeout, chaos = _resilience_from_args(args)
     configure(jobs=args.jobs, use_cache=not args.no_cache,
@@ -360,66 +357,34 @@ def cmd_campaign(args) -> int:
             tag += "-fl" + "+".join(flavours)
         if backends:
             tag += "-be" + "+".join(backends)
-        if args.incremental:
-            tag += "-incr"
         manifest_path = os.path.join(".repro-cache", "campaigns", f"{tag}.jsonl")
     if args.fresh and manifest_path and os.path.exists(manifest_path):
         os.unlink(manifest_path)
     telemetry = Telemetry(label="fault campaign")
     try:
-        if args.incremental:
-            from repro.harness.incremental import (
-                format_incremental_report,
-                format_section_accounting,
-                format_stale_report,
-                run_incremental_fault_campaign,
-            )
-
-            summary = run_incremental_fault_campaign(
-                names=args.workloads or None,
-                trials=args.trials,
-                seed=args.seed,
-                kind=args.kind,
-                detection_latency=args.latency,
-                jobs=args.jobs,
-                manifest_path=manifest_path,
-                telemetry=telemetry,
-                retry=retry,
-                unit_timeout=unit_timeout,
-                chaos=chaos,
-                flavours=flavours,
-                backends=backends,
-            )
-        else:
-            summary = run_fault_campaign(
-                names=args.workloads or None,
-                trials=args.trials,
-                seed=args.seed,
-                kind=args.kind,
-                detection_latency=args.latency,
-                jobs=args.jobs,
-                manifest_path=manifest_path,
-                shard_trials=args.shard_trials,
-                telemetry=telemetry,
-                retry=retry,
-                unit_timeout=unit_timeout,
-                chaos=chaos,
-                flavours=flavours,
-                backends=backends,
-            )
+        summary = run_fault_campaign(
+            names=args.workloads or None,
+            trials=args.trials,
+            seed=args.seed,
+            kind=args.kind,
+            detection_latency=args.latency,
+            jobs=args.jobs,
+            manifest_path=manifest_path,
+            telemetry=telemetry,
+            retry=retry,
+            unit_timeout=unit_timeout,
+            chaos=chaos,
+            flavours=flavours,
+            backends=backends,
+        )
     except ValueError as exc:
         print(f"campaign error: {exc}", file=sys.stderr)
         return 2
-    if args.incremental:
-        # Section/unit accounting goes to stderr so a warm re-run's
-        # stdout is byte-identical to the cold run that filled the store.
-        print(format_incremental_report(summary))
-        if args.explain_stale:
-            print(format_stale_report(summary), file=sys.stderr)
-        else:
-            print(format_section_accounting(summary), file=sys.stderr)
-    else:
-        print(format_campaign_report(summary))
+    print(format_campaign_report(summary))
+    # Section accounting goes to stderr so stdout is byte-identical
+    # whether sections composed from the store or were injected.
+    explain = format_stale_report if args.explain_stale else format_section_accounting
+    print(explain(summary), file=sys.stderr)
     telemetry.finish()
     telemetry.attach_cache(default_cache())
     if manifest_path:
@@ -445,7 +410,6 @@ def cmd_recovery(args) -> int:
             kind=args.kind,
             latency=args.latency,
             threshold=args.threshold,
-            use_store=args.use_store,
         )
     except (KeyError, ValueError) as exc:
         print(f"recovery error: {exc}", file=sys.stderr)
@@ -631,7 +595,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "campaign",
-        help="suite-wide fault-injection campaign (sharded, resumable)",
+        help="suite-wide fault-injection campaign (store-backed, resumable)",
     )
     p.add_argument("workloads", nargs="*", help="workload subset (default: all)")
     p.add_argument("--trials", type=_trial_count, default=40,
@@ -649,9 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(idempotent, checkpoint_log, tmr; see "
                         "docs/recovery.md)")
     p.add_argument("-j", "--jobs", type=int, default=1,
-                   help="shard work units over N processes")
-    p.add_argument("--shard-trials", type=int, default=None,
-                   help="trials per work unit (finer resume granularity)")
+                   help="run workload x label units over N processes")
     p.add_argument("--manifest", default=None,
                    help="JSON-lines run manifest (default: derived path "
                         "under .repro-cache/campaigns/)")
@@ -659,18 +621,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="do not record or resume from a manifest")
     p.add_argument("--fresh", action="store_true",
                    help="discard any existing manifest before running")
-    p.add_argument("--incremental", action="store_true",
-                   help="compositional campaign: split each workload into "
-                        "per-region sections, compose previously stored "
-                        "section outcomes from the content-addressed store "
-                        "under .repro-cache/outcomes/, and re-inject only "
-                        "sections whose code changed (docs/campaigns.md); "
-                        "results are bit-identical to the monolithic "
-                        "campaign at equal budgets")
     p.add_argument("--explain-stale", action="store_true",
-                   help="with --incremental: report on stderr which "
-                        "sections re-injected and why (new-section, "
-                        "code-changed, pipeline-changed, evicted, top-up)")
+                   help="report on stderr which sections re-injected "
+                        "instead of composing from the outcome store, and "
+                        "why (new-section, code-changed, pipeline-changed, "
+                        "evicted, top-up)")
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the persistent artifact cache")
     _add_resilience_flags(p)
@@ -700,12 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=0.25,
                    help="flag regions where |predicted - measured| recovery "
                         "exceeds this")
-    p.add_argument("--use-store", action="store_true",
-                   help="run campaigns through the incremental harness: "
-                        "compose cached per-region sections from the "
-                        "content-addressed outcome store and inject only "
-                        "missing ones (bit-identical results; "
-                        "docs/campaigns.md)")
     p.add_argument("--label", default="recovery",
                    help="label stamped into the bench dump")
     p.add_argument("--out", metavar="FILE", default=None,

@@ -1,7 +1,7 @@
 """Resumable campaign orchestration.
 
 A *campaign* is a set of independent work units (e.g. every
-workload × binary-flavour × trial-shard of a fault-injection study).
+workload × label of a fault-injection study).
 :class:`CampaignRunner` executes units through a
 :class:`~repro.harness.executor.TaskExecutor` and records each completed
 unit as one JSON line in a :class:`RunManifest`.  Because rows are
@@ -11,10 +11,12 @@ recorded unit and executes only the remainder.
 
 The concrete campaign shipped here is the paper's fault-injection study
 (§6.3) scaled to the whole benchmark suite: :func:`run_fault_campaign`
-shards trials spawn-key style (see
-:func:`repro.sim.faults.trial_plan`), so the merged result of any
-sharding — across processes or across resumed invocations — is
-bit-identical to one serial run.
+runs one unit per workload × label, and each unit's worker runs the
+section engine of :mod:`repro.harness.incremental`.  Sections already in
+the outcome store compose, the rest inject and publish as they finish,
+and the composed counts are bit-identical to one monolithic
+:func:`repro.sim.faults.fault_campaign` whether the store is warm, cold
+or disabled.
 """
 
 from __future__ import annotations
@@ -24,24 +26,24 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.codegen.machine import MachineProgram
 from repro.experiments.common import build_pair, format_table, prebuild_pairs, resolve_workloads
+from repro.harness.cache import PIPELINE_VERSION
 from repro.harness.executor import TaskExecutor, derive_seed
+from repro.harness.incremental import (
+    SECTION_CACHED,
+    OutcomeStore,
+    SectionAccounting,
+    SectionStatus,
+    campaign_sections,
+    campaign_target,
+    default_store,
+    index_entries,
+    program_fingerprint,
+)
 from repro.harness.report import Telemetry
-from repro.harness.resilience import (
-    UNIT_ERROR,
-    ChaosPolicy,
-    PermanentUnitError,
-    RetryPolicy,
-)
+from repro.harness.resilience import UNIT_ERROR, ChaosPolicy, RetryPolicy
 from repro.obs.context import get_observer
-from repro.sim.faults import (
-    FAULT_VALUE,
-    CampaignResult,
-    fault_campaign,
-    format_rate,
-)
-from repro.sim.simulator import Simulator
+from repro.sim.faults import FAULT_VALUE, CampaignResult, format_rate
 
 FLAVOURS = ("original", "idempotent")
 
@@ -185,6 +187,8 @@ class CampaignRunner:
         self.chaos = chaos
         self.executed = 0
         self.skipped = 0
+        #: ids of the units the last :meth:`run` resumed from the manifest
+        self.resumed: set = set()
         self.failed = 0
         self.quarantined = 0
         self.quarantine_skipped = 0
@@ -242,7 +246,8 @@ class CampaignRunner:
             (uid, payload) for uid, payload in units
             if uid not in done and uid not in poisoned
         ]
-        self.skipped = sum(1 for uid, _ in units if uid in done)
+        self.resumed = {uid for uid, _ in units if uid in done}
+        self.skipped = len(self.resumed)
         for uid, _ in units:
             if uid not in poisoned:
                 continue
@@ -313,8 +318,8 @@ class CampaignRunner:
 # Fault-injection campaign over the benchmark suite
 # ----------------------------------------------------------------------
 @dataclass
-class FaultCampaignSummary:
-    """Merged per-(workload, label) results plus run accounting.
+class FaultCampaignSummary(SectionAccounting):
+    """Per-(workload, label) results plus run and section accounting.
 
     A *label* is a binary flavour (``original``/``idempotent``) or a
     recovery backend name (``tmr``/``checkpoint_log``/...) — whatever
@@ -323,7 +328,7 @@ class FaultCampaignSummary:
     order, so their reports are byte-identical.
     """
 
-    #: (workload, label) -> merged CampaignResult across shards
+    #: (workload, label) -> CampaignResult of that unit
     results: Dict[Tuple[str, str], CampaignResult] = field(default_factory=dict)
     trials: int = 0
     seed: int = 0
@@ -339,6 +344,10 @@ class FaultCampaignSummary:
     #: can list *which* units are poisoned, not just how many.
     quarantined: List[Tuple[str, str]] = field(default_factory=list)
     telemetry: Optional[Telemetry] = None
+    #: every section the units executed by this invocation planned
+    #: (a unit resumed from the manifest plans none)
+    sections: List[SectionStatus] = field(default_factory=list)
+    store_root: str = ""
 
     def flavour_totals(self, label: str) -> CampaignResult:
         total = CampaignResult()
@@ -348,79 +357,36 @@ class FaultCampaignSummary:
         return total
 
 
-def campaign_target(
-    original: MachineProgram,
-    idempotent: MachineProgram,
-    flavour: str,
-    backend=None,
-) -> Tuple[MachineProgram, Optional[Callable]]:
-    """The binary and injector factory a campaign label runs.
+def _campaign_unit(payload: dict) -> dict:
+    """Worker: one workload × label campaign through the section engine.
 
-    A recovery backend campaigns its own program under its own policy;
-    a bare flavour campaigns that build under the paper's rp recovery
-    (factory ``None``: :class:`~repro.sim.faults.FaultInjector`).
-    """
-    if backend is not None:
-        return (
-            backend.campaign_program(original, idempotent),
-            backend.make_injector,
-        )
-    return (idempotent if flavour == "idempotent" else original), None
-
-
-def prepare_unit(payload: dict):
-    """``(program, injector_factory, reference, reference_output)`` of
-    one campaign work unit (a trial shard or an incremental section).
-
-    The recovery target is the idempotent build's fault-free run (the
-    same convention as ``python -m repro faults``); every scheme must
-    reproduce it to count as recovered.  A crashing reference means the
-    *build* is broken — deterministic for every retry — so it is
-    reported as a structured, permanently-classified unit error rather
-    than escaping as a raw exception string.
+    The manifest row is the composed counts plus the unit's section
+    statuses; the outcome store in the payload receives every section
+    record as it finishes.
     """
     from repro.recovery.backends import get_backend
 
-    name = payload["workload"]
-    original, idempotent = build_pair(name)
-    try:
-        reference_sim = Simulator(idempotent.program)
-        reference = reference_sim.run(payload["entry"])
-        reference_output = list(reference_sim.output)
-    except Exception as exc:
-        raise PermanentUnitError(
-            f"reference run failed for workload {name!r} "
-            f"(flavour {payload['flavour']}, entry {payload['entry']!r}): "
-            f"{type(exc).__name__}: {exc}"
-        ) from exc
+    original, idempotent = build_pair(payload["workload"])
     backend_name = payload.get("backend")
-    program, factory = campaign_target(
-        original.program, idempotent.program, payload["flavour"],
-        get_backend(backend_name) if backend_name else None,
-    )
-    return program, factory, reference, reference_output
-
-
-def _fault_unit(payload: dict) -> dict:
-    """Worker: one trial-shard of one workload × flavour (or backend)."""
-    program, factory, reference, reference_output = prepare_unit(payload)
-    campaign = fault_campaign(
-        program,
-        reference,
-        reference_output,
-        trials=payload["trials"],
+    outcome = campaign_sections(
+        original.program,
+        idempotent.program,
+        payload["trials"],
+        payload["store"],
         func=payload["entry"],
         kind=payload["kind"],
         seed=payload["unit_seed"],
         detection_latency=payload["detection_latency"],
-        start_trial=payload["start_trial"],
-        injector_factory=factory,
+        backend=get_backend(backend_name) if backend_name else None,
+        flavour=payload["flavour"],
+        name=payload["workload"],
     )
-    row = asdict(campaign)
+    row = asdict(outcome.result)
     row["workload"] = payload["workload"]
     row["flavour"] = payload["flavour"]
-    if payload.get("backend") is not None:
-        row["backend"] = payload["backend"]
+    if backend_name is not None:
+        row["backend"] = backend_name
+    row["sections"] = [asdict(status) for status in outcome.sections]
     return row
 
 
@@ -469,57 +435,45 @@ def campaign_label_specs(
     return specs
 
 
-def label_tag(label: str, backend) -> str:
-    """A label as campaign unit ids name it (``backend-<name>`` for a
-    recovery backend)."""
-    return f"backend-{label}" if backend is not None else label
-
-
 def fault_campaign_units(
     names: Optional[Sequence[str]],
     trials: int,
     seed: int,
     kind: str = FAULT_VALUE,
     detection_latency: int = 0,
-    shard_trials: Optional[int] = None,
     flavours: Optional[Sequence[str]] = None,
     backends: Optional[Sequence[str]] = None,
 ) -> List[Tuple[str, dict]]:
     """The (unit_id, payload) work list of a suite-wide fault campaign.
 
-    Trials shard into chunks of ``shard_trials`` (default: all trials in
-    one unit per workload × label); ``trials=0`` still yields one empty
-    unit per workload × label, so the report keeps its ``n/a`` rows as
-    the incremental campaign's does.  Unit ids encode every parameter
-    that affects the unit's result, so a manifest written with one
-    configuration never satisfies another.  ``flavours``/``backends``
-    select scheme subsets (see :func:`campaign_label_specs`).
+    One unit per workload × label runs all of its trials; ``trials=0``
+    still yields the unit, so the report keeps its ``n/a`` rows.  Unit
+    ids encode every parameter that affects the unit's result, so a
+    manifest written with one configuration never satisfies another.
+    ``flavours``/``backends`` select scheme subsets (see
+    :func:`campaign_label_specs`).
     """
     specs = campaign_label_specs(flavours, backends)
-    shard = max(1, int(shard_trials or trials))
     units: List[Tuple[str, dict]] = []
     for workload in resolve_workloads(names):
         for label, flavour, backend, seed_key in specs:
-            unit_seed = derive_seed(seed, workload.name, seed_key)
-            for start in range(0, max(trials, 1), shard):
-                count = min(shard, trials - start)
-                unit_id = (
-                    f"{workload.name}:{label_tag(label, backend)}:{kind}"
-                    f":seed{seed}:lat{detection_latency}:t{start}+{count}"
-                )
-                payload = {
-                    "workload": workload.name,
-                    "flavour": flavour,
-                    "entry": workload.entry,
-                    "trials": count,
-                    "start_trial": start,
-                    "unit_seed": unit_seed,
-                    "kind": kind,
-                    "detection_latency": detection_latency,
-                }
-                if backend is not None:
-                    payload["backend"] = label
-                units.append((unit_id, payload))
+            tag = f"backend-{label}" if backend is not None else label
+            unit_id = (
+                f"{workload.name}:{tag}:{kind}"
+                f":seed{seed}:lat{detection_latency}:t0+{trials}"
+            )
+            payload = {
+                "workload": workload.name,
+                "flavour": flavour,
+                "entry": workload.entry,
+                "trials": trials,
+                "unit_seed": derive_seed(seed, workload.name, seed_key),
+                "kind": kind,
+                "detection_latency": detection_latency,
+            }
+            if backend is not None:
+                payload["backend"] = label
+            units.append((unit_id, payload))
     return units
 
 
@@ -531,55 +485,61 @@ def run_fault_campaign(
     detection_latency: int = 0,
     jobs: int = 1,
     manifest_path: Optional[str] = None,
-    shard_trials: Optional[int] = None,
     telemetry: Optional[Telemetry] = None,
     retry: Optional[RetryPolicy] = None,
     unit_timeout: Optional[float] = None,
     chaos: Optional[ChaosPolicy] = None,
     flavours: Optional[Sequence[str]] = None,
     backends: Optional[Sequence[str]] = None,
+    store: Optional[OutcomeStore] = None,
 ) -> FaultCampaignSummary:
-    """Suite-wide fault-injection campaign, sharded, cached, resumable."""
+    """Suite-wide fault-injection campaign: store-backed, parallel, resumable.
+
+    Each workload × label unit runs the section engine in its worker;
+    ``store`` (default: the process-wide outcome store) travels in the
+    payload.  The parent merges the store's identity index once, for
+    the sections of every unit this invocation ran.
+    """
+    from repro.recovery.backends import get_backend
+
     telemetry = telemetry or Telemetry(label="fault campaign")
     if manifest_path:
         get_observer().log(f"campaign manifest: {manifest_path}")
+    store = store or default_store()
     specs = campaign_label_specs(flavours, backends)
     units = fault_campaign_units(
-        names, trials, seed, kind=kind,
-        detection_latency=detection_latency, shard_trials=shard_trials,
+        names, trials, seed, kind=kind, detection_latency=detection_latency,
         flavours=flavours, backends=backends,
     )
     # Builds happen in the parent first: workers inherit the memo via
     # fork and warm runs pull artifacts straight from the disk cache.
     prebuild_pairs(names, jobs=jobs, telemetry=telemetry)
-    # Stamp every unit with the pipeline version and the checksum of the
-    # code it campaigns over: resuming a manifest written by a different
-    # compiler (or against edited source) re-runs those units instead of
-    # silently mixing outcomes.
-    from repro.harness.cache import PIPELINE_VERSION
-    from repro.harness.incremental import program_fingerprint
-
-    fingerprints: Dict[Tuple[str, str], str] = {}
+    # Stamp every unit with the pipeline version and the fingerprint of
+    # the program it campaigns: resuming a manifest written by a
+    # different compiler (or against edited source) re-runs those units
+    # instead of silently mixing outcomes.
     provenance: Dict[str, dict] = {}
     for unit_id, payload in units:
-        fp_key = (payload["workload"], payload["flavour"])
-        if fp_key not in fingerprints:
-            original, idempotent = build_pair(payload["workload"])
-            program, _factory = campaign_target(
-                original.program, idempotent.program, payload["flavour"]
-            )
-            fingerprints[fp_key] = program_fingerprint(program)
+        original, idempotent = build_pair(payload["workload"])
+        backend_name = payload.get("backend")
+        program, _factory = campaign_target(
+            original.program, idempotent.program, payload["flavour"],
+            get_backend(backend_name) if backend_name else None,
+        )
         provenance[unit_id] = {
             "pipeline": PIPELINE_VERSION,
-            "label": payload.get("backend") or payload["flavour"],
-            "cfg": fingerprints[fp_key],
+            "label": backend_name or payload["flavour"],
+            "cfg": program_fingerprint(program),
         }
+        payload["store"] = store
     manifest = RunManifest(manifest_path) if manifest_path else None
     runner = CampaignRunner(
         manifest=manifest, jobs=jobs, telemetry=telemetry,
         retry=retry, unit_timeout=unit_timeout, chaos=chaos,
     )
-    records = runner.run(_fault_unit, units, phase="inject", provenance=provenance)
+    records = runner.run(
+        _campaign_unit, units, phase="inject", provenance=provenance
+    )
 
     summary = FaultCampaignSummary(
         trials=trials, seed=seed, kind=kind,
@@ -589,6 +549,7 @@ def run_fault_campaign(
         failed_units=runner.failed,
         quarantined_units=runner.quarantined + runner.quarantine_skipped,
         telemetry=telemetry,
+        store_root=store.root,
     )
     for unit_id, _ in units:
         record = records.get(unit_id)
@@ -610,13 +571,17 @@ def run_fault_campaign(
         key = (data["workload"], data.get("backend") or data["flavour"])
         # ``.get`` keeps manifests written before the ``undetected``
         # bucket existed loadable (they recorded no such faults).
-        shard_result = CampaignResult(**{
+        summary.results[key] = CampaignResult(**{
             f: data.get(f, 0)
             for f in ("trials", "injected", "detected",
                       "recovered_correctly", "wrong_result", "crashed",
                       "undetected")
         })
-        summary.results.setdefault(key, CampaignResult()).merge(shard_result)
+        if unit_id not in runner.resumed:
+            summary.sections.extend(
+                SectionStatus(**row) for row in data.get("sections", [])
+            )
+    store.update_index(index_entries(summary.sections))
     return summary
 
 
@@ -657,4 +622,33 @@ def format_campaign_report(summary: FaultCampaignSummary) -> str:
             lines.append(f"  - {unit_id} [{category}]")
     for error in summary.errors:
         lines.append(f"  ! {error}")
+    return "\n".join(lines)
+
+
+def format_section_accounting(summary: FaultCampaignSummary) -> str:
+    """One-line section/trial cache accounting (stderr)."""
+    return (
+        f"sections: {len(summary.sections)} total, "
+        f"{summary.sections_cached} cached, "
+        f"{summary.sections_reinjected} re-injected "
+        f"({summary.trials_from_store} trials from store, "
+        f"{summary.trials_injected} injected); "
+        f"store: {summary.store_root}"
+    )
+
+
+def format_stale_report(summary: FaultCampaignSummary) -> str:
+    """The ``--explain-stale`` view: which sections re-ran, and why."""
+    lines = [format_section_accounting(summary)]
+    stale = [s for s in summary.sections if s.status != SECTION_CACHED]
+    if not stale:
+        lines.append("stale sections: none (every section composed "
+                     "from the store)")
+        return "\n".join(lines)
+    lines.append("stale sections:")
+    for status in stale:
+        lines.append(
+            f"  {status.workload}:{status.label} {status.region} "
+            f"[{status.trials_run} trials]: {status.reason}"
+        )
     return "\n".join(lines)

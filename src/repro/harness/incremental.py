@@ -1,16 +1,16 @@
-"""Incremental, compositional fault campaigns (FastFlip-style).
+"""The section engine of fault campaigns (FastFlip-style composition).
 
-A monolithic ``repro campaign`` re-injects every workload × scheme from
-scratch on every compiler change.  This module makes campaigns
-*compositional*: the constructed idempotent regions are the natural
-program sections, so each workload campaign is split into per-region
-**sections**, each section is campaigned as an independent work unit on
-the existing :class:`~repro.harness.campaign.CampaignRunner` stack, and
-the per-trial outcomes are persisted in a content-addressed **outcome
-store** under ``.repro-cache/outcomes/``.  A composer folds stored
-section outcomes back into whole-program
-:class:`~repro.sim.faults.CampaignResult` rows that are bit-identical to
-a monolithic campaign at the same seeds and budgets.
+Every fault campaign driver — each ``repro campaign`` unit, ``repro
+recovery compare`` and the campaign-cache bench — runs
+:func:`campaign_sections`.  The constructed idempotent regions are the
+natural program sections, so one workload × label campaign splits into
+per-region **sections** whose per-trial outcomes persist in a
+content-addressed **outcome store** under ``.repro-cache/outcomes/``.
+A composer folds the section outcomes back into one whole-program
+:class:`~repro.sim.faults.CampaignResult` that is bit-identical to a
+monolithic campaign at the same seeds and budgets.  With the store
+disabled every section is new and nothing is published: the same code
+is the monolithic campaign.
 
 How bit-identity is preserved
 -----------------------------
@@ -51,23 +51,13 @@ import json
 import os
 import tempfile
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.codegen.machine import MachineProgram, format_machine_function
 from repro.harness.cache import DEFAULT_CACHE_DIR, PIPELINE_VERSION
-from repro.harness.campaign import (
-    CampaignRunner,
-    FaultCampaignSummary,
-    RunManifest,
-    campaign_label_specs,
-    campaign_target,
-    label_tag,
-    prepare_unit,
-)
-from repro.harness.executor import derive_seed
-from repro.harness.report import Telemetry
-from repro.harness.resilience import UNIT_ERROR, PermanentUnitError
+from repro.harness.resilience import PermanentUnitError
 from repro.obs.context import get_observer
 from repro.sim import faults
 from repro.sim.faults import (
@@ -76,7 +66,6 @@ from repro.sim.faults import (
     CampaignResult,
     _publish_campaign_metrics,
     classify_outcome,
-    format_rate,
     region_key,
     run_planned_trial,
     target_span,
@@ -130,6 +119,26 @@ def region_owner(region: str, entry: str) -> str:
     return region.split("@", 1)[0]
 
 
+def campaign_target(
+    original: MachineProgram,
+    idempotent: MachineProgram,
+    flavour: str,
+    backend=None,
+) -> Tuple[MachineProgram, Optional[Callable]]:
+    """The binary and injector factory a campaign label runs.
+
+    A recovery backend campaigns its own program under its own policy;
+    a bare flavour campaigns that build under the paper's rp recovery
+    (factory ``None``: :class:`~repro.sim.faults.FaultInjector`).
+    """
+    if backend is not None:
+        return (
+            backend.campaign_program(original, idempotent),
+            backend.make_injector,
+        )
+    return (idempotent if flavour == "idempotent" else original), None
+
+
 # ----------------------------------------------------------------------
 # Eligibility trace: predict where every trial lands without running it
 # ----------------------------------------------------------------------
@@ -144,6 +153,9 @@ class EligibilityTrace:
     :class:`~repro.sim.faults.FaultInjector` compares against a plan's
     :attr:`~repro.sim.faults.FaultPlan.strike_count`.  ``*_regions[i]``
     is the region key the injector would attribute a fault there to.
+    ``result`` and ``output`` are the run's return value and printed
+    output, so a trace of the idempotent build doubles as the campaign's
+    reference run.
     """
 
     span: int
@@ -152,6 +164,8 @@ class EligibilityTrace:
     value_regions: List[str] = field(default_factory=list)
     control_events: List[int] = field(default_factory=list)
     control_regions: List[str] = field(default_factory=list)
+    result: object = None
+    output: List[object] = field(default_factory=list)
 
     def events(self, kind: str) -> Tuple[List[int], List[str]]:
         if kind == FAULT_VALUE:
@@ -189,7 +203,8 @@ def trace_eligibility(
 
     sim.pre_hook = pre
     sim.post_hook = post
-    sim.run(func, args)
+    trace.result = sim.run(func, args)
+    trace.output = list(sim.output)
     trace.instructions = sim.instructions
     trace.span = target_span(sim.instructions)
     return trace
@@ -525,6 +540,28 @@ class SectionStatus:
     trials_run: int = 0
 
 
+class SectionAccounting:
+    """Store accounting of a campaign, derived from its planned sections."""
+
+    sections: List[SectionStatus]
+
+    @property
+    def sections_cached(self) -> int:
+        return sum(1 for s in self.sections if s.status == SECTION_CACHED)
+
+    @property
+    def sections_reinjected(self) -> int:
+        return len(self.sections) - self.sections_cached
+
+    @property
+    def trials_from_store(self) -> int:
+        return sum(s.trials_cached for s in self.sections)
+
+    @property
+    def trials_injected(self) -> int:
+        return sum(s.trials_run for s in self.sections)
+
+
 @dataclass
 class _SectionPlan:
     """Internal planning row: status plus the data needed to execute."""
@@ -564,7 +601,7 @@ def plan_sections(
     """Probe the store for every section of one workload × label.
 
     Returns one plan row per landing region (sorted by region key for a
-    deterministic unit order), each carrying the trial indices still to
+    deterministic section order), each carrying the trial indices still to
     inject and the existing record to merge into.
     """
     index = store.load_index()
@@ -646,7 +683,7 @@ def compose_campaign(
 
 
 # ----------------------------------------------------------------------
-# Section execution — worker for the distributed CampaignRunner path
+# Section execution
 # ----------------------------------------------------------------------
 def run_section_trials(
     program: MachineProgram,
@@ -689,42 +726,135 @@ def run_section_trials(
     return rows
 
 
-def _section_unit(payload: dict) -> dict:
-    """Worker: inject one section's missing trial indices."""
-    program, injector_factory, reference, reference_output = prepare_unit(
-        payload
-    )
-    rows = run_section_trials(
-        program, reference, reference_output,
-        region=payload["region"], indices=payload["indices"],
-        span=payload["span"], unit_seed=payload["unit_seed"],
-        func=payload["entry"], kind=payload["kind"],
-        detection_latency=payload["detection_latency"],
-        injector_factory=injector_factory,
-    )
-    return {
-        "workload": payload["workload"],
-        "label": payload["label"],
-        "region": payload["region"],
-        "rows": rows,
-    }
-
-
 # ----------------------------------------------------------------------
-# Inline driver (recovery compare, bench)
+# The section engine: the one body of every campaign driver
 # ----------------------------------------------------------------------
 @dataclass
-class InlineCampaign:
-    """Result + section accounting of one inline incremental campaign."""
+class InlineCampaign(SectionAccounting):
+    """Result + section accounting of one workload × label campaign."""
 
     result: CampaignResult
     sections: List[SectionStatus] = field(default_factory=list)
-    trials_from_store: int = 0
-    trials_injected: int = 0
 
-    @property
-    def sections_reinjected(self) -> int:
-        return sum(1 for s in self.sections if s.status != SECTION_CACHED)
+
+def index_entries(sections: Sequence[SectionStatus]) -> Dict[str, dict]:
+    """Identity-index rows (see :meth:`OutcomeStore.update_index`) of
+    planned sections."""
+    return {
+        status.identity: {
+            "key": status.key,
+            "fingerprint": status.fingerprint,
+            "pipeline": PIPELINE_VERSION,
+        }
+        for status in sections
+    }
+
+
+@contextmanager
+def _fault_free_run(name: str, label: str, func: str):
+    """Report a trapping fault-free run as a permanent unit error: every
+    trial is judged against fault-free runs, and a build whose fault-free
+    run traps traps on every retry too."""
+    try:
+        yield
+    except Exception as exc:
+        raise PermanentUnitError(
+            f"fault-free run failed for workload {name!r} "
+            f"(label {label}, entry {func!r}): {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def campaign_sections(
+    original_program: MachineProgram,
+    idempotent_program: MachineProgram,
+    trials: int,
+    store: OutcomeStore,
+    func: str = "main",
+    kind: str = FAULT_VALUE,
+    seed: int = 12345,
+    detection_latency: int = 0,
+    backend=None,
+    flavour: str = "idempotent",
+    name: str = "adhoc",
+    per_region: Optional[Dict[str, CampaignResult]] = None,
+    reference: Optional[Tuple[object, List[object]]] = None,
+) -> InlineCampaign:
+    """Campaign one workload × label section by section.
+
+    One eligibility trace assigns every trial its landing region; each
+    region's trials that ``store`` lacks inject, and that section's
+    record publishes at once, so a killed campaign keeps every finished
+    section.  The composed result is bit-identical to
+    :func:`repro.sim.faults.fault_campaign` (or ``backend.campaign``) at
+    the unit ``seed``.  With the store disabled every section is new and
+    nothing is published: that is the monolithic campaign.
+
+    ``reference`` is the idempotent build's fault-free ``(result,
+    output)``, which every scheme must reproduce.  Without it, the trace
+    is that run when the campaigned program is the idempotent build;
+    otherwise one plain run supplies it, and only when some section has
+    trials to inject.
+
+    The identity index (:func:`index_entries`) is the store's one
+    read-modify-write file, so it is left to the caller: a suite
+    campaign merges it once in its parent.
+    """
+    label = backend.name if backend is not None else flavour
+    program, injector_factory = campaign_target(
+        original_program, idempotent_program, flavour, backend
+    )
+    with _fault_free_run(name, label, func):
+        trace = trace_eligibility(program, func=func)
+    assignment = assign_trials(
+        trace, seed, trials, kind=kind, detection_latency=detection_latency
+    )
+    plans = plan_sections(
+        store, name, func, label, kind, detection_latency, seed,
+        assignment, program,
+    )
+    if reference is None:
+        if program is idempotent_program:
+            reference = trace.result, trace.output
+        elif any(plan.missing for plan in plans):
+            with _fault_free_run(name, label, func):
+                reference_sim = Simulator(idempotent_program)
+                reference = (
+                    reference_sim.run(func), list(reference_sim.output)
+                )
+    for plan in plans:
+        if not plan.missing:
+            continue
+        rows = run_section_trials(
+            program, *reference,
+            region=plan.status.region, indices=plan.missing,
+            span=assignment.span, unit_seed=seed, func=func, kind=kind,
+            detection_latency=detection_latency,
+            injector_factory=injector_factory,
+        )
+        plan.record = make_section_record(
+            name, func, label, kind, detection_latency, seed,
+            plan.status.region, plan.status.fingerprint,
+            merge_section_rows(plan.record, rows),
+        )
+        store.put(plan.status.key, plan.record)
+
+    result = compose_campaign(
+        plans, len(assignment.uninjected), per_region=per_region
+    )
+    _publish_campaign_metrics(result, kind)
+    outcome = InlineCampaign(
+        result=result, sections=[plan.status for plan in plans]
+    )
+    observer = get_observer()
+    if outcome.trials_from_store:
+        observer.counter("campaign.trials").inc(
+            outcome.trials_from_store, source="store"
+        )
+    if outcome.trials_injected:
+        observer.counter("campaign.trials").inc(
+            outcome.trials_injected, source="injected"
+        )
+    return outcome
 
 
 def incremental_campaign(
@@ -743,14 +873,14 @@ def incremental_campaign(
     store: Optional[OutcomeStore] = None,
     per_region: Optional[Dict[str, CampaignResult]] = None,
 ) -> InlineCampaign:
-    """Store-backed campaign of one program, sections run inline.
+    """Store-backed campaign of one program, run in this process.
 
-    The single-process analogue of :func:`run_incremental_fault_campaign`
-    — used by the ``repro recovery compare --use-store`` join and the
-    campaign-cache bench.  ``seed`` is the *unit* seed (callers derive it
-    exactly as their monolithic path would), so the composed result is
-    bit-identical to :func:`repro.sim.faults.fault_campaign` (or
-    ``backend.campaign(...)``) at the same parameters.
+    :func:`campaign_sections` plus the identity-index merge — used by
+    ``repro recovery compare`` and the campaign-cache bench.  ``seed``
+    is the *unit* seed (callers derive it exactly as
+    ``repro campaign`` does), so the composed result is bit-identical to
+    :func:`repro.sim.faults.fault_campaign` (or ``backend.campaign(...)``)
+    at the same parameters.
 
     ``name`` scopes store keys and should be stable across source edits
     (it is provenance, not content — the code content is in the
@@ -758,362 +888,12 @@ def incremental_campaign(
     program re-injects only that function's sections.
     """
     store = store or default_store()
-    label = backend.name if backend is not None else flavour
-    program, injector_factory = campaign_target(
-        original_program, idempotent_program, flavour, backend
+    outcome = campaign_sections(
+        original_program, idempotent_program, trials, store,
+        func=func, kind=kind, seed=seed,
+        detection_latency=detection_latency, backend=backend,
+        flavour=flavour, name=name, per_region=per_region,
+        reference=(reference_result, reference_output),
     )
-
-    trace = trace_eligibility(program, func=func)
-    assignment = assign_trials(
-        trace, seed, trials, kind=kind, detection_latency=detection_latency
-    )
-    plans = plan_sections(
-        store, name, func, label, kind, detection_latency, seed,
-        assignment, program,
-    )
-    index_entries: Dict[str, dict] = {}
-    for plan in plans:
-        if plan.missing:
-            rows = run_section_trials(
-                program, reference_result, reference_output,
-                region=plan.status.region, indices=plan.missing,
-                span=assignment.span, unit_seed=seed, func=func, kind=kind,
-                detection_latency=detection_latency,
-                injector_factory=injector_factory,
-            )
-            merged = merge_section_rows(plan.record, rows)
-            plan.record = make_section_record(
-                name, func, label, kind, detection_latency, seed,
-                plan.status.region, plan.status.fingerprint, merged,
-            )
-            store.put(plan.status.key, plan.record)
-        index_entries[plan.status.identity] = {
-            "key": plan.status.key,
-            "fingerprint": plan.status.fingerprint,
-            "pipeline": PIPELINE_VERSION,
-        }
-    store.update_index(index_entries)
-
-    result = compose_campaign(
-        plans, len(assignment.uninjected), per_region=per_region
-    )
-    _publish_campaign_metrics(result, kind)
-    outcome = InlineCampaign(
-        result=result,
-        sections=[plan.status for plan in plans],
-        trials_from_store=sum(p.status.trials_cached for p in plans),
-        trials_injected=sum(len(p.missing) for p in plans),
-    )
-    observer = get_observer()
-    if outcome.trials_from_store:
-        observer.counter("campaign.trials").inc(
-            outcome.trials_from_store, source="store"
-        )
-    if outcome.trials_injected:
-        observer.counter("campaign.trials").inc(
-            outcome.trials_injected, source="injected"
-        )
+    store.update_index(index_entries(outcome.sections))
     return outcome
-
-
-# ----------------------------------------------------------------------
-# Suite-wide incremental campaign (the `repro campaign --incremental` path)
-# ----------------------------------------------------------------------
-@dataclass
-class IncrementalCampaignSummary(FaultCampaignSummary):
-    """Fault-campaign summary plus per-section cache accounting."""
-
-    sections: List[SectionStatus] = field(default_factory=list)
-    store_root: str = ""
-    trials_from_store: int = 0
-    trials_injected: int = 0
-    #: (workload, label) -> region -> measured CampaignResult
-    per_region: Dict[Tuple[str, str], Dict[str, CampaignResult]] = field(
-        default_factory=dict
-    )
-
-    @property
-    def sections_total(self) -> int:
-        return len(self.sections)
-
-    @property
-    def sections_cached(self) -> int:
-        return sum(1 for s in self.sections if s.status == SECTION_CACHED)
-
-    @property
-    def sections_reinjected(self) -> int:
-        return self.sections_total - self.sections_cached
-
-
-def _section_unit_id(
-    workload: str,
-    label_tag: str,
-    kind: str,
-    seed: int,
-    latency: int,
-    key: str,
-    indices: Sequence[int],
-) -> str:
-    digest = hashlib.sha256(
-        ",".join(str(i) for i in indices).encode("ascii")
-    ).hexdigest()[:8]
-    return (
-        f"{workload}:{label_tag}:{kind}:seed{seed}:lat{latency}"
-        f":sec{key[:12]}:n{len(indices)}h{digest}"
-    )
-
-
-def run_incremental_fault_campaign(
-    names: Optional[Sequence[str]] = None,
-    trials: int = 40,
-    seed: int = 12345,
-    kind: str = FAULT_VALUE,
-    detection_latency: int = 0,
-    jobs: int = 1,
-    manifest_path: Optional[str] = None,
-    telemetry: Optional[Telemetry] = None,
-    retry=None,
-    unit_timeout: Optional[float] = None,
-    chaos=None,
-    flavours: Optional[Sequence[str]] = None,
-    backends: Optional[Sequence[str]] = None,
-    store: Optional[OutcomeStore] = None,
-) -> IncrementalCampaignSummary:
-    """Suite-wide fault campaign, sectioned and backed by the outcome store.
-
-    The incremental counterpart of
-    :func:`repro.harness.campaign.run_fault_campaign`: same workload ×
-    label grid, same spawn-key seeds, but each landing region is one
-    work unit and previously stored sections are composed instead of
-    re-injected.  Composed results are bit-identical to the monolithic
-    campaign at equal budgets.
-    """
-    from repro.experiments.common import (
-        build_pair,
-        prebuild_pairs,
-        resolve_workloads,
-    )
-
-    telemetry = telemetry or Telemetry(label="incremental campaign")
-    observer = get_observer()
-    if manifest_path:
-        observer.log(f"campaign manifest: {manifest_path}")
-    store = store or default_store()
-    label_specs = campaign_label_specs(flavours, backends)
-    workloads = resolve_workloads(names)
-    prebuild_pairs([w.name for w in workloads], jobs=jobs, telemetry=telemetry)
-
-    # ------------------------------------------------------------------
-    # Plan: one eligibility trace per workload × label, then store probes
-    # ------------------------------------------------------------------
-    campaign_plans: Dict[Tuple[str, str], List[_SectionPlan]] = {}
-    uninjected: Dict[Tuple[str, str], int] = {}
-    units: List[Tuple[str, dict]] = []
-    provenance: Dict[str, dict] = {}
-    unit_meta: Dict[str, Tuple[Tuple[str, str], int]] = {}
-    with telemetry.phase(
-        "plan", units=len(workloads) * max(1, len(label_specs))
-    ):
-        for workload in workloads:
-            original, idempotent = build_pair(workload.name)
-            for label, flavour, backend, seed_key in label_specs:
-                program, _factory = campaign_target(
-                    original.program, idempotent.program, flavour, backend
-                )
-                unit_seed = derive_seed(seed, workload.name, seed_key)
-                trace = trace_eligibility(program, func=workload.entry)
-                assignment = assign_trials(
-                    trace, unit_seed, trials, kind=kind,
-                    detection_latency=detection_latency,
-                )
-                plans = plan_sections(
-                    store, workload.name, workload.entry, label, kind,
-                    detection_latency, unit_seed, assignment, program,
-                )
-                campaign_plans[(workload.name, label)] = plans
-                uninjected[(workload.name, label)] = len(
-                    assignment.uninjected
-                )
-                tag = label_tag(label, backend)
-                for plan_index, plan in enumerate(plans):
-                    if not plan.missing:
-                        continue
-                    unit_id = _section_unit_id(
-                        workload.name, tag, kind, seed,
-                        detection_latency, plan.status.key, plan.missing,
-                    )
-                    units.append((unit_id, {
-                        "workload": workload.name,
-                        "flavour": flavour,
-                        "backend": label if backend is not None else None,
-                        "label": label,
-                        "entry": workload.entry,
-                        "region": plan.status.region,
-                        "indices": plan.missing,
-                        "span": assignment.span,
-                        "unit_seed": unit_seed,
-                        "kind": kind,
-                        "detection_latency": detection_latency,
-                    }))
-                    provenance[unit_id] = {
-                        "pipeline": PIPELINE_VERSION,
-                        "schema": STORE_SCHEMA,
-                        "label": tag,
-                        "cfg": plan.status.fingerprint,
-                    }
-                    unit_meta[unit_id] = (
-                        (workload.name, label), plan_index,
-                    )
-
-    # ------------------------------------------------------------------
-    # Inject the missing sections on the shared runner stack
-    # ------------------------------------------------------------------
-    manifest = RunManifest(manifest_path) if manifest_path else None
-    runner = CampaignRunner(
-        manifest=manifest, jobs=jobs, telemetry=telemetry,
-        retry=retry, unit_timeout=unit_timeout, chaos=chaos,
-    )
-    records = runner.run(
-        _section_unit, units, phase="inject", provenance=provenance
-    )
-
-    # ------------------------------------------------------------------
-    # Merge executed sections into the store, then compose
-    # ------------------------------------------------------------------
-    summary = IncrementalCampaignSummary(
-        trials=trials, seed=seed, kind=kind,
-        labels=tuple(label for label, _f, _b, _s in label_specs),
-        executed_units=runner.executed,
-        skipped_units=runner.skipped,
-        failed_units=runner.failed,
-        quarantined_units=runner.quarantined + runner.quarantine_skipped,
-        telemetry=telemetry,
-        store_root=store.root,
-    )
-    index_entries: Dict[str, dict] = {}
-    for unit_id, _payload in units:
-        record = records.get(unit_id)
-        if record is None:
-            continue
-        campaign_key, plan_index = unit_meta[unit_id]
-        plan = campaign_plans[campaign_key][plan_index]
-        if record.quarantined:
-            summary.errors.append(
-                f"{unit_id}: quarantined after {record.attempts} attempts "
-                f"[{record.data.get('category', UNIT_ERROR)}]: "
-                f"{record.data.get('error')}"
-            )
-            summary.quarantined.append(
-                (unit_id, record.data.get("category", UNIT_ERROR))
-            )
-            continue
-        if not record.ok:
-            summary.errors.append(f"{unit_id}: {record.data.get('error')}")
-            continue
-        rows = record.data.get("rows", [])
-        merged = merge_section_rows(plan.record, rows)
-        workload_name, label = campaign_key
-        plan.record = make_section_record(
-            workload_name, _payload["entry"], label, kind,
-            detection_latency, _payload["unit_seed"],
-            plan.status.region, plan.status.fingerprint, merged,
-        )
-        store.put(plan.status.key, plan.record)
-
-    for (workload_name, label), plans in campaign_plans.items():
-        for plan in plans:
-            summary.sections.append(plan.status)
-            index_entries[plan.status.identity] = {
-                "key": plan.status.key,
-                "fingerprint": plan.status.fingerprint,
-                "pipeline": PIPELINE_VERSION,
-            }
-        per_region: Dict[str, CampaignResult] = {}
-        composed = compose_campaign(
-            plans, uninjected[(workload_name, label)], per_region=per_region
-        )
-        summary.results[(workload_name, label)] = composed
-        summary.per_region[(workload_name, label)] = per_region
-        _publish_campaign_metrics(composed, kind)
-    store.update_index(index_entries)
-    summary.trials_from_store = sum(
-        s.trials_cached for s in summary.sections
-    )
-    summary.trials_injected = sum(s.trials_run for s in summary.sections)
-    if summary.trials_from_store:
-        observer.counter("campaign.trials").inc(
-            summary.trials_from_store, source="store"
-        )
-    if summary.trials_injected:
-        observer.counter("campaign.trials").inc(
-            summary.trials_injected, source="injected"
-        )
-    return summary
-
-
-# ----------------------------------------------------------------------
-# Reports
-# ----------------------------------------------------------------------
-def format_incremental_report(summary: IncrementalCampaignSummary) -> str:
-    """The composed campaign tables (stdout).
-
-    Deliberately omits unit/section accounting — that goes to stderr via
-    :func:`format_section_accounting` — so a warm re-run's stdout is
-    byte-identical to the cold run that populated the store.
-    """
-    from repro.experiments.common import format_table
-
-    headers = ["workload", "flavour", "trials", "injected", "recovered",
-               "wrong", "crashed", "recovery"]
-    rows = []
-    for (name, label), result in summary.results.items():
-        rows.append([
-            name, label, result.trials, result.injected,
-            result.recovered_correctly, result.wrong_result, result.crashed,
-            format_rate(result),
-        ])
-    lines = [format_table(headers, rows), ""]
-    for label in summary.labels:
-        total = summary.flavour_totals(label)
-        undetected = (
-            f" undetected={total.undetected}" if total.undetected else ""
-        )
-        lines.append(
-            f"{label:10s}: injected={total.injected} "
-            f"recovered={total.recovered_correctly} "
-            f"wrong={total.wrong_result} crashed={total.crashed}"
-            f"{undetected} "
-            f"({format_rate(total)} recovery)"
-        )
-    for error in summary.errors:
-        lines.append(f"  ! {error}")
-    return "\n".join(lines)
-
-
-def format_section_accounting(summary: IncrementalCampaignSummary) -> str:
-    """One-line section/trial cache accounting (stderr)."""
-    return (
-        f"sections: {summary.sections_total} total, "
-        f"{summary.sections_cached} cached, "
-        f"{summary.sections_reinjected} re-injected "
-        f"({summary.trials_from_store} trials from store, "
-        f"{summary.trials_injected} injected); "
-        f"store: {summary.store_root}"
-    )
-
-
-def format_stale_report(summary: IncrementalCampaignSummary) -> str:
-    """The ``--explain-stale`` view: which sections re-ran, and why."""
-    lines = [format_section_accounting(summary)]
-    stale = [s for s in summary.sections if s.status != SECTION_CACHED]
-    if not stale:
-        lines.append("stale sections: none (every section composed "
-                     "from the store)")
-        return "\n".join(lines)
-    lines.append("stale sections:")
-    for status in stale:
-        lines.append(
-            f"  {status.workload}:{status.label} {status.region} "
-            f"[{status.trials_run} trials]: {status.reason}"
-        )
-    return "\n".join(lines)

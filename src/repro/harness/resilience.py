@@ -2,7 +2,7 @@
 
 The paper's thesis is that an idempotent region can recover from a
 failure by jumping back to its entry and re-executing.  Harness work
-units have exactly that property — a fault-trial shard is a pure
+units have exactly that property — a fault-campaign unit is a pure
 function of its payload (spawn-key seeds, content-addressed builds) —
 so the orchestration layer can apply the same recovery idea to itself:
 a unit whose *worker* fails (killed by a signal, hung, pool torn down)

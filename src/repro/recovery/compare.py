@@ -1,10 +1,10 @@
 """`repro recovery compare`: predicted vs measured outcomes per backend.
 
-For each workload × backend the driver runs the standard fault campaign
-(same spawn-key seed derivation as `repro campaign`, so the idempotent
-rows here are bit-identical to campaign units at the same parameters),
-profiles the campaign binary fault-free to build region features, and
-holds the static predictor of :mod:`repro.recovery.predict` to the
+For each workload × backend the driver runs the store-backed fault
+campaign of `repro campaign` (same section engine, same spawn-key seed
+derivation, so the idempotent rows here are bit-identical to campaign
+units at the same parameters), profiles the campaign binary fault-free
+to build region features, and holds the static predictor of :mod:`repro.recovery.predict` to the
 measured per-region recovery rates. Regions whose disagreement exceeds
 the threshold are flagged; ``--hunt`` searches fuzz-generated programs
 for the worst program-level divergence and feeds the fuzz reducer a
@@ -121,17 +121,17 @@ def compare_workload(
     seed: int = 12345,
     kind: str = FAULT_VALUE,
     latency: int = 0,
-    use_store: bool = False,
 ) -> WorkloadReport:
     """Run every backend's campaign + prediction for one workload.
 
-    With ``use_store`` the per-backend campaigns go through the
-    incremental harness (:mod:`repro.harness.incremental`): previously
-    stored section outcomes compose from the content-addressed outcome
-    store and only missing sections inject.  Results and the per-region
-    join are bit-identical to the monolithic path at equal budgets.
+    The per-backend campaigns go through the section engine
+    (:func:`repro.harness.incremental.incremental_campaign`): sections
+    already in the outcome store compose and only missing ones inject.
+    Results and the per-region join are bit-identical to
+    ``backend.campaign`` at equal budgets.
     """
     from repro.experiments.common import build_pair
+    from repro.harness.incremental import incremental_campaign
     from repro.workloads import get_workload
 
     workload = get_workload(name)
@@ -155,36 +155,20 @@ def compare_workload(
             interval=getattr(backend, "interval", 8),
         )
         per_region: Dict[str, CampaignResult] = {}
-        if use_store:
-            from repro.harness.incremental import incremental_campaign
-
-            campaign = incremental_campaign(
-                original.program,
-                idempotent.program,
-                reference,
-                reference_output,
-                trials=trials,
-                func=workload.entry,
-                kind=kind,
-                seed=derive_seed(seed, name, backend.seed_key),
-                detection_latency=latency,
-                backend=backend,
-                name=name,
-                per_region=per_region,
-            ).result
-        else:
-            campaign = backend.campaign(
-                original.program,
-                idempotent.program,
-                reference,
-                reference_output,
-                trials=trials,
-                func=workload.entry,
-                kind=kind,
-                seed=derive_seed(seed, name, backend.seed_key),
-                detection_latency=latency,
-                per_region=per_region,
-            )
+        campaign = incremental_campaign(
+            original.program,
+            idempotent.program,
+            reference,
+            reference_output,
+            trials=trials,
+            func=workload.entry,
+            kind=kind,
+            seed=derive_seed(seed, name, backend.seed_key),
+            detection_latency=latency,
+            backend=backend,
+            name=name,
+            per_region=per_region,
+        ).result
         report.backends.append(
             BackendReport(
                 backend=backend_name,
@@ -206,7 +190,6 @@ def run_compare(
     kind: str = FAULT_VALUE,
     latency: int = 0,
     threshold: float = DEFAULT_THRESHOLD,
-    use_store: bool = False,
 ) -> CompareReport:
     """The full predicted-vs-measured sweep (default: every workload)."""
     from repro.experiments.common import resolve_workloads
@@ -217,7 +200,7 @@ def run_compare(
         workloads=[
             compare_workload(
                 workload.name, backend_names, trials=trials, seed=seed,
-                kind=kind, latency=latency, use_store=use_store,
+                kind=kind, latency=latency,
             )
             for workload in workloads
         ],
@@ -322,7 +305,9 @@ def measure_divergence(
     """Program-level |predicted − measured| recovery rate on one source.
 
     Returns 0.0 when the campaign injects nothing (no divergence
-    evidence either way).
+    evidence either way).  The campaign runs in memory
+    (``backend.campaign``), so throwaway hunt programs never fill the
+    outcome store.
     """
     original = compile_minic(source, idempotent=False)
     idempotent = compile_minic(source, idempotent=True)

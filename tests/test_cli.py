@@ -15,6 +15,28 @@ int main() {
 
 
 @pytest.fixture
+def isolated_store(tmp_path):
+    """Private outcome store per test.  A campaign puts the store in
+    every unit's payload, so swapping the in-process default reaches
+    the workers too — and the build cache stays shared, like every
+    other CLI test."""
+    from repro.harness.incremental import OutcomeStore, set_default_store
+
+    previous = set_default_store(OutcomeStore(root=str(tmp_path / "cache")))
+    yield
+    set_default_store(previous)
+
+
+def _store_off():
+    """Swap in a disabled outcome store, as ``REPRO_CACHE_DISABLE=1`` at
+    startup does: every section injects, the monolithic campaign.  The
+    ``isolated_store`` fixture restores the previous store."""
+    from repro.harness.incremental import OutcomeStore, set_default_store
+
+    set_default_store(OutcomeStore(enabled=False))
+
+
+@pytest.fixture
 def demo_file(tmp_path):
     path = tmp_path / "demo.c"
     path.write_text(DEMO)
@@ -114,6 +136,7 @@ class TestExperiment:
             main(["experiment", "fig999"])
 
 
+@pytest.mark.usefixtures("isolated_store")
 class TestCampaign:
     def test_campaign_runs_and_resumes(self, tmp_path, capsys):
         manifest = str(tmp_path / "campaign.jsonl")
@@ -180,6 +203,7 @@ class TestTrialCounts:
         assert "invalid int value: 'many'" in capsys.readouterr().err
 
 
+@pytest.mark.usefixtures("isolated_store")
 class TestRecovery:
     def test_compare_reports_all_backends(self, capsys):
         assert main(["recovery", "compare", "bzip2",
@@ -230,21 +254,8 @@ class TestCampaignIncremental:
         for field in dataclasses.fields(options):
             setattr(options, field.name, getattr(snapshot, field.name))
 
-    @pytest.fixture
-    def isolated_store(self, tmp_path):
-        """Private outcome store per test.  Only the parent process
-        touches the store (workers just return trial rows), so swapping
-        the in-process default is sufficient — and the build cache stays
-        shared, like every other CLI test."""
-        from repro.harness.incremental import OutcomeStore, set_default_store
-
-        previous = set_default_store(OutcomeStore(root=str(tmp_path / "cache")))
-        yield
-        set_default_store(previous)
-
     def test_warm_rerun_stdout_is_byte_identical(self, isolated_store, capsys):
-        argv = ["campaign", "bzip2", "--trials", "4", "--no-manifest",
-                "--incremental"]
+        argv = ["campaign", "bzip2", "--trials", "4", "--no-manifest"]
         assert main(argv) == 0
         cold = capsys.readouterr()
         assert "sections:" in cold.err
@@ -255,45 +266,33 @@ class TestCampaignIncremental:
 
     def test_explain_stale_reports_warm_store(self, isolated_store, capsys):
         argv = ["campaign", "bzip2", "--trials", "4", "--no-manifest",
-                "--incremental", "--explain-stale"]
+                "--explain-stale"]
         assert main(argv) == 0
         assert "stale sections:" in capsys.readouterr().err
         assert main(argv) == 0
         err = capsys.readouterr().err
         assert "stale sections: none" in err
 
-    def test_explain_stale_requires_incremental(self, capsys):
-        argv = ["campaign", "bzip2", "--trials", "2", "--no-manifest",
-                "--explain-stale"]
-        assert main(argv) == 2
-        assert "--explain-stale requires --incremental" in capsys.readouterr().err
-
     def test_zero_trials_table_matches_monolithic(self, isolated_store, capsys):
         argv = ["campaign", "bzip2", "--trials", "0", "--no-manifest"]
         assert main(argv) == 0
-        monolithic = capsys.readouterr().out.splitlines()
-        assert main(argv + ["--incremental"]) == 0
-        incremental = capsys.readouterr().out.splitlines()
-        assert monolithic[:len(incremental)] == incremental
-        rows = incremental[2:4]
+        composed = capsys.readouterr().out
+        _store_off()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == composed
+        rows = composed.splitlines()[2:4]
         assert [row.split()[1:3] for row in rows] == [
             ["original", "0"], ["idempotent", "0"],
         ]
         assert all(row.endswith("n/a") for row in rows)
 
-    def test_incremental_rejects_shard_trials(self, capsys):
-        argv = ["campaign", "bzip2", "--trials", "2", "--no-manifest",
-                "--incremental", "--shard-trials", "1"]
-        assert main(argv) == 2
-        assert "sections are the resume granularity" in capsys.readouterr().err
-
     def test_chaos_quarantine_is_exit_1(self, isolated_store, capsys):
         # Warm the build pair inline first so the chaos below only ever
-        # fires inside section units, not the prebuild compiles.
+        # fires inside campaign units, not the prebuild compiles.
         assert main(["campaign", "bzip2", "--trials", "2", "--no-manifest"]) == 0
         capsys.readouterr()
         argv = ["campaign", "bzip2", "--trials", "2", "--seed", "99",
-                "--no-manifest", "--incremental", "-j", "2",
+                "--no-manifest", "-j", "2",
                 "--chaos", "seed=1,raise=1.0"]
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -304,9 +303,27 @@ class TestCampaignIncremental:
     ):
         assert main(["campaign", "bzip2", "--trials", "2", "--no-manifest"]) == 0
         capsys.readouterr()
+        _store_off()
         argv = ["campaign", "bzip2", "--trials", "2", "--seed", "99",
                 "--no-manifest", "-j", "2", "--chaos", "seed=1,raise=1.0"]
         assert main(argv) == 1
         out = capsys.readouterr().out
         assert "quarantined units (pass --fresh to retry):" in out
         assert "bzip2:" in out.split("quarantined units", 1)[1]
+
+    def test_trapping_fault_free_run_is_exit_1(
+        self, isolated_store, capsys, monkeypatch
+    ):
+        from repro.sim.simulator import SimulationError, Simulator
+
+        def trap(self, *args, **kwargs):
+            raise SimulationError("trap in the fault-free run")
+
+        monkeypatch.setattr(Simulator, "run", trap)
+        argv = ["campaign", "blackscholes", "--trials", "2", "--no-manifest"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "0 executed, 0 resumed from manifest, 2 failed" in out
+        for label in ("original", "idempotent"):
+            assert (f"! blackscholes:{label}:value:seed12345:lat0:t0+2: "
+                    f"PermanentUnitError: fault-free run failed") in out

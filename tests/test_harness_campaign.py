@@ -1,4 +1,4 @@
-"""Campaign orchestration: manifest resume and sharding determinism."""
+"""Campaign orchestration: manifest resume and trial-seed determinism."""
 
 import dataclasses
 import json
@@ -13,13 +13,21 @@ from repro.harness.campaign import (
     RunManifest,
     UnitRecord,
     campaign_labels,
+    campaign_target,
     fault_campaign_units,
     format_campaign_report,
     parse_label_subset,
     run_fault_campaign,
 )
+from repro.harness.incremental import (
+    OutcomeStore,
+    program_fingerprint,
+    set_default_store,
+)
+from repro.harness.resilience import UNIT_ERROR
 from repro.sim import Simulator
 from repro.sim.faults import CampaignResult, fault_campaign
+from repro.sim.simulator import SimulationError
 
 KERNEL = """
 int hist[8];
@@ -40,9 +48,18 @@ int main() {
 
 @pytest.fixture
 def isolated_cache(tmp_path):
+    """Private build cache and outcome store under ``tmp_path``."""
     previous = set_default_cache(ArtifactCache(root=str(tmp_path / "cache")))
+    previous_store = set_default_store(OutcomeStore(root=str(tmp_path / "cache")))
     yield
     set_default_cache(previous)
+    set_default_store(previous_store)
+
+
+def _store_off():
+    """An outcome store that neither composes nor publishes: every
+    section injects, so the campaign is the monolithic one."""
+    return OutcomeStore(enabled=False)
 
 
 @pytest.fixture
@@ -224,19 +241,29 @@ class TestFaultCampaign:
         assert {uid for uid, _ in value_units}.isdisjoint(
             uid for uid, _ in control_units
         )
-        sharded = fault_campaign_units(["bzip2"], trials=4, seed=1, shard_trials=2)
-        assert len(sharded) == 2 * len(value_units)
+        # One unit per workload x label, under the id manifests have
+        # always used for an unsharded campaign.
+        assert [uid for uid, _ in value_units] == [
+            "bzip2:original:value:seed1:lat0:t0+4",
+            "bzip2:idempotent:value:seed1:lat0:t0+4",
+        ]
 
-    def test_zero_trials_keep_one_empty_unit_per_label(self):
-        for shard_trials in (None, 2):
-            units = fault_campaign_units(
-                ["bzip2"], trials=0, seed=1, shard_trials=shard_trials
+    def test_zero_trials_keep_one_empty_unit_per_label(self, isolated_cache):
+        units = fault_campaign_units(["bzip2"], trials=0, seed=1)
+        assert [payload["trials"] for _, payload in units] == [0, 0]
+        assert all(uid.endswith(":t0+0") for uid, _ in units)
+        summary = run_fault_campaign(
+            names=["bzip2"], trials=0, seed=1, store=_store_off(),
+        )
+        assert summary.executed_units == 2 and not summary.errors
+        for result in summary.results.values():
+            assert dataclasses.asdict(result) == dataclasses.asdict(
+                CampaignResult()
             )
-            assert [payload["trials"] for _, payload in units] == [0, 0]
-            assert all(uid.endswith(":t0+0") for uid, _ in units)
 
     def test_end_to_end_resume_and_determinism(self, tmp_path, isolated_cache):
-        """A full (tiny) campaign: resumable, and sharding-invariant."""
+        """A full (tiny) campaign: resumable, and the same with the
+        outcome store disabled."""
         manifest_path = str(tmp_path / "campaign.jsonl")
         first = run_fault_campaign(
             names=["bzip2"], trials=3, seed=7, manifest_path=manifest_path,
@@ -256,12 +283,12 @@ class TestFaultCampaign:
             resumed.results[("bzip2", "idempotent")]
         ) == dataclasses.asdict(idem)
 
-        # A sharded, manifest-free run of the same campaign agrees too.
-        sharded = run_fault_campaign(
-            names=["bzip2"], trials=3, seed=7, shard_trials=1,
+        # A manifest-free run with the outcome store disabled agrees too.
+        monolithic = run_fault_campaign(
+            names=["bzip2"], trials=3, seed=7, store=_store_off(),
         )
         assert dataclasses.asdict(
-            sharded.results[("bzip2", "idempotent")]
+            monolithic.results[("bzip2", "idempotent")]
         ) == dataclasses.asdict(idem)
 
         report = format_campaign_report(resumed)
@@ -271,8 +298,9 @@ class TestFaultCampaign:
     def test_control_faults_with_latency_through_sharded_path(
         self, isolated_cache
     ):
-        """kind=control with detection_latency > 0 through the sharded
-        campaign path merges to exactly the serial fault_campaign run."""
+        """kind=control with detection_latency > 0 through the section
+        engine, with the outcome store disabled, equals exactly the
+        serial fault_campaign run."""
         from repro.experiments.common import build_pair
         from repro.harness.executor import derive_seed
         from repro.sim.faults import FAULT_CONTROL
@@ -281,7 +309,7 @@ class TestFaultCampaign:
         workload = get_workload("bzip2")
         summary = run_fault_campaign(
             names=["bzip2"], trials=4, seed=5, kind=FAULT_CONTROL,
-            detection_latency=4, shard_trials=2,
+            detection_latency=4, store=_store_off(),
         )
         assert summary.failed_units == 0
         _, idem = build_pair("bzip2")
@@ -297,6 +325,57 @@ class TestFaultCampaign:
         merged = summary.results[("bzip2", "idempotent")]
         assert dataclasses.asdict(merged) == dataclasses.asdict(expected)
         assert merged.injected > 0
+
+    def test_rows_fingerprint_the_program_each_label_campaigns(
+        self, tmp_path, isolated_cache
+    ):
+        """Provenance ``cfg`` is the fingerprint of the program the unit
+        campaigns: for ``checkpoint_log`` the store-instrumented build,
+        so a change to its instrumentation alone re-runs its rows."""
+        from repro.experiments.common import build_pair
+        from repro.recovery.backends import BACKEND_NAMES, get_backend
+
+        manifest_path = str(tmp_path / "campaign.jsonl")
+        params = dict(flavours=list(FLAVOURS), backends=list(BACKEND_NAMES))
+        run_fault_campaign(
+            names=["blackscholes"], trials=0, seed=3,
+            manifest_path=manifest_path, **params,
+        )
+        records = RunManifest(manifest_path).load()
+        original, idempotent = build_pair("blackscholes")
+        units = fault_campaign_units(["blackscholes"], trials=0, seed=3, **params)
+        assert len(units) == 5 and set(records) == {uid for uid, _ in units}
+        for unit_id, payload in units:
+            backend = payload.get("backend")
+            program, _factory = campaign_target(
+                original.program, idempotent.program, payload["flavour"],
+                get_backend(backend) if backend else None,
+            )
+            assert records[unit_id].provenance["cfg"] \
+                == program_fingerprint(program), unit_id
+
+    def test_parent_format_rows_resume_without_rerunning(
+        self, tmp_path, isolated_cache
+    ):
+        """Rows written before units ran the section engine hold the
+        counts only, no ``sections``; they resume as they are."""
+        manifest_path = str(tmp_path / "campaign.jsonl")
+        first = run_fault_campaign(
+            names=["bzip2"], trials=2, seed=3, manifest_path=manifest_path,
+        )
+        with open(manifest_path) as handle:
+            rows = [json.loads(line) for line in handle if line.strip()]
+        with open(manifest_path, "w") as handle:
+            for row in rows:
+                del row["data"]["sections"]
+                handle.write(json.dumps(row) + "\n")
+        resumed = run_fault_campaign(
+            names=["bzip2"], trials=2, seed=3, manifest_path=manifest_path,
+        )
+        assert resumed.executed_units == 0 and resumed.skipped_units == 2
+        assert resumed.sections == []
+        assert {k: dataclasses.asdict(v) for k, v in resumed.results.items()} \
+            == {k: dataclasses.asdict(v) for k, v in first.results.items()}
 
     def test_manifest_rows_are_json(self, tmp_path, isolated_cache):
         manifest_path = str(tmp_path / "campaign.jsonl")
@@ -392,27 +471,28 @@ class TestBackendCampaigns:
         ) == dataclasses.asdict(backend.results[("bzip2", "idempotent")])
 
     def test_backend_units_shard_and_resume(self, tmp_path, isolated_cache):
-        """Backend units ride the same manifest machinery: sharded runs
-        merge to the serial result and resume skips completed units,
-        reconstructing the result with its backend column intact."""
+        """Backend units ride the same manifest machinery: a run with the
+        outcome store disabled equals the store-backed one, and resume
+        skips completed units, reconstructing the result with its
+        backend column intact."""
         manifest_path = str(tmp_path / "campaign.jsonl")
-        sharded = run_fault_campaign(
+        monolithic = run_fault_campaign(
             names=["bzip2"], trials=4, seed=5, backends=["checkpoint_log"],
-            shard_trials=2, manifest_path=manifest_path,
+            manifest_path=manifest_path, store=_store_off(),
         )
-        assert sharded.executed_units == 2
+        assert monolithic.executed_units == 1
         serial = run_fault_campaign(
             names=["bzip2"], trials=4, seed=5, backends=["checkpoint_log"],
         )
         key = ("bzip2", "checkpoint_log")
-        assert dataclasses.asdict(sharded.results[key]) \
+        assert dataclasses.asdict(monolithic.results[key]) \
             == dataclasses.asdict(serial.results[key])
 
         resumed = run_fault_campaign(
             names=["bzip2"], trials=4, seed=5, backends=["checkpoint_log"],
-            shard_trials=2, manifest_path=manifest_path,
+            manifest_path=manifest_path,
         )
-        assert resumed.executed_units == 0 and resumed.skipped_units == 2
+        assert resumed.executed_units == 0 and resumed.skipped_units == 1
         assert dataclasses.asdict(resumed.results[key]) \
             == dataclasses.asdict(serial.results[key])
         with open(manifest_path) as handle:
@@ -424,3 +504,34 @@ class TestBackendCampaigns:
             run_fault_campaign(names=["bzip2"], trials=2, backends=["x"])
         with pytest.raises(ValueError, match="unknown flavour"):
             run_fault_campaign(names=["bzip2"], trials=2, flavours=["x"])
+
+
+def _trap(self, *args, **kwargs):
+    raise SimulationError("trap in the fault-free run")
+
+
+class TestFaultFreeTrap:
+    def test_every_unit_fails_permanently(
+        self, tmp_path, isolated_cache, monkeypatch
+    ):
+        """A trapping fault-free run fails its unit with a permanent
+        error naming workload and label; it never escapes the campaign
+        as a bare simulator error."""
+        monkeypatch.setattr(Simulator, "run", _trap)
+        manifest_path = str(tmp_path / "campaign.jsonl")
+        summary = run_fault_campaign(
+            names=["blackscholes"], trials=2, seed=1,
+            manifest_path=manifest_path,
+        )
+        assert summary.failed_units == 2 and not summary.results
+        report = format_campaign_report(summary)
+        assert "0 executed, 0 resumed from manifest, 2 failed" in report
+        records = RunManifest(manifest_path).load()
+        for unit_id, _ in fault_campaign_units(["blackscholes"], 2, 1):
+            assert records[unit_id].status == "failed"
+            assert records[unit_id].data["category"] == UNIT_ERROR
+            label = unit_id.split(":")[1]
+            assert (
+                f"  ! {unit_id}: PermanentUnitError: fault-free run failed "
+                f"for workload 'blackscholes' (label {label}, entry 'main')"
+            ) in report

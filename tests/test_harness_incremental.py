@@ -21,6 +21,8 @@ from repro.harness.campaign import (
     RunManifest,
     UnitRecord,
     format_campaign_report,
+    format_section_accounting,
+    format_stale_report,
     run_fault_campaign,
 )
 from repro.harness.incremental import (
@@ -28,14 +30,11 @@ from repro.harness.incremental import (
     SECTION_NEW,
     SECTION_TOPUP,
     STORE_SCHEMA,
-    IncrementalCampaignSummary,
     OutcomeStore,
+    SectionStatus,
     assign_trials,
     compose_campaign,
     detect_gap_histogram,
-    format_incremental_report,
-    format_section_accounting,
-    format_stale_report,
     function_fingerprint,
     incremental_campaign,
     make_section_record,
@@ -43,7 +42,6 @@ from repro.harness.incremental import (
     plan_sections,
     program_fingerprint,
     region_owner,
-    run_incremental_fault_campaign,
     section_identity,
     section_key,
     summarize_rows,
@@ -527,53 +525,66 @@ class TestSuiteIncremental:
     def test_cold_matches_monolithic_and_warm_injects_nothing(
         self, isolated_cache, store
     ):
-        monolithic = run_fault_campaign(names=["bzip2"], trials=3, seed=7)
-        cold = run_incremental_fault_campaign(
+        monolithic = run_fault_campaign(
+            names=["bzip2"], trials=3, seed=7,
+            store=OutcomeStore(enabled=False),
+        )
+        assert monolithic.sections and monolithic.trials_from_store == 0
+        cold = run_fault_campaign(
             names=["bzip2"], trials=3, seed=7, store=store,
         )
         assert set(cold.results) == set(monolithic.results)
         for key, result in monolithic.results.items():
             assert dataclasses.asdict(cold.results[key]) == dataclasses.asdict(result)
         assert cold.trials_from_store == 0
-        warm = run_incremental_fault_campaign(
+        warm = run_fault_campaign(
             names=["bzip2"], trials=3, seed=7, store=store,
         )
-        assert warm.executed_units == 0
+        assert warm.executed_units == 2
         assert warm.trials_injected == 0
         assert warm.sections_reinjected == 0
         for key, result in monolithic.results.items():
             assert dataclasses.asdict(warm.results[key]) == dataclasses.asdict(result)
-        assert format_incremental_report(warm) == format_incremental_report(cold)
+        assert format_campaign_report(warm) == format_campaign_report(cold) \
+            == format_campaign_report(monolithic)
 
     def test_manifest_resume_refills_a_wiped_store(
         self, isolated_cache, store, tmp_path
     ):
-        """Sections are the resume granularity: with the store wiped but
-        the manifest intact, the campaign replays manifest rows instead
-        of re-injecting, and still composes the identical result."""
+        """The manifest, not the store, is what a resume reads: with the
+        store wiped but the manifest intact, the campaign resumes every
+        unit instead of re-injecting, and reports the identical result.
+        A run without the manifest then refills the store."""
         import shutil
 
         manifest_path = str(tmp_path / "campaign.jsonl")
-        cold = run_incremental_fault_campaign(
+        cold = run_fault_campaign(
             names=["bzip2"], trials=3, seed=7, store=store,
             manifest_path=manifest_path,
         )
         assert cold.executed_units > 0
         shutil.rmtree(store.root)
-        resumed = run_incremental_fault_campaign(
+        resumed = run_fault_campaign(
             names=["bzip2"], trials=3, seed=7, store=store,
             manifest_path=manifest_path,
         )
         assert resumed.executed_units == 0
         assert resumed.skipped_units == cold.executed_units
+        assert resumed.sections == []
         for key, result in cold.results.items():
             assert dataclasses.asdict(resumed.results[key]) == dataclasses.asdict(result)
+        assert store.entry_count() == 0
+        refilled = run_fault_campaign(
+            names=["bzip2"], trials=3, seed=7, store=store,
+        )
+        assert refilled.trials_injected == cold.trials_injected > 0
+        assert store.entry_count() == len(cold.sections)
 
     def test_backend_labels_compose_from_store(self, isolated_cache, store):
-        cold = run_incremental_fault_campaign(
+        cold = run_fault_campaign(
             names=["bzip2"], trials=3, seed=7, backends=["tmr"], store=store,
         )
-        warm = run_incremental_fault_campaign(
+        warm = run_fault_campaign(
             names=["bzip2"], trials=3, seed=7, backends=["tmr"], store=store,
         )
         assert warm.trials_injected == 0
@@ -582,9 +593,18 @@ class TestSuiteIncremental:
             dataclasses.asdict(cold.results[("bzip2", "tmr")])
 
 
+def _section(status=SECTION_NEW, reason="new-section", needed=3, cached=0):
+    return SectionStatus(
+        workload="wl", label="idempotent", region="f@b.0", key="k" * 64,
+        identity="i" * 64, fingerprint="f" * 64, status=status,
+        reason=reason, trials_needed=needed, trials_cached=cached,
+        trials_run=needed - cached,
+    )
+
+
 class TestReports:
     def _summary(self, **overrides):
-        summary = IncrementalCampaignSummary(
+        summary = FaultCampaignSummary(
             trials=4, seed=1, kind=FAULT_VALUE, labels=("idempotent",),
             store_root="/tmp/outcomes",
         )
@@ -596,9 +616,12 @@ class TestReports:
         return summary
 
     def test_section_accounting_line(self):
-        summary = self._summary(trials_from_store=6, trials_injected=2)
+        summary = self._summary(sections=[
+            _section(SECTION_CACHED, "", needed=6, cached=6),
+            _section(SECTION_TOPUP, "top-up (+2 of 2 trials)", needed=2),
+        ])
         line = format_section_accounting(summary)
-        assert "0 total, 0 cached, 0 re-injected" in line
+        assert "2 total, 1 cached, 1 re-injected" in line
         assert "(6 trials from store, 2 injected)" in line
         assert line.endswith("store: /tmp/outcomes")
 
@@ -607,23 +630,11 @@ class TestReports:
         assert "stale sections: none" in report
 
     def test_stale_report_lists_reasons(self):
-        from repro.harness.incremental import SectionStatus
-
         summary = self._summary()
-        summary.sections.append(SectionStatus(
-            workload="wl", label="idempotent", region="f@b.0", key="k" * 64,
-            identity="i" * 64, fingerprint="f" * 64, status=SECTION_NEW,
-            reason="code-changed (aaa -> bbb)", trials_needed=3,
-            trials_cached=0, trials_run=3,
-        ))
+        summary.sections.append(_section(reason="code-changed (aaa -> bbb)"))
         report = format_stale_report(summary)
         assert "stale sections:" in report
         assert "wl:idempotent f@b.0 [3 trials]: code-changed (aaa -> bbb)" in report
-
-    def test_incremental_report_has_no_units_line(self):
-        report = format_incremental_report(self._summary())
-        assert "units executed" not in report
-        assert "idempotent" in report
 
     def test_campaign_report_lists_quarantined_units(self):
         summary = FaultCampaignSummary(

@@ -14,6 +14,7 @@ import time
 import pytest
 
 from repro.harness.campaign import (
+    FLAVOURS,
     CampaignRunner,
     RunManifest,
     fault_campaign_units,
@@ -22,6 +23,7 @@ from repro.harness.campaign import (
 )
 from repro.harness.cache import ArtifactCache, set_default_cache
 from repro.harness.executor import TaskExecutor
+from repro.harness.incremental import OutcomeStore, set_default_store
 from repro.harness.resilience import (
     TIMEOUT,
     TRANSIENT_ERROR,
@@ -45,9 +47,12 @@ def fresh_observer():
 
 @pytest.fixture
 def isolated_cache(tmp_path):
+    """Private build cache and outcome store under ``tmp_path``."""
     previous = set_default_cache(ArtifactCache(root=str(tmp_path / "cache")))
+    previous_store = set_default_store(OutcomeStore(root=str(tmp_path / "cache")))
     yield
     set_default_cache(previous)
+    set_default_store(previous_store)
 
 
 def _counter_total(observer, name):
@@ -353,11 +358,11 @@ class TestChaosCampaign:
         merged per-(workload, flavour) counts bit-identical to a serial
         undisturbed run, with retries/timeouts visible in obs counters
         and attempt counts in the manifest."""
+        labels = dict(flavours=list(FLAVOURS), backends=["tmr", "checkpoint_log"])
         serial = run_fault_campaign(
-            names=[WORKLOAD], trials=2, seed=11, shard_trials=1,
+            names=[WORKLOAD], trials=2, seed=11, **labels,
         )
-        units = fault_campaign_units([WORKLOAD], trials=2, seed=11,
-                                     shard_trials=1)
+        units = fault_campaign_units([WORKLOAD], trials=2, seed=11, **labels)
         assert len(units) == 4
         chaos = ChaosPolicy(
             crash_units=(units[0][0],),
@@ -365,8 +370,11 @@ class TestChaosCampaign:
             hang_seconds=120,
         )
         manifest_path = str(tmp_path / "chaos.jsonl")
+        # A store of its own, so the disturbed workers inject every
+        # section rather than compose the serial run's records.
         chaotic = run_fault_campaign(
-            names=[WORKLOAD], trials=2, seed=11, shard_trials=1, jobs=2,
+            names=[WORKLOAD], trials=2, seed=11, jobs=2, **labels,
+            store=OutcomeStore(root=str(tmp_path / "chaos-store")),
             manifest_path=manifest_path,
             retry=RetryPolicy(max_attempts=4, backoff_base=0.01),
             unit_timeout=20.0,

@@ -71,6 +71,17 @@ class TestCliObsFlags:
         assert "transforms.promoted_allocas" in observer.metrics.names()
 
 
+@pytest.fixture
+def isolated_store(tmp_path):
+    """Campaigns publish section records: keep them in a private store."""
+    from repro.harness.incremental import OutcomeStore, set_default_store
+
+    previous = set_default_store(OutcomeStore(root=str(tmp_path / "cache")))
+    yield
+    set_default_store(previous)
+
+
+@pytest.mark.usefixtures("isolated_store")
 class TestCampaignObs:
     def test_resume_logged_via_obs(self, observer, tmp_path, capsys):
         manifest = str(tmp_path / "campaign.jsonl")

@@ -9,7 +9,9 @@ region keys the injectors use for attribution.
 
 import pytest
 
+import repro.harness.incremental as incremental
 from repro.compiler import compile_minic
+from repro.harness.incremental import OutcomeStore, set_default_store
 from repro.recovery.backends import BACKEND_NAMES, get_backend
 from repro.recovery.compare import (
     bench_payload,
@@ -45,6 +47,17 @@ int main() {
   return acc;
 }
 """
+
+
+@pytest.fixture(autouse=True, scope="module")
+def private_outcome_store(tmp_path_factory):
+    """The compare driver campaigns through the outcome store; keep this
+    module's records in a store of its own."""
+    previous = set_default_store(
+        OutcomeStore(root=str(tmp_path_factory.mktemp("outcomes")))
+    )
+    yield
+    set_default_store(previous)
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +179,10 @@ class TestComparison:
         assert mean_absolute_error([]) is None
 
 
+def _no_injection(*args, **kwargs):
+    raise AssertionError("a warm store re-injected a section")
+
+
 class TestCompareDriver:
     def test_parse_backend_names(self):
         assert parse_backend_names(None) == BACKEND_NAMES
@@ -239,6 +256,53 @@ class TestCompareDriver:
                 + row["crashed"] + row["undetected"]
             )
         assert loaded["predictor"]["regions"] == len(report.region_rows())
+
+    def test_store_backed_rows_equal_in_memory_campaigns(
+        self, tmp_path, monkeypatch
+    ):
+        """Every backend's campaign composes from the outcome store; cold
+        and warm, its buckets and per-region join equal
+        ``backend.campaign`` at the same seed."""
+        import dataclasses
+
+        from repro.experiments.common import build_pair
+        from repro.harness.executor import derive_seed
+        from repro.workloads import get_workload
+
+        workload = get_workload("bzip2")
+        original, idempotent = build_pair("bzip2")
+        sim = Simulator(idempotent.program)
+        reference = sim.run(workload.entry)
+        expected = {}
+        for name in BACKEND_NAMES:
+            backend = get_backend(name)
+            per_region = {}
+            campaign = backend.campaign(
+                original.program, idempotent.program, reference,
+                list(sim.output), trials=6, func=workload.entry,
+                seed=derive_seed(7, "bzip2", backend.seed_key),
+                detection_latency=4, per_region=per_region,
+            )
+            expected[name] = (campaign, per_region)
+
+        store = OutcomeStore(root=str(tmp_path / "store"))
+        monkeypatch.setattr(incremental, "_default_store", store)
+        for leg in ("cold", "warm"):
+            report = compare_workload("bzip2", trials=6, seed=7, latency=4)
+            assert [row.backend for row in report.backends] \
+                == list(BACKEND_NAMES)
+            for row in report.backends:
+                campaign, per_region = expected[row.backend]
+                assert dataclasses.asdict(row.campaign) \
+                    == dataclasses.asdict(campaign), (leg, row.backend)
+                assert row.regions == compare_predictions(
+                    row.prediction, per_region
+                ), (leg, row.backend)
+            # The warm leg must compose every section from the store.
+            assert store.entry_count() > 0
+            monkeypatch.setattr(
+                incremental, "run_section_trials", _no_injection
+            )
 
     def test_single_backend_subset(self):
         report = run_compare(names=["bzip2"], backends=["tmr"],
