@@ -338,6 +338,7 @@ def cmd_campaign(args) -> int:
         format_stale_report,
         run_fault_campaign,
     )
+    from repro.harness.incremental import OutcomeStore
     from repro.harness.report import Telemetry
 
     _setup_obs(args)
@@ -376,6 +377,8 @@ def cmd_campaign(args) -> int:
             chaos=chaos,
             flavours=flavours,
             backends=backends,
+            # --no-cache is a from-scratch run: inject every section.
+            store=OutcomeStore(enabled=False) if args.no_cache else None,
         )
     except ValueError as exc:
         print(f"campaign error: {exc}", file=sys.stderr)
@@ -625,9 +628,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report on stderr which sections re-injected "
                         "instead of composing from the outcome store, and "
                         "why (new-section, code-changed, pipeline-changed, "
-                        "evicted, top-up)")
+                        "fault-model-changed, span-changed, evicted, top-up)")
     p.add_argument("--no-cache", action="store_true",
-                   help="bypass the persistent artifact cache")
+                   help="bypass the persistent artifact cache and the "
+                        "outcome store (inject every section)")
     _add_resilience_flags(p)
     _add_obs_flags(p)
     p.set_defaults(func=cmd_campaign)

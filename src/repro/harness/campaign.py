@@ -16,7 +16,10 @@ section engine of :mod:`repro.harness.incremental`.  Sections already in
 the outcome store compose, the rest inject and publish as they finish,
 and the composed counts are bit-identical to one monolithic
 :func:`repro.sim.faults.fault_campaign` whether the store is warm, cold
-or disabled.
+or disabled — up to the compositional caveat of
+:mod:`repro.harness.incremental`: after an edit that keeps the trial
+span, a cached fault whose corruption reaches the edited code can be
+stale.
 """
 
 from __future__ import annotations
@@ -640,6 +643,13 @@ def format_section_accounting(summary: FaultCampaignSummary) -> str:
 def format_stale_report(summary: FaultCampaignSummary) -> str:
     """The ``--explain-stale`` view: which sections re-ran, and why."""
     lines = [format_section_accounting(summary)]
+    if not summary.sections:
+        # Manifest-resumed units plan no sections: nothing was composed.
+        lines.append(
+            f"stale sections: none planned ({summary.executed_units} units "
+            f"executed, {summary.skipped_units} resumed from manifest)"
+        )
+        return "\n".join(lines)
     stale = [s for s in summary.sections if s.status != SECTION_CACHED]
     if not stale:
         lines.append("stale sections: none (every section composed "

@@ -27,16 +27,25 @@ monolithic loop uses), and the composed buckets match trial for trial.
 Section keys and staleness
 --------------------------
 A section's store key hashes ``(store schema, PIPELINE_VERSION,
-workload, entry, label, kind, latency, unit seed, region key, owning
-function's machine-code fingerprint)``.  The fingerprint is the SHA-256
-of the function's formatted machine code — a *stable* content checksum
-(the process-seeded :func:`repro.ir.verifier.cfg_checksum` cannot key a
-persistent store).  Editing one function changes only its sections'
-keys, so a re-campaign after a localized edit re-injects only that
-function's sections; everything else composes from the store.  A
-``--explain-stale`` report classifies every re-injected section
-(new-section, code-changed, pipeline-changed, evicted, top-up) from a
-small identity index kept next to the objects.
+FAULT_MODEL_VERSION, workload, entry, label, kind, latency, unit seed,
+trace span, region key, owning function's machine-code fingerprint)``.
+The fingerprint is the SHA-256 of the function's formatted machine code
+— a *stable* content checksum (the process-seeded
+:func:`repro.ir.verifier.cfg_checksum` cannot key a persistent store).
+The span fixes every trial's plan, so an edit anywhere that changes how
+many instructions the program runs re-keys every section.  An edit
+that keeps the span changes only the edited function's keys, so a
+re-campaign re-injects only that function's sections; everything else
+composes from the store.  A ``--explain-stale`` report classifies every
+re-injected section (new-section, code-changed, pipeline-changed,
+fault-model-changed, span-changed, evicted, top-up) from a small
+identity index kept next to the objects.
+
+The key pins the code a fault lands in, not the code its corruption
+flows into: after a span-preserving edit, a cached fault that reached
+the edited function (or read a value it computes) can go stale.
+``REPRO_CACHE_DISABLE=1`` (``repro campaign --no-cache``) re-injects
+every section.
 
 Store safety mirrors :mod:`repro.harness.cache`: atomic
 write-temp-then-rename publication, corruption-is-a-miss (the entry is
@@ -61,6 +70,7 @@ from repro.harness.resilience import PermanentUnitError
 from repro.obs.context import get_observer
 from repro.sim import faults
 from repro.sim.faults import (
+    FAULT_MODEL_VERSION,
     FAULT_VALUE,
     REGION_UNKNOWN,
     CampaignResult,
@@ -75,7 +85,7 @@ from repro.sim.simulator import Simulator
 
 #: Schema tag of outcome-store records; mixed into every section key, so
 #: bumping it invalidates the whole store (a layout change is a miss).
-STORE_SCHEMA = "repro.outcomes/1"
+STORE_SCHEMA = "repro.outcomes/2"
 
 #: Section statuses reported by the planner.
 SECTION_CACHED = "cached"   # every needed trial composed from the store
@@ -261,14 +271,21 @@ def section_key(
     kind: str,
     latency: int,
     unit_seed: int,
+    span: int,
     region: str,
     fingerprint: str,
 ) -> str:
-    """SHA-256 content address of one section's outcome record."""
+    """SHA-256 content address of one section's outcome record.
+
+    Trial ``i`` of the section is :func:`~repro.sim.faults.trial_plan`
+    at ``(unit_seed, i, span)``, so the span is part of what a stored
+    row means: a different span aims the same index elsewhere.
+    """
     h = hashlib.sha256()
     for part in (
-        STORE_SCHEMA, PIPELINE_VERSION, workload, entry, label, kind,
-        str(latency), str(unit_seed), region, fingerprint,
+        STORE_SCHEMA, PIPELINE_VERSION, FAULT_MODEL_VERSION, workload,
+        entry, label, kind, str(latency), str(unit_seed), str(span),
+        region, fingerprint,
     ):
         h.update(part.encode("utf-8"))
         h.update(b"\x00")
@@ -286,9 +303,10 @@ def section_identity(
 ) -> str:
     """Code-independent identity of a section (for staleness diagnosis).
 
-    Everything in :func:`section_key` except the fingerprint and the
-    pipeline version: the identity survives code edits, so the explain
-    index can tell *why* a key missed (code changed vs never seen).
+    Everything in :func:`section_key` except the fingerprint, the span
+    and the pipeline and fault-model versions: the identity survives
+    code edits, so the explain index can tell *why* a key missed (code
+    changed vs never seen).
     """
     h = hashlib.sha256()
     for part in (workload, entry, label, kind, str(latency),
@@ -397,7 +415,8 @@ class OutcomeStore:
         return index if isinstance(index, dict) else {}
 
     def update_index(self, entries: Dict[str, dict]) -> None:
-        """Merge identity -> {key, fingerprint, pipeline} rows (atomic)."""
+        """Merge identity -> {key, fingerprint, pipeline, fault_model,
+        span} rows (atomic)."""
         if not self.enabled or not entries:
             return
         index = self.load_index()
@@ -478,6 +497,7 @@ def make_section_record(
     kind: str,
     latency: int,
     unit_seed: int,
+    span: int,
     region: str,
     fingerprint: str,
     rows: Sequence[Sequence[object]],
@@ -492,12 +512,14 @@ def make_section_record(
     return {
         "schema": STORE_SCHEMA,
         "pipeline": PIPELINE_VERSION,
+        "fault_model": FAULT_MODEL_VERSION,
         "workload": workload,
         "entry": entry,
         "label": label,
         "kind": kind,
         "latency": latency,
         "seed": unit_seed,
+        "span": span,
         "region": region,
         "fingerprint": fingerprint,
         "trials": [list(row) for row in ordered],
@@ -533,6 +555,7 @@ class SectionStatus:
     key: str
     identity: str
     fingerprint: str
+    span: int
     status: str             # SECTION_CACHED | SECTION_TOPUP | SECTION_NEW
     reason: str             # staleness diagnosis ("" when fully cached)
     trials_needed: int
@@ -573,7 +596,7 @@ class _SectionPlan:
 
 
 def _classify_miss(
-    index: Dict[str, dict], identity: str, fingerprint: str
+    index: Dict[str, dict], identity: str, fingerprint: str, span: int
 ) -> str:
     """Why a section key missed, from the identity index."""
     row = index.get(identity)
@@ -584,6 +607,11 @@ def _classify_miss(
         return f"code-changed ({old or '?'} -> {fingerprint[:12]})"
     if row.get("pipeline") != PIPELINE_VERSION:
         return f"pipeline-changed ({row.get('pipeline')} -> {PIPELINE_VERSION})"
+    if row.get("fault_model") != FAULT_MODEL_VERSION:
+        return (f"fault-model-changed ({row.get('fault_model')} -> "
+                f"{FAULT_MODEL_VERSION})")
+    if row.get("span") != span:
+        return f"span-changed ({row.get('span')} -> {span})"
     return "evicted (record missing from store)"
 
 
@@ -617,8 +645,8 @@ def plan_sections(
                 program, owner
             )
         key = section_key(
-            workload, entry, label, kind, latency, unit_seed, region,
-            fingerprint,
+            workload, entry, label, kind, latency, unit_seed,
+            assignment.span, region, fingerprint,
         )
         identity = section_identity(
             workload, entry, label, kind, latency, unit_seed, region
@@ -630,7 +658,7 @@ def plan_sections(
         missing = [i for i in needed if i not in cached]
         if record is None:
             status, reason = SECTION_NEW, _classify_miss(
-                index, identity, fingerprint
+                index, identity, fingerprint, assignment.span
             )
         elif missing:
             status, reason = SECTION_TOPUP, (
@@ -642,7 +670,8 @@ def plan_sections(
         plans.append(_SectionPlan(
             status=SectionStatus(
                 workload=workload, label=label, region=region, key=key,
-                identity=identity, fingerprint=fingerprint, status=status,
+                identity=identity, fingerprint=fingerprint,
+                span=assignment.span, status=status,
                 reason=reason, trials_needed=len(needed),
                 trials_cached=len(needed) - len(missing),
                 trials_run=len(missing),
@@ -745,6 +774,8 @@ def index_entries(sections: Sequence[SectionStatus]) -> Dict[str, dict]:
             "key": status.key,
             "fingerprint": status.fingerprint,
             "pipeline": PIPELINE_VERSION,
+            "fault_model": FAULT_MODEL_VERSION,
+            "span": status.span,
         }
         for status in sections
     }
@@ -833,7 +864,7 @@ def campaign_sections(
         )
         plan.record = make_section_record(
             name, func, label, kind, detection_latency, seed,
-            plan.status.region, plan.status.fingerprint,
+            assignment.span, plan.status.region, plan.status.fingerprint,
             merge_section_rows(plan.record, rows),
         )
         store.put(plan.status.key, plan.record)

@@ -226,7 +226,6 @@ class RecoveryBackend:
         seed: int = 12345,
         recover: bool = True,
         detection_latency: int = 0,
-        start_trial: int = 0,
         per_region: Optional[Dict[str, CampaignResult]] = None,
     ) -> CampaignResult:
         """Run a standard fault campaign under this backend's scheme."""
@@ -242,7 +241,6 @@ class RecoveryBackend:
             seed=seed,
             recover=recover,
             detection_latency=detection_latency,
-            start_trial=start_trial,
             injector_factory=self.make_injector,
             per_region=per_region,
         )

@@ -40,6 +40,11 @@ from repro.sim.simulator import SimulationError, Simulator
 FAULT_VALUE = "value"      # corrupt an instruction's destination register
 FAULT_CONTROL = "control"  # corrupt a branch condition (wrong control flow)
 
+#: Version of the fault model: trial planning, site rules, corruption,
+#: detection and outcome classification.  Outcome-store section keys mix
+#: it in, so bump it whenever a change here can alter any trial's outcome.
+FAULT_MODEL_VERSION = "repro.faults/1"
+
 
 @dataclass
 class FaultPlan:
@@ -390,9 +395,9 @@ def campaign_span(
     """The fault-target range of a campaign over ``program``.
 
     One fault-free run measures the dynamic instruction count; targets
-    are drawn uniformly from ``[1, span)`` so every campaign (monolithic,
-    sharded, or per-section incremental) over the same program faces the
-    identical target distribution.
+    are drawn uniformly from ``[1, span)`` so every campaign (monolithic
+    or per-section) over the same program faces the identical target
+    distribution.
     """
     baseline = Simulator(program)
     baseline.run(func, args)
@@ -420,9 +425,9 @@ def run_planned_trial(
     """Execute campaign trial ``index`` exactly as :func:`fault_campaign` would.
 
     Trial identity is ``(seed, index, span)`` alone, so any partition of
-    a campaign's index range — serial, sharded, or the per-region
-    sections of :mod:`repro.harness.incremental` — reproduces the
-    monolithic run's outcomes bit for bit.
+    a campaign's index range — such as the per-region sections of
+    :mod:`repro.harness.incremental` — reproduces the monolithic run's
+    outcomes bit for bit.
     """
     plan = trial_plan(
         seed, index, span, kind=kind, detection_latency=detection_latency
@@ -444,17 +449,15 @@ def fault_campaign(
     seed: int = 12345,
     recover: bool = True,
     detection_latency: int = 0,
-    start_trial: int = 0,
     injector_factory: Optional[Callable[..., object]] = None,
     per_region: Optional[Dict[str, CampaignResult]] = None,
 ) -> CampaignResult:
     """Inject ``trials`` faults at random points; compare against reference.
 
     The fault-free dynamic instruction count is measured first so targets
-    are uniform over the execution.  Trial ``i`` is planned by
-    :func:`trial_plan` from ``(seed, start_trial + i)`` alone, so running
-    ``trials=50`` serially and merging two ``trials=25`` shards (the
-    second with ``start_trial=25``) measure the identical fault set.
+    are uniform over the execution.  Trial ``i`` is
+    :func:`run_planned_trial` at ``(seed, i, span)``, so any partition of
+    ``range(trials)`` run trial by trial measures the identical fault set.
 
     ``injector_factory`` swaps the recovery scheme (see
     :func:`run_with_fault`); the trial plans depend only on the baseline
@@ -466,7 +469,7 @@ def fault_campaign(
     span = campaign_span(program, func=func, args=args)
 
     result = CampaignResult()
-    for index in range(start_trial, start_trial + trials):
+    for index in range(trials):
         outcome = run_planned_trial(
             program, seed, index, span, func=func, args=args, kind=kind,
             detection_latency=detection_latency, recover=recover,

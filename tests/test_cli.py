@@ -271,7 +271,41 @@ class TestCampaignIncremental:
         assert "stale sections:" in capsys.readouterr().err
         assert main(argv) == 0
         err = capsys.readouterr().err
-        assert "stale sections: none" in err
+        assert "stale sections: none (every section composed" in err
+
+    def test_explain_stale_after_manifest_resume(
+        self, isolated_store, tmp_path, capsys
+    ):
+        """Units resumed from the manifest plan no sections, so the report
+        says so instead of claiming the store composed them."""
+        argv = ["campaign", "bzip2", "--trials", "2",
+                "--manifest", str(tmp_path / "m.jsonl")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--explain-stale"]) == 0
+        err = capsys.readouterr().err
+        assert ("stale sections: none planned (0 units executed, "
+                "2 resumed from manifest)") in err
+        assert "composed from the store" not in err
+
+    def test_no_cache_injects_every_section(self, isolated_store, capsys):
+        """--no-cache is a from-scratch run: even with the store full,
+        every section injects and nothing is published."""
+        from repro.harness.incremental import default_store
+
+        argv = ["campaign", "bzip2", "--trials", "4", "--no-manifest",
+                "--explain-stale"]
+        assert main(argv) == 0
+        cold = capsys.readouterr()
+        entries = default_store().entry_count()
+        assert entries > 0
+        assert main(argv + ["--no-cache"]) == 0
+        fresh = capsys.readouterr()
+        assert fresh.out == cold.out
+        assert " 0 cached, " in fresh.err
+        assert "(0 trials from store, " in fresh.err
+        assert "composed from the store" not in fresh.err
+        assert default_store().entry_count() == entries
 
     def test_zero_trials_table_matches_monolithic(self, isolated_store, capsys):
         argv = ["campaign", "bzip2", "--trials", "0", "--no-manifest"]

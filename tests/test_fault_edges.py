@@ -16,8 +16,11 @@ from repro.sim.faults import (
     CampaignResult,
     FaultInjector,
     FaultPlan,
+    campaign_span,
+    classify_outcome,
     fault_campaign,
     format_rate,
+    run_planned_trial,
     run_with_fault,
 )
 
@@ -154,10 +157,18 @@ class TestTrappingFaults:
         reference = clean.run("main")
         seed = derive_seed(12345, "blackscholes", "idempotent")
         for name in BACKEND_NAMES:
-            result = get_backend(name).campaign(
-                original.program, idempotent.program, reference,
-                list(clean.output), trials=1, start_trial=6, seed=seed,
-                detection_latency=4,
+            backend = get_backend(name)
+            program = backend.campaign_program(
+                original.program, idempotent.program
+            )
+            outcome = run_planned_trial(
+                program, seed, 6, campaign_span(program),
+                detection_latency=4, injector_factory=backend.make_injector,
+            )
+            result = CampaignResult()
+            result.count(
+                classify_outcome(outcome, reference, list(clean.output)),
+                outcome.detected,
             )
             assert _partitioned(result), name
             if name == "idempotent":

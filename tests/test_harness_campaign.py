@@ -26,7 +26,13 @@ from repro.harness.incremental import (
 )
 from repro.harness.resilience import UNIT_ERROR
 from repro.sim import Simulator
-from repro.sim.faults import CampaignResult, fault_campaign
+from repro.sim.faults import (
+    CampaignResult,
+    campaign_span,
+    classify_outcome,
+    fault_campaign,
+    run_planned_trial,
+)
 from repro.sim.simulator import SimulationError
 
 KERNEL = """
@@ -71,15 +77,18 @@ def kernel_build():
 
 class TestShardedTrialSeeds:
     def test_sharded_equals_serial(self, kernel_build):
-        """The satellite fix: spawn-key per-trial seeds mean any sharding
-        of the trial range injects the identical fault set."""
+        """Spawn-key per-trial seeds mean any partition of the trial range,
+        run trial by trial, injects the identical fault set."""
         build, reference = kernel_build
         serial = fault_campaign(build.program, reference, [], trials=12, seed=99)
+        span = campaign_span(build.program)
         merged = CampaignResult()
-        for start in (0, 4, 8):
-            merged.merge(fault_campaign(
-                build.program, reference, [], trials=4, seed=99, start_trial=start,
-            ))
+        for shard in (range(8, 12), range(0, 4), range(4, 8)):
+            for index in shard:
+                outcome = run_planned_trial(build.program, 99, index, span)
+                merged.count(
+                    classify_outcome(outcome, reference, []), outcome.detected
+                )
         assert dataclasses.asdict(merged) == dataclasses.asdict(serial)
 
     def test_different_seeds_differ(self, kernel_build):

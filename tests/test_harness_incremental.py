@@ -172,8 +172,8 @@ class TestTrialAssignment:
 class TestOutcomeStore:
     def _record(self, **overrides):
         record = make_section_record(
-            "wl", "main", "idempotent", "value", 0, 7, "main@b.0", "f" * 64,
-            [[0, "recovered_correctly", 1, 2], [3, "crashed", 0, 0]],
+            "wl", "main", "idempotent", "value", 0, 7, 500, "main@b.0",
+            "f" * 64, [[0, "recovered_correctly", 1, 2], [3, "crashed", 0, 0]],
         )
         record.update(overrides)
         return record
@@ -218,9 +218,29 @@ class TestOutcomeStore:
         assert index["id1"]["key"] == "k1"
 
     def test_keys_differ_by_fingerprint_but_identity_does_not(self):
-        base = ("wl", "main", "idempotent", "value", 0, 7, "main@b.0")
-        assert section_key(*base, "a" * 64) != section_key(*base, "b" * 64)
-        assert section_identity(*base) == section_identity(*base)
+        base = ("wl", "main", "idempotent", "value", 0, 7)
+        assert section_key(*base, 500, "main@b.0", "a" * 64) \
+            != section_key(*base, 500, "main@b.0", "b" * 64)
+        assert section_identity(*base, "main@b.0") \
+            == section_identity(*base, "main@b.0")
+
+    def test_keys_differ_by_span_and_fault_model(self, monkeypatch):
+        """Trial ``i`` is planned from ``(seed, i, span)``, so a record
+        written under another span (or another fault model) must miss."""
+        from repro.harness import incremental
+
+        base = ("wl", "main", "idempotent", "value", 0, 7)
+        key = section_key(*base, 500, "main@b.0", "f" * 64)
+        assert key != section_key(*base, 501, "main@b.0", "f" * 64)
+        monkeypatch.setattr(incremental, "FAULT_MODEL_VERSION", "next")
+        assert key != section_key(*base, 500, "main@b.0", "f" * 64)
+
+    def test_record_carries_span_and_fault_model(self):
+        from repro.sim.faults import FAULT_MODEL_VERSION
+
+        record = self._record()
+        assert record["span"] == 500
+        assert record["fault_model"] == FAULT_MODEL_VERSION
 
 
 class TestRowAggregates:
@@ -251,7 +271,7 @@ class TestRowAggregates:
 class TestMeasuredRegionResults:
     def test_index_restriction_composes_down(self):
         record = make_section_record(
-            "wl", "main", "idempotent", "value", 0, 7, "r1", "f" * 64,
+            "wl", "main", "idempotent", "value", 0, 7, 500, "r1", "f" * 64,
             [[0, "recovered_correctly", 1, 1], [1, "crashed", 0, 0],
              [2, "recovered_correctly", 1, 2]],
         )
@@ -580,6 +600,72 @@ class TestSuiteIncremental:
         assert refilled.trials_injected == cold.trials_injected > 0
         assert store.entry_count() == len(cold.sections)
 
+    def test_span_changing_edit_matches_a_fresh_campaign(
+        self, isolated_cache, store, monkeypatch
+    ):
+        """An edit of one function that changes how many instructions the
+        program runs moves every trial's target, so no section of the
+        unchanged functions may compose from rows planned under the old
+        span: the warm campaign of the edited program equals a fresh
+        monolithic campaign of it.  Control faults at latency 4 give the
+        original build different outcomes in the two programs, so rows
+        composed under the old span would change its counts."""
+        from repro import workloads
+        from repro.bench.campaign_cache import BASE_SOURCE, EDITED_FUNCTION
+        from repro.experiments.common import build_pair, clear_build_memo
+        from repro.harness.executor import derive_seed
+
+        site = "v = v % 65536;\n    acc[(i + 8)"
+        assert BASE_SOURCE.count(site) == 1
+        edited_source = BASE_SOURCE.replace(
+            site, "v = v % 65536;\n    v = v + (v & 3);\n    acc[(i + 8)"
+        )
+        name, trials, seed = "span-edit", 16, 5
+        params = dict(kind=FAULT_CONTROL, detection_latency=4)
+
+        def campaign(source):
+            monkeypatch.setitem(
+                workloads._REGISTRY, name,
+                workloads.Workload(name=name, suite="specint", source=source),
+            )
+            clear_build_memo()
+            summary = run_fault_campaign(
+                names=[name], trials=trials, seed=seed, store=store, **params
+            )
+            return summary, build_pair(name)
+
+        base, (_, base_idem) = campaign(BASE_SOURCE)
+        assert base.trials_injected > 0
+        edited, (orig, idem) = campaign(edited_source)
+        clear_build_memo()
+
+        changed = {
+            fn for fn in idem.program.functions
+            if function_fingerprint(idem.program, fn)
+            != function_fingerprint(base_idem.program, fn)
+        }
+        assert changed == {EDITED_FUNCTION}
+        spans = {s.span for s in base.sections} | {s.span for s in edited.sections}
+        assert len(spans) == 4  # each flavour's span moved
+        assert edited.trials_from_store == 0
+        unchanged = [
+            s for s in edited.sections
+            if region_owner(s.region, "main") != EDITED_FUNCTION
+        ]
+        assert unchanged
+        assert all(s.reason.startswith("span-changed") for s in unchanged
+                   if s.identity in {b.identity for b in base.sections})
+
+        reference_sim = Simulator(idem.program)
+        reference = reference_sim.run("main")
+        for flavour, build in (("original", orig), ("idempotent", idem)):
+            fresh = fault_campaign(
+                build.program, reference, list(reference_sim.output),
+                trials=trials, seed=derive_seed(seed, name, flavour), **params
+            )
+            assert dataclasses.asdict(edited.results[(name, flavour)]) \
+                == dataclasses.asdict(fresh), flavour
+
     def test_backend_labels_compose_from_store(self, isolated_cache, store):
         cold = run_fault_campaign(
             names=["bzip2"], trials=3, seed=7, backends=["tmr"], store=store,
@@ -596,7 +682,7 @@ class TestSuiteIncremental:
 def _section(status=SECTION_NEW, reason="new-section", needed=3, cached=0):
     return SectionStatus(
         workload="wl", label="idempotent", region="f@b.0", key="k" * 64,
-        identity="i" * 64, fingerprint="f" * 64, status=status,
+        identity="i" * 64, fingerprint="f" * 64, span=500, status=status,
         reason=reason, trials_needed=needed, trials_cached=cached,
         trials_run=needed - cached,
     )

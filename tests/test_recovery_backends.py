@@ -31,8 +31,11 @@ from repro.core.regions import RegionDecomposition, boundary_live_sets
 from repro.sim.faults import (
     FAULT_CONTROL,
     CampaignResult,
+    campaign_span,
+    classify_outcome,
     fault_campaign,
     format_rate,
+    run_planned_trial,
 )
 from repro.sim.simulator import Simulator
 
@@ -73,6 +76,25 @@ def _campaign(builds, backend, **over):
     )
 
 
+def _partitioned(builds, backend, shards, seed, **over):
+    """``backend``'s campaign run trial by trial over ``shards`` (index
+    ranges), the way per-region sections run it."""
+    original, idempotent, reference, output = builds
+    program = backend.campaign_program(original.program, idempotent.program)
+    span = campaign_span(program)
+    result = CampaignResult()
+    for shard in shards:
+        for index in shard:
+            outcome = run_planned_trial(
+                program, seed, index, span,
+                injector_factory=backend.make_injector, **over,
+            )
+            result.count(
+                classify_outcome(outcome, reference, output), outcome.detected
+            )
+    return result
+
+
 class TestRegistry:
     def test_names_cover_all_types_in_report_order(self):
         assert BACKEND_NAMES == ("idempotent", "checkpoint_log", "tmr")
@@ -110,15 +132,17 @@ class TestIdempotentBitIdentity:
 
     def test_matches_under_latency_control_and_sharding(self, builds):
         original, idempotent, reference, output = builds
+        params = dict(kind=FAULT_CONTROL, detection_latency=6)
         legacy = fault_campaign(
-            idempotent.program, reference, output, trials=6, seed=5,
-            kind=FAULT_CONTROL, detection_latency=6, start_trial=3,
+            idempotent.program, reference, output, trials=9, seed=5, **params,
         )
-        zoo = _campaign(
-            builds, get_backend("idempotent"), trials=6, seed=5,
-            kind=FAULT_CONTROL, detection_latency=6, start_trial=3,
-        )
+        backend = get_backend("idempotent")
+        zoo = _campaign(builds, backend, trials=9, seed=5, **params)
         assert dataclasses.asdict(zoo) == dataclasses.asdict(legacy)
+        sharded = _partitioned(
+            builds, backend, (range(3, 9), range(0, 3)), seed=5, **params,
+        )
+        assert dataclasses.asdict(sharded) == dataclasses.asdict(legacy)
 
     def test_campaign_program_is_the_idempotent_build(self, builds):
         original, idempotent, _reference, _output = builds
@@ -145,10 +169,8 @@ class TestBucketArithmetic:
         backend = get_backend(name)
         serial = _campaign(builds, backend, trials=8, seed=31)
         merged = CampaignResult()
-        for start in (0, 4):
-            merged.merge(_campaign(
-                builds, backend, trials=4, seed=31, start_trial=start,
-            ))
+        for shard in (range(4, 8), range(0, 4)):
+            merged.merge(_partitioned(builds, backend, [shard], seed=31))
         assert dataclasses.asdict(merged) == dataclasses.asdict(serial)
 
     def test_empty_campaign_rate_is_nan_and_formats_na(self, builds):
