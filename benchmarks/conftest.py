@@ -7,15 +7,21 @@ the full 19-workload suite (10-20 minutes; this is what EXPERIMENTS.md
 records).
 """
 
+import os
+
 import pytest
 
-from repro.bench import FAST_SUBSET, default_workloads
+from repro.bench.runner import FAST_SUBSET
 
 
-def selected_workloads():
-    return default_workloads()  # None means "all workloads"
+def default_workloads():
+    """``FAST_SUBSET``, or ``None`` (every workload) when
+    ``REPRO_BENCH_FULL`` is set."""
+    if os.environ.get("REPRO_BENCH_FULL"):
+        return None
+    return list(FAST_SUBSET)
 
 
 @pytest.fixture(scope="session")
 def workload_names():
-    return selected_workloads()
+    return default_workloads()

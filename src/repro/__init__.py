@@ -26,8 +26,7 @@ def repro_version() -> str:
 
     Falls back to the hardcoded ``__version__`` when the package is not
     installed (e.g. running from a source checkout via ``PYTHONPATH``).
-    The string feeds ``repro --version`` and the provenance sections of
-    ``BENCH_recovery.json`` and ``BENCH_campaign_cache.json``.
+    The string feeds ``repro --version``.
     """
     try:
         from importlib.metadata import PackageNotFoundError, version

@@ -221,9 +221,8 @@ class AnalysisManager:
 class NullAnalysisManager(AnalysisManager):
     """A manager that never caches: every request computes fresh.
 
-    Used by the ``repro bench`` cached-vs-fresh comparison and by the
-    bit-identity tests; results must be indistinguishable from the
-    caching manager's.
+    Used by the cached-vs-fresh bit-identity tests; results must be
+    indistinguishable from the caching manager's.
     """
 
     def _get(self, func: Function, kind: str, build: Callable[[], object]) -> object:

@@ -1,221 +1,6 @@
-"""The ``repro bench`` measurement core.
+"""The fast workload subset shared by perfbench, ``benchmarks/`` and the
+analysis-cache tests."""
 
-One measurement = compile a workload from source (idempotent flavour,
-no artifact cache) and execute it on the machine simulator, under an
-enabled span tracer; phase wall-times are then read back out of the
-span buffer.  Each workload is measured ``repeats`` times and the
-*minimum* per phase is kept (the minimum is the standard noise filter
-for wall-clock microbenchmarks: every measurement carries additive
-noise, so the smallest observation is the closest to the true cost).
-
-Phases are derived from span names, not ad-hoc timers, so the numbers
-line up with what ``--profile`` traces show in Perfetto:
-
-==========================  ============================================
-phase                       spans summed
-==========================  ============================================
-``compile``                 ``compile.minic`` (whole build)
-``frontend``                ``frontend.compile``
-``construction``            ``construction.module`` (all §4 phases)
-``construction.<sub>``      ``construction.{ssa,antideps,cuts,loops,
-                            regions,verify}`` per function
-``codegen``                 ``codegen.isel`` + ``codegen.regalloc``
-``sim``                     ``sim.run``
-==========================  ============================================
-"""
-
-from __future__ import annotations
-
-import json
-import os
-import platform
-from typing import Dict, List, Optional, Sequence
-
-from repro.obs.context import Observer, set_observer
-
-#: Schema tag stamped into bench dumps (bump on breaking layout change).
-BENCH_SCHEMA = "repro.bench/1"
-
-#: The ``REPRO_BENCH_FULL=0`` subset: two workloads per suite, the same
-#: selection ``benchmarks/conftest.py`` uses for the fast pytest pass.
+#: Two workloads per suite (``REPRO_BENCH_FULL=1`` makes ``benchmarks/``
+#: run the full suite instead).
 FAST_SUBSET = ["bzip2", "mcf", "soplex", "sphinx", "blackscholes", "canneal"]
-
-#: Span names whose durations are summed into each phase row.
-_PHASE_SPANS: Dict[str, Sequence[str]] = {
-    "compile": ("compile.minic",),
-    "frontend": ("frontend.compile",),
-    "construction": ("construction.module",),
-    "construction.ssa": ("construction.ssa",),
-    "construction.antideps": ("construction.antideps",),
-    "construction.cuts": ("construction.cuts",),
-    "construction.loops": ("construction.loops",),
-    "construction.regions": ("construction.regions",),
-    "construction.verify": ("construction.verify",),
-    "codegen": ("codegen.isel", "codegen.regalloc"),
-    "sim": ("sim.run",),
-}
-
-
-class BenchError(ValueError):
-    """A bench dump failed schema validation."""
-
-
-def default_workloads() -> Optional[List[str]]:
-    """The default bench selection: ``FAST_SUBSET``, or the full suite
-    when ``REPRO_BENCH_FULL`` is set (``None`` means "all")."""
-    if os.environ.get("REPRO_BENCH_FULL"):
-        return None
-    return list(FAST_SUBSET)
-
-
-def _resolve_workloads(names: Optional[Sequence[str]]):
-    from repro.workloads import all_workloads
-
-    available = {w.name: w for w in all_workloads()}
-    if names is None:
-        return list(available.values())
-    missing = [n for n in names if n not in available]
-    if missing:
-        raise BenchError(f"unknown workload(s): {', '.join(missing)}")
-    return [available[n] for n in names]
-
-
-def _measure_once(workload, analysis_cache: bool) -> Dict[str, float]:
-    """One traced compile+simulate; returns seconds per phase."""
-    from repro.compiler import compile_minic
-    from repro.sim import Simulator
-
-    observer = Observer(enabled=True)
-    previous = set_observer(observer)
-    try:
-        result = compile_minic(workload.source, idempotent=True,
-                               name=workload.name,
-                               analysis_cache=analysis_cache)
-        Simulator(result.program).run(workload.entry)
-    finally:
-        set_observer(previous)
-
-    by_name: Dict[str, int] = {}
-    for span in observer.tracer.spans():
-        by_name[span.name] = by_name.get(span.name, 0) + span.dur_ns
-    return {
-        phase: sum(by_name.get(name, 0) for name in spans) / 1e9
-        for phase, spans in _PHASE_SPANS.items()
-    }
-
-
-def run_bench(
-    names: Optional[Sequence[str]] = None,
-    repeats: int = 3,
-    label: str = "local",
-    analysis_cache: bool = True,
-) -> dict:
-    """Measure every selected workload; returns the bench payload."""
-    if repeats < 1:
-        raise BenchError(f"repeats must be >= 1, got {repeats}")
-    workloads = _resolve_workloads(names)
-
-    per_workload: Dict[str, Dict[str, float]] = {}
-    for workload in workloads:
-        best: Dict[str, float] = {}
-        for _ in range(repeats):
-            sample = _measure_once(workload, analysis_cache)
-            for phase, seconds in sample.items():
-                if phase not in best or seconds < best[phase]:
-                    best[phase] = seconds
-        per_workload[workload.name] = best
-
-    phases = {
-        phase: {
-            "seconds": round(
-                sum(per_workload[w][phase] for w in per_workload), 6
-            ),
-            "per_workload": {
-                w: round(per_workload[w][phase], 6) for w in per_workload
-            },
-        }
-        for phase in _PHASE_SPANS
-    }
-    return {
-        "schema": BENCH_SCHEMA,
-        "label": label,
-        "repeats": repeats,
-        "analysis_cache": analysis_cache,
-        "workloads": [w.name for w in workloads],
-        "phases": phases,
-        "env": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-        },
-    }
-
-
-# ----------------------------------------------------------------------
-# File I/O + schema validation (the ``repro stats`` contract)
-# ----------------------------------------------------------------------
-def write_bench_json(path: str, payload: dict) -> int:
-    """Write a bench dump; returns the number of phase rows."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    return len(payload.get("phases", {}))
-
-
-def _check_phases(path: str, phases: object, where: str) -> None:
-    if not isinstance(phases, dict) or not phases:
-        raise BenchError(f"{path}: {where} is not a non-empty object")
-    for phase, row in phases.items():
-        if not isinstance(row, dict):
-            raise BenchError(f"{path}: phase {phase!r} in {where} is not an object")
-        if not isinstance(row.get("seconds"), (int, float)):
-            raise BenchError(f"{path}: phase {phase!r} in {where} lacks numeric seconds")
-        per = row.get("per_workload", {})
-        if not isinstance(per, dict) or not all(
-            isinstance(v, (int, float)) for v in per.values()
-        ):
-            raise BenchError(f"{path}: phase {phase!r} in {where} has a malformed per_workload map")
-
-
-def load_bench_file(path: str) -> dict:
-    """Read and schema-validate a ``BENCH_*.json``; returns the payload."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise BenchError(f"{path}: unreadable bench dump ({exc})") from exc
-    if not isinstance(payload, dict) or payload.get("schema") != BENCH_SCHEMA:
-        schema = payload.get("schema") if isinstance(payload, dict) else None
-        raise BenchError(f"{path}: not a {BENCH_SCHEMA} dump (schema={schema!r})")
-    if not isinstance(payload.get("label"), str):
-        raise BenchError(f"{path}: missing string label")
-    if not isinstance(payload.get("workloads"), list):
-        raise BenchError(f"{path}: missing workloads list")
-    _check_phases(path, payload.get("phases"), "phases")
-    reference = payload.get("reference")
-    if reference is not None:
-        if not isinstance(reference, dict):
-            raise BenchError(f"{path}: reference section is not an object")
-        _check_phases(path, reference.get("phases"), "reference.phases")
-    return payload
-
-
-def validate_bench_file(path: str) -> int:
-    """Schema-check a bench dump; returns its phase-row count."""
-    return len(load_bench_file(path)["phases"])
-
-
-def summarize_bench(payload: dict) -> str:
-    """Human rendering of a bench payload (the ``repro stats`` view)."""
-    lines = [
-        f"label: {payload['label']}  workloads: {len(payload['workloads'])}"
-        f"  repeats: {payload.get('repeats', '?')}"
-    ]
-    reference = (payload.get("reference") or {}).get("phases", {})
-    for phase in sorted(payload["phases"]):
-        seconds = payload["phases"][phase]["seconds"]
-        line = f"  {phase:24s} {seconds:9.4f}s"
-        ref = reference.get(phase, {}).get("seconds")
-        if ref and seconds > 0:
-            line += f"  ({ref / seconds:5.2f}x vs {payload.get('reference', {}).get('label', 'reference')})"
-        lines.append(line)
-    return "\n".join(lines)

@@ -17,22 +17,15 @@ Commands:
 - ``recovery``        — recovery-strategy zoo: idempotence vs TMR vs
   checkpoint-and-log under one interface — per-backend dynamic overhead
   and fault-campaign buckets, per-region predicted-vs-measured recovery
-  from the static outcome predictor, schema-tagged
-  ``BENCH_recovery.json`` dumps, and ``--hunt`` for minimized
+  from the static outcome predictor, and ``--hunt`` for minimized
   predictor-divergence reproducers (``docs/recovery.md``)
 - ``fuzz``            — differential fuzzing: seeded program generation,
   interpreter/simulator differential + exhaustive re-execution +
   multi-fault oracles, delta-debugged reproducers (``docs/fuzzing.md``)
-- ``bench``           — time compile/construction/sim phases per workload,
-  emit schema-tagged ``BENCH_*.json``, and optionally gate against a
-  baseline (``--baseline FILE --max-regression PCT``; see
-  ``docs/performance.md``)
-- ``stats``           — validate and summarize emitted trace/metrics/bench
-  files
+- ``stats``           — validate and summarize emitted trace/metrics files
 - ``workloads``       — list the benchmark suite
 
-``repro --version`` prints the package version (also stamped into
-every ``BENCH_recovery.json`` and ``BENCH_campaign_cache.json``).
+``repro --version`` prints the package version.
 
 The ``experiment`` and ``campaign`` commands print a telemetry summary
 (wall time, per-phase breakdown, cache effectiveness) to stderr, so
@@ -51,6 +44,7 @@ metrics table on stderr); none of these change stdout by a single byte.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import List, Optional
@@ -80,15 +74,16 @@ def _config_from_args(args) -> ConstructionConfig:
     )
 
 
-def _trial_count(text: str) -> int:
-    """argparse type of every ``--trials``: a non-negative integer."""
+def _trial_count(text: str, minimum: int = 0) -> int:
+    """argparse type of every ``--trials`` and ``--latency``: a
+    non-negative integer (``fuzz --max-forced`` binds ``minimum=1``)."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
     return value
 
 
@@ -398,9 +393,8 @@ def cmd_campaign(args) -> int:
 
 
 def cmd_recovery(args) -> int:
-    from repro.bench import validate_recovery_bench_file, write_recovery_bench_json
     from repro.recovery import format_compare_report, run_compare
-    from repro.recovery.compare import bench_payload, hunt_divergence
+    from repro.recovery.compare import hunt_divergence
 
     _setup_obs(args)
     backends = _split_names(args.backends)
@@ -418,14 +412,6 @@ def cmd_recovery(args) -> int:
         print(f"recovery error: {exc}", file=sys.stderr)
         return 2
     print(format_compare_report(report))
-    if args.out:
-        write_recovery_bench_json(
-            args.out,
-            bench_payload(report, label=args.label, version=repro_version()),
-        )
-        count = validate_recovery_bench_file(args.out)
-        print(f"[recovery] bench: {args.out} ({count} backends)",
-              file=sys.stderr)
     if args.hunt:
         hunt = hunt_divergence(
             args.hunt,
@@ -447,81 +433,6 @@ def cmd_recovery(args) -> int:
             print(f"hunt: below threshold {args.threshold:.2f}; "
                   f"no reproducer written")
     _finalize_obs(args)
-    return 0
-
-
-def cmd_bench(args) -> int:
-    from repro.bench import (
-        BenchError,
-        FAST_SUBSET,
-        compare_bench,
-        default_workloads,
-        format_comparison,
-        load_bench_file,
-        run_bench,
-        summarize_bench,
-        validate_bench_file,
-        write_bench_json,
-    )
-
-    if args.campaign_cache:
-        from repro.bench import (
-            run_campaign_cache_bench,
-            summarize_campaign_cache,
-            validate_campaign_cache_file,
-            write_campaign_cache_json,
-        )
-
-        try:
-            payload = run_campaign_cache_bench(label=args.label)
-        except BenchError as exc:
-            print(f"bench error: {exc}", file=sys.stderr)
-            return 2
-        if args.out:
-            write_campaign_cache_json(args.out, payload)
-            count = validate_campaign_cache_file(args.out)
-            print(f"[bench] wrote {args.out} ({count} scenarios)",
-                  file=sys.stderr)
-        print(summarize_campaign_cache(payload))
-        return 0
-
-    if args.workloads:
-        names = args.workloads
-    elif args.quick:
-        names = list(FAST_SUBSET)
-    else:
-        names = default_workloads()
-    repeats = 1 if args.quick else args.repeats
-    try:
-        payload = run_bench(
-            names,
-            repeats=repeats,
-            label=args.label,
-            analysis_cache=not args.no_analysis_cache,
-        )
-    except BenchError as exc:
-        print(f"bench error: {exc}", file=sys.stderr)
-        return 2
-    if args.out:
-        write_bench_json(args.out, payload)
-        count = validate_bench_file(args.out)
-        print(f"[bench] wrote {args.out} ({count} phases)", file=sys.stderr)
-    print(summarize_bench(payload))
-    if args.baseline:
-        try:
-            baseline = load_bench_file(args.baseline)
-        except BenchError as exc:
-            print(f"bench error: {exc}", file=sys.stderr)
-            return 2
-        print()
-        print(format_comparison(payload, baseline))
-        regressions = compare_bench(payload, baseline, args.max_regression)
-        if regressions:
-            print(f"\n{len(regressions)} regression(s) past "
-                  f"{args.max_regression:.0f}%:", file=sys.stderr)
-            for regression in regressions:
-                print(f"  {regression}", file=sys.stderr)
-            return 1
     return 0
 
 
@@ -606,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=12345,
                    help="campaign seed; per-trial seeds derive from it")
     p.add_argument("--kind", choices=["value", "control"], default="value")
-    p.add_argument("--latency", type=int, default=0,
+    p.add_argument("--latency", type=_trial_count, default=0,
                    help="detection latency in dynamic instructions")
     p.add_argument("--flavours", default=None, metavar="NAMES",
                    help="comma-separated flavour subset (original, "
@@ -654,16 +565,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "spawn-key style (idempotent rows are bit-identical "
                         "to repro campaign at the same parameters)")
     p.add_argument("--kind", choices=["value", "control"], default="value")
-    p.add_argument("--latency", type=int, default=0,
+    p.add_argument("--latency", type=_trial_count, default=0,
                    help="detection latency in dynamic instructions")
     p.add_argument("--threshold", type=float, default=0.25,
                    help="flag regions where |predicted - measured| recovery "
                         "exceeds this")
-    p.add_argument("--label", default="recovery",
-                   help="label stamped into the bench dump")
-    p.add_argument("--out", metavar="FILE", default=None,
-                   help="write a BENCH_recovery.json dump (repro stats "
-                        "validates it)")
     p.add_argument("--hunt", type=int, default=None, metavar="N",
                    help="scan N fuzz-generated programs for the worst "
                         "predictor divergence; at/above --threshold the "
@@ -694,7 +600,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop launching new trials once this much wall "
                         "clock has elapsed (completed trials stay in the "
                         "manifest; resume to continue)")
-    p.add_argument("--max-forced", type=int, default=None, metavar="N",
+    p.add_argument("--max-forced", type=functools.partial(_trial_count, minimum=1),
+                   default=None, metavar="N",
                    help="cap forced-recovery points per oracle mode "
                         "(evenly spaced; default: exhaustive — every "
                         "dynamic check point)")
@@ -714,44 +621,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser(
-        "bench",
-        help="time compile/construction/sim phases per workload",
-    )
-    p.add_argument("workloads", nargs="*",
-                   help="workload subset (default: the fast subset, or the "
-                        "full suite with REPRO_BENCH_FULL=1)")
-    p.add_argument("--label", default="local",
-                   help="label stamped into the bench dump")
-    p.add_argument("--out", metavar="FILE", default=None,
-                   help="write a schema-tagged BENCH_*.json dump")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="measurements per workload; the per-phase minimum "
-                        "is kept (noise filter)")
-    p.add_argument("--baseline", metavar="FILE", default=None,
-                   help="compare against a previous BENCH_*.json dump")
-    p.add_argument("--max-regression", type=float, default=10.0, metavar="PCT",
-                   help="with --baseline: exit nonzero if any gated phase "
-                        "is more than PCT%% slower (default 10)")
-    p.add_argument("--quick", action="store_true",
-                   help="one repeat over the fast subset (the CI setting)")
-    p.add_argument("--no-analysis-cache", action="store_true",
-                   help="disable the AnalysisManager cache (measures the "
-                        "recompute-everything pipeline; output IR is "
-                        "bit-identical either way)")
-    p.add_argument("--campaign-cache", action="store_true",
-                   help="benchmark the incremental fault-campaign store "
-                        "instead: monolithic vs cold/warm/one-function-"
-                        "edited wall-times with self-verified bit-identity "
-                        "(writes a BENCH_campaign_cache.json with --out; "
-                        "docs/campaigns.md)")
-    p.set_defaults(func=cmd_bench)
-
-    p = sub.add_parser(
         "stats",
-        help="validate and summarize emitted trace/metrics/bench files",
+        help="validate and summarize emitted trace/metrics files",
     )
     p.add_argument("files", nargs="+",
-                   help="files written by --profile / --metrics / bench --out")
+                   help="files written by --profile / --metrics")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("workloads", help="list the benchmark suite")

@@ -65,7 +65,7 @@ def compile_ir_module(
     :class:`~repro.analysis.manager.AnalysisManager` during region
     construction (every phase recomputes its graph analyses from
     scratch); output is bit-identical either way — the switch exists
-    for the ``repro bench`` cached-vs-fresh comparison and for tests.
+    for the cached-vs-fresh bit-identity tests.
     """
     flavour = "idempotent" if idempotent else "original"
     construction: Dict[str, ConstructionResult] = {}

@@ -323,7 +323,7 @@ def construct_module_regions(
 
     ``analysis_cache=False`` makes every construction phase recompute
     its graph analyses from scratch (bit-identical output, used by the
-    ``repro bench`` cached-vs-fresh comparison and by tests).
+    cached-vs-fresh bit-identity tests).
 
     The cyclic collector is paused for the duration of the pass: the
     rewrites detach thousands of instructions whose operand ``Use``

@@ -189,7 +189,8 @@ def check_source(
     a deliberately broken construction (see
     ``ConstructionConfig.drop_hitting_set_cut``).  ``max_forced`` caps
     the number of forced-recovery points per mode (evenly spaced,
-    deterministic); ``None`` means exhaustive.
+    deterministic); ``None`` means exhaustive, and a cap below 1 raises
+    :class:`ValueError`.
     """
     report = OracleReport()
 
@@ -288,7 +289,10 @@ def check_source(
 def _forced_points(checkpoints: int, max_forced: Optional[int]) -> List[int]:
     """Which dynamic check-point occurrences to force recovery at:
     every one, or an evenly spaced deterministic subset of
-    ``max_forced`` of them."""
+    ``max_forced`` of them.  A cap below 1 would force no recovery, so
+    the re-execution oracle would silently not run: it is rejected."""
+    if max_forced is not None and max_forced < 1:
+        raise ValueError(f"max_forced must be >= 1, got {max_forced}")
     if checkpoints <= 0:
         return []
     if max_forced is None or checkpoints <= max_forced:

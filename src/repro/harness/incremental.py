@@ -1,7 +1,7 @@
 """The section engine of fault campaigns (FastFlip-style composition).
 
 Every fault campaign driver — each ``repro campaign`` unit, ``repro
-recovery compare`` and the campaign-cache bench — runs
+recovery compare`` and perfbench's ``recampaign`` workload — runs
 :func:`campaign_sections`.  The constructed idempotent regions are the
 natural program sections, so one workload × label campaign splits into
 per-region **sections** whose per-trial outcomes persist in a
@@ -907,7 +907,7 @@ def incremental_campaign(
     """Store-backed campaign of one program, run in this process.
 
     :func:`campaign_sections` plus the identity-index merge — used by
-    ``repro recovery compare`` and the campaign-cache bench.  ``seed``
+    ``repro recovery compare`` and perfbench's ``recampaign``.  ``seed``
     is the *unit* seed (callers derive it exactly as
     ``repro campaign`` does), so the composed result is bit-identical to
     :func:`repro.sim.faults.fault_campaign` (or ``backend.campaign(...)``)
@@ -915,8 +915,8 @@ def incremental_campaign(
 
     ``name`` scopes store keys and should be stable across source edits
     (it is provenance, not content — the code content is in the
-    per-function fingerprints), so editing one function of a benched
-    program re-injects only that function's sections.
+    per-function fingerprints), so editing one function of a
+    campaigned program re-injects only that function's sections.
     """
     store = store or default_store()
     outcome = campaign_sections(

@@ -246,57 +246,16 @@ def format_stats_table(snapshot: Dict[str, dict], prefix: str = "") -> str:
 # File summaries (the ``repro stats`` subcommand)
 # ----------------------------------------------------------------------
 def summarize_file(path: str) -> str:
-    """Validate ``path`` as a trace, metrics, or bench dump and describe it.
+    """Validate ``path`` as a trace or metrics dump and describe it.
 
     The file kind is sniffed from its JSON top level.  Raises
-    :class:`ObsExportError` if the file is none of the three.
+    :class:`ObsExportError` if the file is neither.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
     except (OSError, ValueError) as exc:
         raise ObsExportError(f"{path}: unreadable ({exc})") from exc
-    if isinstance(payload, dict) and isinstance(payload.get("schema"), str) \
-            and payload["schema"].startswith("repro.recovery.bench/"):
-        # Lazy import: repro.bench itself builds on repro.obs.
-        from repro.bench import BenchError, load_recovery_bench_file
-        from repro.bench import summarize_recovery_bench
-
-        try:
-            bench = load_recovery_bench_file(path)
-        except BenchError as exc:
-            raise ObsExportError(str(exc)) from exc
-        header = (
-            f"{path}: valid recovery bench dump, "
-            f"{len(bench['backends'])} backends"
-        )
-        return header + "\n" + summarize_recovery_bench(bench)
-    if isinstance(payload, dict) and isinstance(payload.get("schema"), str) \
-            and payload["schema"].startswith("repro.campaign.cache/"):
-        # Lazy import: repro.bench itself builds on repro.obs.
-        from repro.bench import BenchError, load_campaign_cache_file
-        from repro.bench import summarize_campaign_cache
-
-        try:
-            bench = load_campaign_cache_file(path)
-        except BenchError as exc:
-            raise ObsExportError(str(exc)) from exc
-        header = (
-            f"{path}: valid campaign-cache bench dump, "
-            f"{len(bench['scenarios'])} scenarios"
-        )
-        return header + "\n" + summarize_campaign_cache(bench)
-    if isinstance(payload, dict) and isinstance(payload.get("schema"), str) \
-            and payload["schema"].startswith("repro.bench/"):
-        # Lazy import: repro.bench itself builds on repro.obs.
-        from repro.bench import BenchError, load_bench_file, summarize_bench
-
-        try:
-            bench = load_bench_file(path)
-        except BenchError as exc:
-            raise ObsExportError(str(exc)) from exc
-        header = f"{path}: valid bench dump, {len(bench['phases'])} phases"
-        return header + "\n" + summarize_bench(bench)
     if isinstance(payload, dict) and "traceEvents" in payload:
         count = validate_trace_file(path)
         names = sorted({

@@ -192,7 +192,7 @@ class RecoveryBackend:
     baseline.
     """
 
-    #: registry key (``--backends``, bench rows)
+    #: registry key (``--backends``, report rows)
     name: str = ""
     #: scheme constant used to price fault-free overhead
     scheme: str = ""

@@ -9,15 +9,10 @@ measured per-region recovery rates. Regions whose disagreement exceeds
 the threshold are flagged; ``--hunt`` searches fuzz-generated programs
 for the worst program-level divergence and feeds the fuzz reducer a
 minimized reproducer.
-
-The result feeds ``BENCH_recovery.json`` (schema
-``repro.recovery.bench/1``, see :mod:`repro.bench.recovery`) — overhead
-and bucket totals per backend plus the predictor's mean absolute error.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -407,67 +402,3 @@ def hunt_divergence(
             handle.write(header + reduced.source)
         result.reduced_path = path
     return result
-
-
-def bench_payload(
-    report: CompareReport,
-    label: str = "recovery",
-    version: str = "",
-) -> dict:
-    """Assemble the ``repro.recovery.bench/1`` payload for a report."""
-    from repro.bench.recovery import recovery_bench_payload
-
-    backends = []
-    for backend_name in report.backends:
-        total = CampaignResult()
-        overheads: List[float] = []
-        predicted: List[float] = []
-        maes: List[float] = []
-        for wl in report.workloads:
-            for row in wl.backends:
-                if row.backend != backend_name:
-                    continue
-                total.merge(row.campaign)
-                overheads.append(row.overhead)
-                predicted.append(row.prediction.p_recovered)
-                if row.mae is not None:
-                    maes.append(row.mae)
-        geomean = (
-            math.exp(sum(math.log1p(o) for o in overheads) / len(overheads)) - 1.0
-            if overheads else 0.0
-        )
-        backends.append({
-            "name": backend_name,
-            "overhead": geomean,
-            "trials": total.trials,
-            "injected": total.injected,
-            "recovered": total.recovered_correctly,
-            "wrong": total.wrong_result,
-            "crashed": total.crashed,
-            "undetected": total.undetected,
-            "measured_rate": (
-                None if not total.injected else total.recovery_rate
-            ),
-            "predicted_rate": (
-                sum(predicted) / len(predicted) if predicted else 0.0
-            ),
-            "mae": sum(maes) / len(maes) if maes else None,
-        })
-    region_rows = report.region_rows()
-    return recovery_bench_payload(
-        label=label,
-        version=version,
-        seed=report.seed,
-        trials=report.trials,
-        latency=report.latency,
-        kind=report.kind,
-        threshold=report.threshold,
-        workloads=[wl.workload for wl in report.workloads],
-        backends=backends,
-        predictor={
-            "mae": report.mae,
-            "regions": len(region_rows),
-            "flagged": len(report.flagged()),
-            "threshold": report.threshold,
-        },
-    )

@@ -224,7 +224,7 @@ class TestWorkloadBitIdentity:
     """The acceptance check on real workloads (fast subset)."""
 
     def test_fast_subset_bit_identical(self):
-        from repro.bench import FAST_SUBSET
+        from repro.bench.runner import FAST_SUBSET
         from repro.workloads import all_workloads
 
         for workload in all_workloads():

@@ -202,6 +202,26 @@ class TestTrialCounts:
         assert exc.value.code == 2
         assert "invalid int value: 'many'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["campaign", "bzip2", "--no-manifest"],
+        ["recovery", "compare", "bzip2"],
+    ])
+    def test_negative_latency_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--latency", "-1"])
+        assert exc.value.code == 2
+        assert "--latency: must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_forced_below_one_exit_2(self, value, capsys):
+        """Below 1 the re-execution oracle would force no recovery."""
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--trials", "2", "--no-manifest",
+                  "--max-forced", value])
+        assert exc.value.code == 2
+        assert (f"--max-forced: must be >= 1, got {value}"
+                in capsys.readouterr().err)
+
 
 @pytest.mark.usefixtures("isolated_store")
 class TestRecovery:
@@ -213,19 +233,6 @@ class TestRecovery:
             assert name in out
         assert "predictor MAE" in out
         assert "static checkpoint sets" in out
-
-    def test_compare_writes_validated_bench(self, tmp_path, capsys):
-        out_path = str(tmp_path / "BENCH_recovery.json")
-        assert main(["recovery", "compare", "bzip2",
-                     "--backends", "tmr", "--trials", "3",
-                     "--out", out_path]) == 0
-        captured = capsys.readouterr()
-        assert "(1 backends)" in captured.err
-
-        from repro.bench import load_recovery_bench_file
-
-        bench = load_recovery_bench_file(out_path)
-        assert [row["name"] for row in bench["backends"]] == ["tmr"]
 
     def test_unknown_backend_is_exit_2(self, capsys):
         assert main(["recovery", "compare", "bzip2",

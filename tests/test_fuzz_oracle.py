@@ -99,3 +99,8 @@ class TestOracleMechanics:
     def test_forced_points_empty(self):
         assert _forced_points(0, None) == []
         assert _forced_points(0, 5) == []
+
+    @pytest.mark.parametrize("max_forced", [0, -1])
+    def test_forced_points_rejects_cap_below_one(self, max_forced):
+        with pytest.raises(ValueError, match="max_forced must be >= 1"):
+            _forced_points(5, max_forced)

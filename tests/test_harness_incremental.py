@@ -399,6 +399,35 @@ class TestSelectiveStaleness:
             assert region_owner(status.region, "main") == EDITED_FUNCTION
             assert status.reason.startswith("code-changed")
 
+    def test_cold_warm_edited_are_bit_identical(self, store):
+        """Cold, warm and one-function-edited runs each equal the
+        monolithic campaign of the program they ran on."""
+        from repro.bench.campaign_cache import BASE_SOURCE, EDITED_SOURCE
+
+        def run(pair):
+            return incremental_campaign(
+                pair[0].program, pair[1].program, pair[2], pair[3],
+                trials=12, seed=17, name="edit-demo", store=store,
+            )
+
+        def monolithic(pair):
+            return dataclasses.asdict(fault_campaign(
+                pair[1].program, pair[2], pair[3], trials=12, seed=17,
+            ))
+
+        base = self._pair(BASE_SOURCE)
+        cold = run(base)
+        warm = run(base)
+        assert warm.trials_injected == 0
+        assert dataclasses.asdict(cold.result) == monolithic(base)
+        assert dataclasses.asdict(warm.result) == monolithic(base)
+        # Composing the cached sections of the unchanged functions with
+        # the re-injected ones is the edited program's own campaign.
+        edited_pair = self._pair(EDITED_SOURCE)
+        edited = run(edited_pair)
+        assert edited.trials_injected > 0
+        assert dataclasses.asdict(edited.result) == monolithic(edited_pair)
+
     def test_zero_region_function_contributes_no_sections(self, store):
         """A function the entry never reaches owns no landing regions, so
         it produces no sections (and its code can't go stale)."""

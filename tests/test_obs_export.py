@@ -163,15 +163,13 @@ class TestStatsCommand:
         path.write_text("[]")
         with pytest.raises(ObsExportError):
             summarize_file(str(path))
-
-    def test_summarize_file_sniffs_campaign_cache_bench(self, capsys):
-        import os
-
-        path = os.path.join(
-            os.path.dirname(__file__), "..", "BENCH_campaign_cache.json"
-        )
-        text = summarize_file(path)
-        assert "valid campaign-cache bench dump, 4 scenarios" in text
-        assert "bit-identical:" in text
-        assert main(["stats", path]) == 0
-        assert "warm" in capsys.readouterr().out
+        # A dump in a retired bench schema is neither kind.
+        path.write_text(json.dumps({
+            "schema": "repro.bench/1", "label": "baseline",
+            "workloads": ["bzip2"],
+            "phases": {"sim": {"seconds": 1.5,
+                               "per_workload": {"bzip2": 1.5}}},
+        }))
+        with pytest.raises(ObsExportError, match="neither"):
+            summarize_file(str(path))
+        assert main(["stats", str(path)]) == 1

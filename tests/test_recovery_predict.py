@@ -14,7 +14,6 @@ from repro.compiler import compile_minic
 from repro.harness.incremental import OutcomeStore, set_default_store
 from repro.recovery.backends import BACKEND_NAMES, get_backend
 from repro.recovery.compare import (
-    bench_payload,
     compare_workload,
     format_compare_report,
     hunt_divergence,
@@ -206,6 +205,16 @@ class TestCompareDriver:
             assert backend.campaign.injected > 0
             assert backend.measured_rate is not None
 
+    def test_outcome_buckets_cover_every_trial(self, report):
+        """Each backend's outcome buckets are disjoint and cover every
+        injected trial."""
+        for backend in report.workloads[0].backends:
+            campaign = backend.campaign
+            assert campaign.injected == (
+                campaign.recovered_correctly + campaign.wrong_result
+                + campaign.crashed + campaign.undetected
+            )
+
     def test_idempotent_row_matches_campaign_seed_derivation(self, report):
         """The compare driver's idempotent campaign is bit-identical to
         a `repro campaign` unit at the same parameters."""
@@ -237,25 +246,6 @@ class TestCompareDriver:
         assert "predictor MAE" in text
         for name in BACKEND_NAMES:
             assert name in text
-
-    def test_bench_payload_validates(self, report, tmp_path):
-        from repro.bench.recovery import (
-            load_recovery_bench_file,
-            write_recovery_bench_json,
-        )
-
-        payload = bench_payload(report, label="test", version="0")
-        path = str(tmp_path / "BENCH_recovery.json")
-        write_recovery_bench_json(path, payload)
-        loaded = load_recovery_bench_file(path)
-        assert [row["name"] for row in loaded["backends"]] \
-            == list(BACKEND_NAMES)
-        for row in loaded["backends"]:
-            assert row["injected"] == (
-                row["recovered"] + row["wrong"]
-                + row["crashed"] + row["undetected"]
-            )
-        assert loaded["predictor"]["regions"] == len(report.region_rows())
 
     def test_store_backed_rows_equal_in_memory_campaigns(
         self, tmp_path, monkeypatch
