@@ -31,10 +31,9 @@ The ``experiment`` and ``campaign`` commands print a telemetry summary
 (wall time, per-phase breakdown, cache effectiveness) to stderr, so
 stdout stays byte-identical across serial, parallel, and warm-cache
 invocations.  They also take resilience flags — ``--retries N``
-(re-execute transiently failed units with deterministic backoff),
-``--unit-timeout SECONDS`` (kill hung units and rebuild the pool), and
-``--chaos SPEC`` (seeded worker crash/hang/raise injection for testing
-the recovery machinery; see ``docs/harness.md``).  They also take the observability flags ``--profile
+(re-execute transiently failed units with deterministic backoff) and
+``--unit-timeout SECONDS`` (kill hung units and rebuild the pool; see
+``docs/harness.md``) — and the observability flags ``--profile
 out.trace.json`` (Chrome ``trace_event`` profile of the whole pipeline —
 open in chrome://tracing or Perfetto), ``--metrics out.metrics.json``
 (flat dump of every counter/gauge/histogram), and ``--stats`` (human
@@ -45,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from typing import List, Optional
@@ -75,8 +75,9 @@ def _config_from_args(args) -> ConstructionConfig:
 
 
 def _trial_count(text: str, minimum: int = 0) -> int:
-    """argparse type of every ``--trials`` and ``--latency``: a
-    non-negative integer (``fuzz --max-forced`` binds ``minimum=1``)."""
+    """argparse type of every ``--trials``, ``--latency`` and
+    ``--retries``: a non-negative integer (``--max-forced`` and
+    ``--max-region-size`` bind ``minimum=1``)."""
     try:
         value = int(text)
     except ValueError:
@@ -84,6 +85,19 @@ def _trial_count(text: str, minimum: int = 0) -> int:
             f"invalid int value: {text!r}") from None
     if value < minimum:
         raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    """argparse type of ``--unit-timeout``: a positive, finite number of
+    seconds (``inf`` would overflow the pool's wait)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text}")
     return value
 
 
@@ -106,33 +120,26 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--retries", type=int, default=None, metavar="N",
+    parser.add_argument("--retries", type=_trial_count, default=None,
+                        metavar="N",
                         help="re-execute transiently failed work units "
                              "(worker killed, timeout) up to N extra times "
                              "with deterministic exponential backoff; "
                              "exhausted units are quarantined in the manifest")
-    parser.add_argument("--unit-timeout", type=float, default=None,
+    parser.add_argument("--unit-timeout", type=_seconds, default=None,
                         metavar="SECONDS",
                         help="kill work units running longer than this; the "
                              "pool is rebuilt and surviving units resubmitted")
-    parser.add_argument("--chaos", default=None, metavar="SPEC",
-                        help="chaos test hook: deterministically crash/hang/"
-                             "raise workers on seeded units, e.g. "
-                             "'seed=7,crash=0.3,hang=0.05' or a bare seed "
-                             "(crash=0.25); combine with --retries")
 
 
 def _resilience_from_args(args):
-    """(retry, unit_timeout, chaos) from the CLI flags (all may be None)."""
-    from repro.harness.resilience import ChaosPolicy, RetryPolicy
+    """(retry, unit_timeout) from the CLI flags (both may be None)."""
+    from repro.harness.resilience import RetryPolicy
 
     retry = None
-    if getattr(args, "retries", None) is not None:
-        retry = RetryPolicy(max_attempts=max(1, args.retries + 1))
-    chaos = None
-    if getattr(args, "chaos", None):
-        chaos = ChaosPolicy.parse(args.chaos)
-    return retry, getattr(args, "unit_timeout", None), chaos
+    if args.retries is not None:
+        retry = RetryPolicy(max_attempts=args.retries + 1)
+    return retry, args.unit_timeout
 
 
 def _setup_obs(args) -> None:
@@ -169,7 +176,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                         help="cut selection policy (paper §4.3)")
     parser.add_argument("--no-unroll", action="store_true",
                         help="disable the unroll-by-one enhancement (§5)")
-    parser.add_argument("--max-region-size", type=int, default=None,
+    parser.add_argument("--max-region-size",
+                        type=functools.partial(_trial_count, minimum=1),
+                        default=None,
                         help="bound boundary-free path length (§6.2)")
     parser.add_argument("--trust-noalias", action="store_true",
                         help="assume distinct pointer args never alias (§8)")
@@ -202,7 +211,7 @@ def cmd_run(args) -> int:
         config=_config_from_args(args),
     )
     sim = Simulator(result.program)
-    value = sim.run(args.entry)
+    value = sim.run("main")
     for item in sim.output:
         print(item)
     print(f"; result={value} instructions={sim.instructions} "
@@ -236,13 +245,13 @@ def cmd_faults(args) -> int:
     idem = compile_minic(source, idempotent=True, config=_config_from_args(args))
     orig = compile_minic(source, idempotent=False)
     reference_sim = Simulator(idem.program)
-    reference = reference_sim.run(args.entry)
+    reference = reference_sim.run("main")
     reference_output = list(reference_sim.output)
     print(f"fault-free result: {reference}")
     for label, program in (("idempotent", idem.program), ("original", orig.program)):
         campaign = fault_campaign(
             program, reference, reference_output,
-            trials=args.trials, func=args.entry, kind=args.kind,
+            trials=args.trials, kind=args.kind,
         )
         print(f"{label:10s}: injected={campaign.injected} "
               f"recovered={campaign.recovered_correctly} "
@@ -256,7 +265,7 @@ def cmd_fuzz(args) -> int:
     from repro.harness.report import Telemetry
 
     _setup_obs(args)
-    retry, unit_timeout, chaos = _resilience_from_args(args)
+    retry, unit_timeout = _resilience_from_args(args)
     manifest_path = args.manifest
     if manifest_path is None and not args.no_manifest:
         tag = f"fuzz-g{GEN_VERSION}-seed{args.seed}-t{args.trials}"
@@ -276,7 +285,6 @@ def cmd_fuzz(args) -> int:
         max_forced=args.max_forced,
         retry=retry,
         unit_timeout=unit_timeout,
-        chaos=chaos,
         telemetry=telemetry,
     )
     print(format_fuzz_report(summary))
@@ -295,9 +303,9 @@ def cmd_experiment(args) -> int:
     from repro.harness.report import Telemetry
 
     _setup_obs(args)
-    retry, unit_timeout, chaos = _resilience_from_args(args)
+    retry, unit_timeout = _resilience_from_args(args)
     configure(jobs=args.jobs, use_cache=not args.no_cache,
-              retry=retry, unit_timeout=unit_timeout, chaos=chaos)
+              retry=retry, unit_timeout=unit_timeout)
     telemetry = Telemetry(label=f"experiment {args.name}")
     names = args.workloads or None
     if args.name == "all":
@@ -337,9 +345,9 @@ def cmd_campaign(args) -> int:
     from repro.harness.report import Telemetry
 
     _setup_obs(args)
-    retry, unit_timeout, chaos = _resilience_from_args(args)
+    retry, unit_timeout = _resilience_from_args(args)
     configure(jobs=args.jobs, use_cache=not args.no_cache,
-              retry=retry, unit_timeout=unit_timeout, chaos=chaos)
+              retry=retry, unit_timeout=unit_timeout)
     flavours = _split_names(args.flavours)
     backends = _split_names(args.backends)
     manifest_path = args.manifest
@@ -369,7 +377,6 @@ def cmd_campaign(args) -> int:
             telemetry=telemetry,
             retry=retry,
             unit_timeout=unit_timeout,
-            chaos=chaos,
             flavours=flavours,
             backends=backends,
             # --no-cache is a from-scratch run: inject every section.
@@ -415,13 +422,12 @@ def cmd_recovery(args) -> int:
     if args.hunt:
         hunt = hunt_divergence(
             args.hunt,
-            hunt_seed=args.hunt_seed,
             backend_name=report.backends[0],
             trials=args.trials,
             kind=args.kind,
             latency=args.latency,
             threshold=args.threshold,
-            out_dir=args.hunt_out,
+            out_dir=os.path.join("examples", "regressions"),
         )
         print()
         print(f"hunt: worst divergence {hunt.worst_divergence:.3f} "
@@ -477,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="compile and execute")
     p.add_argument("file")
-    p.add_argument("--entry", default="main")
     p.add_argument("--original", action="store_true")
     _add_config_flags(p)
     p.set_defaults(func=cmd_run)
@@ -489,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("faults", help="fault injection campaign")
     p.add_argument("file")
-    p.add_argument("--entry", default="main")
     p.add_argument("--trials", type=_trial_count, default=30)
     p.add_argument("--kind", choices=["value", "control"], default="value")
     _add_config_flags(p)
@@ -573,11 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hunt", type=int, default=None, metavar="N",
                    help="scan N fuzz-generated programs for the worst "
                         "predictor divergence; at/above --threshold the "
-                        "reducer minimizes it")
-    p.add_argument("--hunt-seed", type=int, default=0,
-                   help="seed for the hunt's generated-program stream")
-    p.add_argument("--hunt-out", default=os.path.join("examples", "regressions"),
-                   help="directory for minimized divergence reproducers")
+                        "reducer minimizes it into examples/regressions/")
     _add_obs_flags(p)
     p.set_defaults(func=cmd_recovery)
 

@@ -56,10 +56,13 @@ def compile_ir_module(
     module: Module,
     idempotent: bool = True,
     config: Optional[ConstructionConfig] = None,
-    verify: bool = True,
     analysis_cache: bool = True,
 ) -> CompileResult:
     """Compile an IR module (mutated in place) down to machine code.
+
+    The IR verifier always runs, and so does the machine idempotence
+    verifier on an idempotent build: a violation raises
+    :class:`CompilationError`.
 
     ``analysis_cache=False`` disables the per-function
     :class:`~repro.analysis.manager.AnalysisManager` during region
@@ -77,14 +80,13 @@ def compile_ir_module(
     else:
         with obs.span("transforms.module", module=module.name, flavour=flavour):
             optimize_module(module)
-    if verify:
-        with obs.span("verify.ir", module=module.name):
-            verify_module(module, ssa=True)
+    with obs.span("verify.ir", module=module.name):
+        verify_module(module, ssa=True)
 
     program = select_module(module)
     alloc_stats = allocate_program(program, idempotent=idempotent)
 
-    if verify and idempotent:
+    if idempotent:
         with obs.span("verify.machine", module=module.name):
             violations = verify_machine_program(program)
         if violations:
@@ -106,7 +108,6 @@ def compile_minic(
     source: str,
     idempotent: bool = True,
     config: Optional[ConstructionConfig] = None,
-    verify: bool = True,
     name: str = "minic",
     analysis_cache: bool = True,
 ) -> CompileResult:
@@ -116,7 +117,7 @@ def compile_minic(
         with obs.span("frontend.compile", name=name):
             module = compile_source(source, name)
         return compile_ir_module(
-            module, idempotent=idempotent, config=config, verify=verify,
+            module, idempotent=idempotent, config=config,
             analysis_cache=analysis_cache,
         )
 

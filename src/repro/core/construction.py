@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from repro import obs
 from repro.analysis.alias import AliasAnalysis
@@ -32,7 +32,6 @@ from repro.analysis.manager import (
     NullAnalysisManager,
 )
 from repro.core.cuts import (
-    HEURISTIC_COVERAGE,
     HEURISTIC_LOOP,
     HittingSetProblem,
     solve_hitting_set,
@@ -43,7 +42,7 @@ from repro.core.sizebound import bound_region_sizes
 from repro.core.verify import verify_idempotent_regions
 from repro.ir.block import BasicBlock
 from repro.ir.function import Function
-from repro.ir.instructions import Boundary, Call, Instruction, Phi, Ret
+from repro.ir.instructions import Boundary, Call, Ret
 from repro.ir.module import Module
 from repro.transforms.pipeline import optimize_function
 
@@ -54,16 +53,8 @@ class ConstructionConfig:
 
     #: Cut selection policy: "loop" (paper §4.3) or "coverage" (pure greedy).
     heuristic: str = HEURISTIC_LOOP
-    #: Place boundaries around memory-touching calls (intra-procedural mode).
-    cut_calls: bool = True
-    #: Run SSA conversion / redundancy elimination first (§4.1).
-    optimize_first: bool = True
     #: Apply the unroll-by-one enhancement in the §4.2.2 case analysis.
     unroll_self_dep: bool = True
-    #: Loops larger than this (in blocks) are never unrolled.
-    max_unroll_blocks: int = 12
-    #: Split single-region functions for the calling convention (§5).
-    split_single_region: bool = True
     #: Upper bound on boundary-free path length in IR instructions
     #: (None = unbounded, the paper's default of maximizing path length).
     #: See §6.2: shorter regions tolerate shorter detection latencies and
@@ -73,16 +64,6 @@ class ConstructionConfig:
     #: promise). The paper's §8 notes better aliasing information grows
     #: regions; its own Fig. 1 example assumes exactly this (footnote 1).
     trust_argument_noalias: bool = False
-    #: Verify the result (no antidependence inside a region) and raise on bugs.
-    verify: bool = True
-    #: **Test hook** (fuzzer oracle self-test): silently discard the Nth
-    #: chosen hitting-set cut, deliberately breaking the §4.2.1
-    #: invariant.  Only meaningful with ``verify=False`` (and
-    #: ``verify=False`` on :func:`repro.compiler.compile_minic` — both
-    #: the static verifier and the machine oracle catch the hole
-    #: otherwise).  The dynamic re-execution oracle in
-    #: :mod:`repro.fuzz.oracle` must catch what this breaks.
-    drop_hitting_set_cut: Optional[int] = None
 
 
 @dataclass
@@ -193,9 +174,8 @@ def construct_idempotent_regions(
     am = manager if manager is not None else AnalysisManager()
 
     with obs.span("construction.function", func=func.name):
-        if config.optimize_first:
-            with obs.span("construction.ssa", func=func.name):
-                optimize_function(func, am=am)
+        with obs.span("construction.ssa", func=func.name):
+            optimize_function(func, am=am)
 
         with obs.span("construction.antideps", func=func.name):
             aa = AliasAnalysis(
@@ -210,7 +190,7 @@ def construct_idempotent_regions(
             )
         result.antidep_count = len(analysis.antideps)
 
-        mandatory: List[Point] = _call_cut_points(func) if config.cut_calls else []
+        mandatory = _call_cut_points(func)
 
         with obs.span("construction.cuts", func=func.name):
             candidate_sets = [
@@ -223,8 +203,6 @@ def construct_idempotent_regions(
                 heuristic=config.heuristic,
                 preselected=mandatory,
             )
-        if config.drop_hitting_set_cut is not None and chosen:
-            del chosen[config.drop_hitting_set_cut % len(chosen)]
         result.mandatory_cut_count = len(set(mandatory))
         result.hitting_set_cut_count = len(chosen)
 
@@ -233,10 +211,7 @@ def construct_idempotent_regions(
 
         with obs.span("construction.loops", func=func.name):
             result.loop_report = enforce_loop_cut_invariant(
-                func,
-                unroll=config.unroll_self_dep,
-                max_unroll_blocks=config.max_unroll_blocks,
-                am=am,
+                func, unroll=config.unroll_self_dep, am=am
             )
         if result.loop_report.forced_cuts:
             am.invalidate(func, preserve=CFG_ANALYSES)
@@ -251,16 +226,11 @@ def construct_idempotent_regions(
                     # New in-loop cuts can break the loop invariant;
                     # re-establish it (never unrolling twice — the
                     # invariant pass tracks that).
-                    enforce_loop_cut_invariant(
-                        func, unroll=False,
-                        max_unroll_blocks=config.max_unroll_blocks,
-                        am=am,
-                    )
+                    enforce_loop_cut_invariant(func, unroll=False, am=am)
 
-        if config.split_single_region:
-            result.single_region_splits = _split_single_region(func)
-            if result.single_region_splits:
-                am.invalidate(func, preserve=CFG_ANALYSES)
+        result.single_region_splits = _split_single_region(func)
+        if result.single_region_splits:
+            am.invalidate(func, preserve=CFG_ANALYSES)
 
         with obs.span("construction.regions", func=func.name):
             # Every phase since the last invalidation preserved the CFG
@@ -269,27 +239,22 @@ def construct_idempotent_regions(
         result.region_count = len(decomposition)
         result.static_region_sizes = decomposition.static_sizes()
 
-        if config.verify:
-            # Verify under the same alias assumptions the construction used.
-            with obs.span("construction.verify", func=func.name):
-                unrolled = (
-                    result.loop_report is not None
-                    and result.loop_report.loops_unrolled > 0
+        # Verify under the same alias assumptions the construction used.
+        with obs.span("construction.verify", func=func.name):
+            if result.loop_report.loops_unrolled:
+                # Unrolling cloned loads/stores: the antidep list from
+                # the antideps phase is stale, rebuild it from scratch.
+                verify_aa = AliasAnalysis(
+                    func,
+                    trust_argument_noalias=config.trust_argument_noalias,
                 )
-                if unrolled:
-                    # Unrolling cloned loads/stores: the antidep list from
-                    # the antideps phase is stale, rebuild it from scratch.
-                    verify_aa = AliasAnalysis(
-                        func,
-                        trust_argument_noalias=config.trust_argument_noalias,
-                    )
-                    verify_idempotent_regions(func, verify_aa, am=am)
-                else:
-                    # Everything since the antideps phase inserted only
-                    # ``boundary`` markers — no memory instruction or CFG
-                    # edge changed, so the antidep list is exactly the one
-                    # already computed; verify it against the placement.
-                    verify_idempotent_regions(func, am=am, analysis=analysis)
+                verify_idempotent_regions(func, verify_aa, am=am)
+            else:
+                # Everything since the antideps phase inserted only
+                # ``boundary`` markers — no memory instruction or CFG
+                # edge changed, so the antidep list is exactly the one
+                # already computed; verify it against the placement.
+                verify_idempotent_regions(func, am=am, analysis=analysis)
 
     _publish_metrics(result)
     return result

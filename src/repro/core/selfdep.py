@@ -34,7 +34,7 @@ conservative than the paper's text and is called out in DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.analysis.loops import Loop, LoopInfo
 from repro.ir.block import BasicBlock
@@ -42,6 +42,9 @@ from repro.ir.function import Function
 from repro.ir.instructions import Boundary, Instruction, Phi
 from repro.ir.values import Value
 from repro.transforms.unroll import UnrollNotSupported, can_unroll_once, unroll_once
+
+#: Loops larger than this (in blocks) are never unrolled.
+MAX_UNROLL_BLOCKS = 12
 
 
 def self_dependent_phis(loop: Loop) -> List[Phi]:
@@ -173,7 +176,6 @@ class LoopCutReport:
 def enforce_loop_cut_invariant(
     func: Function,
     unroll: bool = True,
-    max_unroll_blocks: int = 12,
     am=None,
 ) -> LoopCutReport:
     """Apply the §4.2.2 case analysis to every loop of ``func``.
@@ -245,7 +247,7 @@ def enforce_loop_cut_invariant(
                 unroll
                 and header_name not in report.unrolled_headers
                 and can_unroll_once(loop)
-                and len(loop.blocks) <= max_unroll_blocks
+                and len(loop.blocks) <= MAX_UNROLL_BLOCKS
                 and min_cuts_on_body_paths(loop, loop_info.cfg) >= 1
                 and memoized_self_dependent_phis(loop)
             ):

@@ -24,7 +24,7 @@ from repro.compiler import CompileResult, compile_minic
 from repro.harness.cache import cache_key, cached_compile, default_cache
 from repro.harness.executor import TaskExecutor
 from repro.harness.report import Telemetry
-from repro.harness.resilience import ChaosPolicy, RetryPolicy
+from repro.harness.resilience import RetryPolicy
 from repro.workloads import SUITES, Workload, all_workloads, get_workload
 
 
@@ -47,7 +47,6 @@ class HarnessOptions:
     use_cache: bool = True
     retry: Optional[RetryPolicy] = None
     unit_timeout: Optional[float] = None
-    chaos: Optional[ChaosPolicy] = None
 
 
 _options = HarnessOptions()
@@ -63,12 +62,11 @@ def configure(
     use_cache: Optional[bool] = None,
     retry: object = _UNSET,
     unit_timeout: object = _UNSET,
-    chaos: object = _UNSET,
 ) -> HarnessOptions:
     """Set the default parallelism / caching / resilience for driver runs.
 
-    ``retry`` / ``unit_timeout`` / ``chaos`` accept ``None`` to clear an
-    earlier setting; omit them to leave the current value unchanged.
+    ``retry`` / ``unit_timeout`` accept ``None`` to clear an earlier
+    setting; omit them to leave the current value unchanged.
     """
     if jobs is not None:
         _options.jobs = max(1, int(jobs))
@@ -78,8 +76,6 @@ def configure(
         _options.retry = retry
     if unit_timeout is not _UNSET:
         _options.unit_timeout = unit_timeout
-    if chaos is not _UNSET:
-        _options.chaos = chaos
     return _options
 
 
@@ -91,10 +87,7 @@ def make_executor(jobs: Optional[int] = None) -> TaskExecutor:
     """A :class:`TaskExecutor` honouring the configured resilience options."""
     jobs = _options.jobs if jobs is None else max(1, int(jobs))
     return TaskExecutor(
-        jobs,
-        retry=_options.retry,
-        unit_timeout=_options.unit_timeout,
-        chaos=_options.chaos,
+        jobs, retry=_options.retry, unit_timeout=_options.unit_timeout
     )
 
 

@@ -2,7 +2,7 @@
 
 A fuzz campaign is a set of independent trials — one generator seed
 each — run through :class:`~repro.harness.executor.TaskExecutor`
-(parallel, retried, chaos-testable) and recorded in the same JSON-lines
+(parallel, retried) and recorded in the same JSON-lines
 :class:`~repro.harness.campaign.RunManifest` fault campaigns use, so
 fuzz runs are resumable and torn manifests self-heal.
 
@@ -14,7 +14,9 @@ Statuses follow the campaign taxonomy:
   seed stays failing), surfaced in the report, minimized into a
   reproducer.
 - ``failed`` — infrastructure failure (worker lost, timeout after
-  retries); re-run on resume.
+  retries, an oracle run that raised); re-run on resume.  The report
+  names each one's category and error, so the reason survives a run
+  without a manifest.
 
 Determinism: trial ``i``'s generator seed is
 ``derive_seed(seed, "fuzz.trial", i)`` (spawn-key style), so any
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
@@ -47,7 +49,7 @@ from repro.harness.campaign import (
 )
 from repro.harness.executor import TaskExecutor
 from repro.harness.report import Telemetry
-from repro.harness.resilience import UNIT_ERROR, ChaosPolicy, RetryPolicy
+from repro.harness.resilience import UNIT_ERROR, RetryPolicy
 
 
 @dataclass
@@ -62,22 +64,36 @@ class FuzzFailure:
 
 
 @dataclass
+class FuzzInfraFailure:
+    """One trial the harness could not check: why, as recorded."""
+
+    index: int
+    category: str                  # repro.harness.resilience taxonomy
+    error: str                     # "TypeName: message"
+
+
+@dataclass
 class FuzzSummary:
     trials: int = 0
     seed: int = 0
     executed: int = 0
     passed: int = 0
     skipped: int = 0               # resumed from manifest as done
-    infra_failed: int = 0          # harness-level failures (retried on resume)
     checkpoints: int = 0           # total forced-recovery points exercised
     forced_runs: int = 0
     failures: List[FuzzFailure] = field(default_factory=list)
+    #: harness-level failures (re-run on resume)
+    infra_failures: List[FuzzInfraFailure] = field(default_factory=list)
     budget_exhausted: bool = False
     remaining: int = 0             # trials not run (budget stop)
 
     @property
+    def infra_failed(self) -> int:
+        return len(self.infra_failures)
+
+    @property
     def ok(self) -> bool:
-        return not self.failures and not self.infra_failed
+        return not self.failures and not self.infra_failures
 
 
 def _unit_id(seed: int, index: int) -> str:
@@ -151,7 +167,6 @@ def run_fuzz_campaign(
     max_reproducers: int = 5,
     retry: Optional[RetryPolicy] = None,
     unit_timeout: Optional[float] = None,
-    chaos: Optional[ChaosPolicy] = None,
     telemetry: Optional[Telemetry] = None,
 ) -> FuzzSummary:
     """Run a differential fuzzing campaign; returns the summary.
@@ -199,10 +214,8 @@ def run_fuzz_campaign(
             f"in manifest, {len(todo)} to run"
         )
 
-    resilient = retry is not None or unit_timeout is not None or chaos is not None
-    executor = TaskExecutor(
-        jobs, retry=retry, unit_timeout=unit_timeout, chaos=chaos
-    )
+    resilient = retry is not None or unit_timeout is not None
+    executor = TaskExecutor(jobs, retry=retry, unit_timeout=unit_timeout)
     with telemetry.phase("fuzz", units=len(todo)):
         stream = executor.imap(
             fuzz_unit,
@@ -262,7 +275,11 @@ def run_fuzz_campaign(
             summary.checkpoints += int(data.get("checkpoints", 0))
             summary.forced_runs += int(data.get("forced_runs", 0))
         elif data.get("infra") or "oracles" not in data:
-            summary.infra_failed += 1
+            summary.infra_failures.append(FuzzInfraFailure(
+                index=index,
+                category=str(data.get("category", UNIT_ERROR)),
+                error=str(data.get("error", "")),
+            ))
         else:
             summary.checkpoints += int(data.get("checkpoints", 0))
             summary.forced_runs += int(data.get("forced_runs", 0))
@@ -317,6 +334,11 @@ def format_fuzz_report(summary: FuzzSummary) -> str:
         lines.append(
             f"  time budget exhausted: {summary.remaining} trials not run "
             "(resume with the same manifest to continue)"
+        )
+    for infra in summary.infra_failures:
+        lines.append(
+            f"  ! trial {infra.index} infra fail [{infra.category}]: "
+            f"{infra.error[:160]}"
         )
     for failure in summary.failures:
         oracles = ",".join(failure.oracles) or "?"

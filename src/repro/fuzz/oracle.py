@@ -32,7 +32,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.compiler import compile_minic
-from repro.core.construction import ConstructionConfig
 from repro.frontend import compile_source
 from repro.interp import Interpreter
 from repro.interp.memory import MemoryError_
@@ -175,22 +174,16 @@ def _forced_run(
 # ----------------------------------------------------------------------
 def check_source(
     source: str,
-    config: Optional[ConstructionConfig] = None,
     entry: str = "main",
-    verify: bool = True,
     multi_fault: bool = True,
     max_forced: Optional[int] = None,
     max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
 ) -> OracleReport:
     """Run the full oracle stack over one MiniC program.
 
-    ``verify=False`` disables the static IR/machine idempotence
-    verifiers — the switch that lets tests aim the *dynamic* oracles at
-    a deliberately broken construction (see
-    ``ConstructionConfig.drop_hitting_set_cut``).  ``max_forced`` caps
-    the number of forced-recovery points per mode (evenly spaced,
-    deterministic); ``None`` means exhaustive, and a cap below 1 raises
-    :class:`ValueError`.
+    ``max_forced`` caps the number of forced-recovery points per mode
+    (evenly spaced, deterministic); ``None`` means exhaustive, and a cap
+    below 1 raises :class:`ValueError`.
     """
     report = OracleReport()
 
@@ -209,7 +202,7 @@ def check_source(
 
     # ---- differential: original binary -------------------------------
     try:
-        original = compile_minic(source, idempotent=False, verify=verify)
+        original = compile_minic(source, idempotent=False)
         sim = Simulator(original.program, max_instructions=max_instructions)
         value = sim.run(entry)
         divergence = _diff_state(
@@ -227,9 +220,7 @@ def check_source(
 
     # ---- differential: idempotent binary -----------------------------
     try:
-        idem = compile_minic(
-            source, idempotent=True, config=config, verify=verify
-        )
+        idem = compile_minic(source, idempotent=True)
     except Exception as exc:
         report.failures.append(OracleFailure(
             ORACLE_DIFF_IDEMPOTENT, f"{type(exc).__name__}: {exc}"

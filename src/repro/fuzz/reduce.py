@@ -35,7 +35,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.fuzz.generator import (
     GeneratedProgram,
-    Helper,
     If,
     Leaf,
     Loop,
@@ -236,8 +235,6 @@ def reduce_program(
 
 def failure_predicate(
     oracles: Tuple[str, ...],
-    config=None,
-    verify: bool = True,
     multi_fault: bool = True,
     max_forced: Optional[int] = None,
 ) -> Predicate:
@@ -250,8 +247,7 @@ def failure_predicate(
 
     def predicate(source: str) -> bool:
         report = check_source(
-            source, config=config, verify=verify,
-            multi_fault=multi_fault, max_forced=max_forced,
+            source, multi_fault=multi_fault, max_forced=max_forced
         )
         return report.failed_oracles == signature
 

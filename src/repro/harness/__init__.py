@@ -17,9 +17,10 @@ the paper": it makes whole-evaluation runs cheap and restartable.
   submodule; it pulls in the simulator stack.)
 - :mod:`repro.harness.resilience` — :class:`RetryPolicy` (deterministic
   backoff over a transient/permanent error taxonomy),
-  :class:`ChaosPolicy` (seeded worker crash/hang/raise injection for
-  tests), and the category constants the executor and campaign use to
-  classify, retry, and quarantine failing units.
+  :class:`ChaosPolicy` (worker crash/hang/raise injection on named units,
+  for tests, through ``TaskExecutor(chaos=...)``), and the category
+  constants the executor and campaign use to classify, retry, and
+  quarantine failing units.
 - :mod:`repro.harness.report` — :class:`Telemetry`, the wall-time /
   per-phase / cache-effectiveness summary every entry point prints.
 """

@@ -44,7 +44,7 @@ from repro.harness.incremental import (
     program_fingerprint,
 )
 from repro.harness.report import Telemetry
-from repro.harness.resilience import UNIT_ERROR, ChaosPolicy, RetryPolicy
+from repro.harness.resilience import UNIT_ERROR, RetryPolicy
 from repro.obs.context import get_observer
 from repro.sim.faults import FAULT_VALUE, CampaignResult, format_rate
 
@@ -165,11 +165,11 @@ class RunManifest:
 class CampaignRunner:
     """Executes (unit_id, payload) units with skip-completed semantics.
 
-    With a resilience policy active (any of ``retry`` / ``unit_timeout``
-    / ``chaos``), a unit that still fails after the executor's retry
-    machinery is *quarantined*: recorded with its attempt count and
-    error category, skipped on resume with a visible warning, and
-    surfaced in the campaign report.  Without one, failures keep the
+    With a resilience policy active (``retry`` or ``unit_timeout``), a
+    unit that still fails after the executor's retry machinery is
+    *quarantined*: recorded with its attempt count and error category,
+    skipped on resume with a visible warning, and surfaced in the
+    campaign report.  Without one, failures keep the
     legacy ``failed`` status and are retried on the next invocation.
     """
 
@@ -180,14 +180,12 @@ class CampaignRunner:
         telemetry: Optional[Telemetry] = None,
         retry: Optional[RetryPolicy] = None,
         unit_timeout: Optional[float] = None,
-        chaos: Optional[ChaosPolicy] = None,
     ) -> None:
         self.manifest = manifest
         self.jobs = jobs
         self.telemetry = telemetry or Telemetry(label="campaign")
         self.retry = retry
         self.unit_timeout = unit_timeout
-        self.chaos = chaos
         self.executed = 0
         self.skipped = 0
         #: ids of the units the last :meth:`run` resumed from the manifest
@@ -198,11 +196,7 @@ class CampaignRunner:
 
     @property
     def _resilient(self) -> bool:
-        return (
-            self.retry is not None
-            or self.unit_timeout is not None
-            or self.chaos is not None
-        )
+        return self.retry is not None or self.unit_timeout is not None
 
     def run(
         self,
@@ -271,8 +265,7 @@ class CampaignRunner:
         if not todo:
             return records
         executor = TaskExecutor(
-            self.jobs, retry=self.retry,
-            unit_timeout=self.unit_timeout, chaos=self.chaos,
+            self.jobs, retry=self.retry, unit_timeout=self.unit_timeout
         )
         with self.telemetry.phase(phase, units=len(todo)):
             for result in executor.imap(
@@ -491,7 +484,6 @@ def run_fault_campaign(
     telemetry: Optional[Telemetry] = None,
     retry: Optional[RetryPolicy] = None,
     unit_timeout: Optional[float] = None,
-    chaos: Optional[ChaosPolicy] = None,
     flavours: Optional[Sequence[str]] = None,
     backends: Optional[Sequence[str]] = None,
     store: Optional[OutcomeStore] = None,
@@ -538,7 +530,7 @@ def run_fault_campaign(
     manifest = RunManifest(manifest_path) if manifest_path else None
     runner = CampaignRunner(
         manifest=manifest, jobs=jobs, telemetry=telemetry,
-        retry=retry, unit_timeout=unit_timeout, chaos=chaos,
+        retry=retry, unit_timeout=unit_timeout,
     )
     records = runner.run(
         _campaign_unit, units, phase="inject", provenance=provenance

@@ -30,8 +30,9 @@ is an idempotent region, and recovery is re-execution from its entry.
 - A unit that raises is a *permanent* failure (modulo the policy's
   ``transient_exceptions``): it fails immediately with its key,
   category, and attempt count attached.
-- :class:`~repro.harness.resilience.ChaosPolicy` lets tests make
-  workers crash / hang / raise on chosen units to prove all of this.
+- ``chaos`` (a :class:`~repro.harness.resilience.ChaosPolicy`) lets
+  tests make workers crash / hang / raise on chosen units to prove all
+  of this; the executor is the one place it is injected.
 
 Observability: pool workers record into their *own* process's
 :mod:`repro.obs` observer.  Each unit runs against a fresh metrics
@@ -46,6 +47,7 @@ Retries and timeouts are visible as ``harness.retries`` /
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
 import time
 from collections import deque
@@ -187,9 +189,10 @@ class TaskExecutor:
 
     ``retry`` (default :data:`~repro.harness.resilience.DEFAULT_RETRY`:
     one free re-execution of pool-level failures), ``unit_timeout``
-    (seconds of wall clock per unit before its worker is killed), and
-    ``chaos`` (worker-failure injection, pool path only) make the
-    executor survive its own workers' faults; see the module docstring.
+    (seconds of wall clock per unit before its worker is killed; must be
+    positive and finite, ``None`` means no limit), and ``chaos``
+    (worker-failure injection, pool path only) make the executor survive
+    its own workers' faults; see the module docstring.
     """
 
     def __init__(
@@ -199,6 +202,10 @@ class TaskExecutor:
         unit_timeout: Optional[float] = None,
         chaos: Optional[ChaosPolicy] = None,
     ) -> None:
+        if unit_timeout is not None and not 0 < unit_timeout < math.inf:
+            raise ValueError(
+                f"unit_timeout must be > 0 and finite, got {unit_timeout!r}"
+            )
         self.jobs = max(1, int(jobs or 1))
         self.retry = retry
         self.unit_timeout = unit_timeout
@@ -341,7 +348,7 @@ class TaskExecutor:
                     continue
                 task.deadline = (
                     time.monotonic() + self.unit_timeout
-                    if self.unit_timeout else None
+                    if self.unit_timeout is not None else None
                 )
                 inflight[future] = task
                 return
@@ -448,7 +455,7 @@ class TaskExecutor:
                             task, TIMEOUT,
                             f"TimeoutError: unit exceeded "
                             f"{self.unit_timeout:g}s wall-clock limit",
-                            seconds=float(self.unit_timeout or 0.0),
+                            seconds=float(self.unit_timeout),
                         )
                 yield from finished
                 finished.clear()

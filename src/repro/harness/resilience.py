@@ -20,8 +20,9 @@ Three pieces live here:
   like :func:`repro.harness.executor.derive_seed`) so two runs of the
   same campaign schedule identically;
 - :class:`ChaosPolicy` — a test hook that makes pool workers crash,
-  hang, or raise on chosen units, deterministically, so the recovery
-  machinery is provable under test and in CI smoke runs.
+  hang, or raise on chosen units, so the recovery machinery is provable
+  under test.  Tests hand it to :class:`repro.harness.executor.TaskExecutor`
+  (``chaos=``), the one place it is injected.
 
 Quarantine (recording a unit that exhausted its budget so resume skips
 it) is implemented by :class:`repro.harness.campaign.CampaignRunner` on
@@ -153,62 +154,16 @@ class ChaosPolicy:
     Only applies on the process-pool path (never inline — a chaos crash
     inline would kill the orchestrating process) and only to the first
     ``affect_attempts`` attempts of a unit, so retried units recover and
-    a chaotic campaign converges to the undisturbed result.
-
-    Units are chosen either explicitly (``crash_units`` /
-    ``hang_units`` / ``raise_units`` match ``str(key)``) or by seeded
-    rates: a deterministic uniform draw from ``(seed, key, attempt)``
-    falls into the ``crash`` / ``hang`` / ``raise`` bands.
+    a chaotic campaign converges to the undisturbed result.  Units are
+    chosen by ``str(key)``: ``crash_units`` / ``hang_units`` /
+    ``raise_units``.
     """
 
-    seed: int = 0
-    crash_rate: float = 0.0
-    hang_rate: float = 0.0
-    raise_rate: float = 0.0
     hang_seconds: float = 3600.0
     affect_attempts: int = 1
     crash_units: Tuple[str, ...] = ()
     hang_units: Tuple[str, ...] = ()
     raise_units: Tuple[str, ...] = ()
-
-    @classmethod
-    def parse(cls, spec: str) -> "ChaosPolicy":
-        """Build a policy from a CLI spec.
-
-        Either a bare integer seed (``--chaos 7`` — crash rate defaults
-        to 0.25) or comma-separated ``key=value`` pairs::
-
-            --chaos seed=7,crash=0.3,hang=0.1,raise=0,hang-seconds=30
-        """
-        spec = spec.strip()
-        try:
-            return cls(seed=int(spec), crash_rate=0.25)
-        except ValueError:
-            pass
-        fields = {
-            "seed": ("seed", int),
-            "crash": ("crash_rate", float),
-            "hang": ("hang_rate", float),
-            "raise": ("raise_rate", float),
-            "hang-seconds": ("hang_seconds", float),
-            "hang_seconds": ("hang_seconds", float),
-            "attempts": ("affect_attempts", int),
-        }
-        kwargs = {}
-        for part in spec.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            name, _, value = part.partition("=")
-            try:
-                attr, cast = fields[name.strip()]
-                kwargs[attr] = cast(value.strip())
-            except (KeyError, ValueError):
-                raise ValueError(
-                    f"bad chaos spec component {part!r}; expected "
-                    f"seed=N,crash=R,hang=R,raise=R,hang-seconds=S"
-                ) from None
-        return cls(**kwargs)
 
     def mode(self, key: object, attempt: int) -> Optional[str]:
         """``"crash"`` | ``"hang"`` | ``"raise"`` | None for this attempt."""
@@ -220,13 +175,6 @@ class ChaosPolicy:
         if name in self.hang_units:
             return "hang"
         if name in self.raise_units:
-            return "raise"
-        draw = _unit_interval(self.seed, "chaos", name, attempt)
-        if draw < self.crash_rate:
-            return "crash"
-        if draw < self.crash_rate + self.hang_rate:
-            return "hang"
-        if draw < self.crash_rate + self.hang_rate + self.raise_rate:
             return "raise"
         return None
 

@@ -33,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.codegen.machine import (
-    CLASS_FLOAT,
     CLASS_INT,
     DEFAULT_LATENCY,
     MachineFunction,
@@ -60,20 +59,14 @@ class CostModel:
     ``alu_issue_factor`` models instruction-level redundancy: 2 for DMR
     (every non-memory op has a shadow copy), 3 for TMR. ``check_ops_*``
     model the comparison/majority ops inserted before memory and control
-    instructions by the detection scheme.
-
-    ``l1_lines > 0`` enables a direct-mapped L1 data cache model (16-word
-    lines): load hits cost the base ``ld`` latency, misses cost
-    ``l1_miss_latency``. The default (0) is a perfect L1, which is what
-    the recorded experiments use.
+    instructions by the detection scheme.  Memory is a perfect L1: every
+    load costs the base ``ld`` latency.
     """
 
     alu_issue_factor: int = 1
     check_ops_per_load: int = 0
     check_ops_per_store: int = 0
     check_ops_per_branch: int = 0
-    l1_lines: int = 0
-    l1_miss_latency: int = 20
     latency: Dict[str, int] = field(default_factory=lambda: dict(DEFAULT_LATENCY))
 
 
@@ -138,11 +131,6 @@ class Simulator:
         self.half_slots = 0
         self.reg_ready: Dict[Tuple[str, int], int] = {}
         self.mem_ready = 0
-
-        # Direct-mapped L1 model (timing-only): line index -> tag.
-        self._l1_tags: Dict[int, int] = {}
-        self.l1_hits = 0
-        self.l1_misses = 0
 
         #: optional hook called before each instruction: hook(sim, instr)
         self.pre_hook: Optional[Callable[["Simulator", MachineInstr], None]] = None
@@ -210,47 +198,9 @@ class Simulator:
     # ------------------------------------------------------------------
     # Timing
     # ------------------------------------------------------------------
-    def _l1_access(self, addr: int) -> bool:
-        """Touch the cache; returns True on hit. 16-word lines."""
-        line = addr >> 4
-        index = line % self.cost.l1_lines
-        if self._l1_tags.get(index) == line:
-            self.l1_hits += 1
-            return True
-        self._l1_tags[index] = line
-        self.l1_misses += 1
-        return False
-
-    def _memory_latency(self, instr: MachineInstr) -> Optional[int]:
-        """Cache-dependent load latency, or None for the default."""
-        if self.cost.l1_lines <= 0:
-            return None
-        opcode = instr.opcode
-        if opcode == "ld":
-            addr = self.get_reg(instr.srcs[0])
-        elif opcode == "ldslot":
-            addr = self.frames[-1].base + instr.imm
-        elif opcode in ("st", "stslot"):
-            # Write-allocate, but stores retire through the buffer: touch
-            # the line, keep the base latency.
-            if opcode == "st":
-                self._l1_access(self.get_reg(instr.srcs[1]))
-            else:
-                self._l1_access(self.frames[-1].base + instr.imm)
-            return None
-        else:
-            return None
-        if self._l1_access(addr):
-            return None
-        return self.cost.l1_miss_latency
-
     def _account(self, instr: MachineInstr) -> None:
         opcode = instr.opcode
         latency = self.cost.latency.get(opcode, 1)
-        if instr.is_memory:
-            override = self._memory_latency(instr)
-            if override is not None:
-                latency = override
 
         issue_half = self.half_slots
         for src in instr.srcs:
@@ -319,9 +269,6 @@ class Simulator:
         observer.counter("sim.instructions").inc(self.instructions)
         observer.counter("sim.cycles").inc(self.cycles)
         observer.counter("sim.boundaries").inc(self.boundaries_crossed)
-        if self.l1_hits or self.l1_misses:
-            observer.counter("sim.l1.hits").inc(self.l1_hits)
-            observer.counter("sim.l1.misses").inc(self.l1_misses)
 
     def _enter_function(self, func: MachineFunction, return_loc: Optional[Location]) -> None:
         base = self.memory.alloc_stack(max(func.frame.size, 1))

@@ -9,8 +9,6 @@
 """
 
 from repro.transforms.clone import clone_blocks, clone_instruction, split_edge
-from repro.transforms.constfold import fold_constants
-from repro.transforms.simplifycfg import simplify_cfg
 from repro.transforms.dce import eliminate_dead_code
 from repro.transforms.inline import can_inline, inline_call, inline_small_functions
 from repro.transforms.mem2reg import promotable_allocas, promote_to_ssa
@@ -25,10 +23,8 @@ __all__ = [
     "clone_instruction",
     "eliminate_dead_code",
     "can_inline",
-    "fold_constants",
     "inline_call",
     "inline_small_functions",
-    "simplify_cfg",
     "forward_stores_to_loads",
     "optimize_function",
     "optimize_module",

@@ -20,33 +20,25 @@ from repro.analysis.cfg import remove_unreachable_blocks
 from repro.analysis.manager import AnalysisManager, CFG_ANALYSES
 from repro.ir.function import Function
 from repro.ir.module import Module
-from repro.transforms.constfold import fold_constants
 from repro.transforms.dce import eliminate_dead_code
 from repro.transforms.mem2reg import promote_to_ssa
 from repro.transforms.redundancy import forward_stores_to_loads
-from repro.transforms.simplifycfg import simplify_cfg
 
 #: What a pass declares about the CFG tier (cfg/domtree/frontiers/loops/
 #: reachability — see :data:`repro.analysis.manager.CFG_ANALYSES`):
 #: ``"always"`` — the pass edits instructions only, never blocks or
 #: terminators; ``"if_zero"`` — it preserves the tier only when it
-#: reports zero changes (e.g. unreachable-block removal, CFG
-#: simplification, constant folding of conditional branches).  Liveness
-#: depends on instructions too, so it never survives a productive pass.
+#: reports zero changes (unreachable-block removal).  Liveness depends
+#: on instructions too, so it never survives a productive pass.
 _PRESERVES_CFG = "always"
 _PRESERVES_CFG_IF_ZERO = "if_zero"
 
-#: Pipeline tables: (stat name, pass callable, CFG declaration,
-#: accepts the analysis manager), in execution order.
-_LEVEL1_PASSES = (
+#: The pipeline: (stat name, pass callable, CFG declaration, accepts the
+#: analysis manager), in execution order.
+_PASSES = (
     ("unreachable_blocks", remove_unreachable_blocks, _PRESERVES_CFG_IF_ZERO, True),
     ("promoted_allocas", promote_to_ssa, _PRESERVES_CFG, True),
     ("forwarded_loads", forward_stores_to_loads, _PRESERVES_CFG, True),
-    ("dead_instructions", eliminate_dead_code, _PRESERVES_CFG, False),
-)
-_LEVEL2_PASSES = (
-    ("folded_constants", fold_constants, _PRESERVES_CFG_IF_ZERO, False),
-    ("simplified_blocks", simplify_cfg, _PRESERVES_CFG_IF_ZERO, False),
     ("dead_instructions", eliminate_dead_code, _PRESERVES_CFG, False),
 )
 
@@ -59,32 +51,27 @@ def publish_pass_stats(func_name: str, stats: Dict[str, int]) -> None:
 
 
 def optimize_function(
-    func: Function, level: int = 1, am: Optional[AnalysisManager] = None
+    func: Function, am: Optional[AnalysisManager] = None
 ) -> Dict[str, int]:
     """Run the standard pipeline on one function; returns pass statistics.
 
-    Level 1 is the paper-aligned default (SSA + redundancy elimination +
-    cleanups); level 2 additionally folds constants and simplifies the
-    CFG — a stronger conventional baseline, available for experiments but
-    not used by the recorded results.
-
-    With ``am``, passes share the manager's cached CFG/dominator/frontier
-    snapshots and each pass's declared preservation (see the pipeline
-    tables above) drives :meth:`AnalysisManager.invalidate` after it
-    runs; a pass reporting zero changes left the function untouched and
-    invalidates nothing.
+    The pipeline is the paper's (§4.1): SSA + redundancy elimination +
+    cleanups.  With ``am``, passes share the manager's cached
+    CFG/dominator/frontier snapshots and each pass's declared
+    preservation (see the pipeline table above) drives
+    :meth:`AnalysisManager.invalidate` after it runs; a pass reporting
+    zero changes left the function untouched and invalidates nothing.
     """
     if func.is_declaration:
         return {}
     stats: Dict[str, int] = {}
-    passes = _LEVEL1_PASSES + (_LEVEL2_PASSES if level >= 2 else ())
-    for stat, run_pass, cfg_decl, takes_am in passes:
+    for stat, run_pass, cfg_decl, takes_am in _PASSES:
         with obs.span(f"transforms.{stat}", func=func.name):
             if takes_am and am is not None:
                 changed = run_pass(func, am=am)
             else:
                 changed = run_pass(func)
-        stats[stat] = stats.get(stat, 0) + changed
+        stats[stat] = changed
         if am is not None and changed:
             preserved = cfg_decl == _PRESERVES_CFG
             am.invalidate(func, preserve=CFG_ANALYSES if preserved else ())
@@ -93,10 +80,10 @@ def optimize_function(
 
 
 def optimize_module(
-    module: Module, level: int = 1, am: Optional[AnalysisManager] = None
+    module: Module, am: Optional[AnalysisManager] = None
 ) -> Dict[str, Dict[str, int]]:
     """Run the standard pipeline on every defined function."""
     return {
-        func.name: optimize_function(func, level, am=am)
+        func.name: optimize_function(func, am=am)
         for func in module.defined_functions
     }

@@ -1,5 +1,7 @@
 """CLI tests (``python -m repro``)."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -36,11 +38,54 @@ def _store_off():
     set_default_store(OutcomeStore(enabled=False))
 
 
+#: SCALE_IR of tests/helpers.py in MiniC: a loop with a self-dependent
+#: induction φ and an in-loop memory antidependence, so the §5
+#: unroll-by-one enhancement fires.
+SCALE = """
+int a[8];
+void scale(int *p, int n) {
+  for (int i = 0; i < n; i = i + 1) p[i] = p[i] * 3;
+}
+int main() {
+  scale(a, 8);
+  return a[0];
+}
+"""
+
+#: The copy kernel of tests/test_core_extensions.py: only the possible
+#: alias between ``dst`` and ``src`` needs a hitting-set cut.
+COPY = """
+int a[16];
+int b[16];
+void copy(int *dst, int *src, int n) {
+  for (int i = 0; i < n; i = i + 1) dst[i] = src[i];
+}
+int main() {
+  int i;
+  for (i = 0; i < 16; i = i + 1) a[i] = i * i;
+  copy(b, a, 16);
+  return b[15];
+}
+"""
+
+
 @pytest.fixture
 def demo_file(tmp_path):
     path = tmp_path / "demo.c"
     path.write_text(DEMO)
     return str(path)
+
+
+def _source_file(tmp_path, name, source):
+    path = tmp_path / name
+    path.write_text(source)
+    return str(path)
+
+
+def _report_count(out, func, pattern):
+    """The number ``pattern`` captures in ``func``'s regions report."""
+    section = out.split(f"@{func}:", 1)[1].split("\n@", 1)[0]
+    return int(re.search(pattern, section).group(1))
 
 
 class TestRun:
@@ -88,6 +133,23 @@ class TestRegions:
         assert "@main:" in out
         assert "hitting-set cuts:" in out
         assert "regions:" in out
+
+    def test_no_unroll_flag(self, tmp_path, capsys):
+        path = _source_file(tmp_path, "scale.c", SCALE)
+        unrolled = r"(\d+) loops unrolled"
+        assert main(["regions", path]) == 0
+        assert _report_count(capsys.readouterr().out, "scale", unrolled) == 1
+        assert main(["regions", path, "--no-unroll"]) == 0
+        assert _report_count(capsys.readouterr().out, "scale", unrolled) == 0
+
+    def test_trust_noalias_flag(self, tmp_path, capsys):
+        path = _source_file(tmp_path, "copy.c", COPY)
+        cuts = r"hitting-set cuts:\s+(\d+)"
+        assert main(["regions", path]) == 0
+        honest = _report_count(capsys.readouterr().out, "copy", cuts)
+        assert main(["regions", path, "--trust-noalias"]) == 0
+        promised = _report_count(capsys.readouterr().out, "copy", cuts)
+        assert promised < honest
 
 
 class TestFaults:
@@ -222,6 +284,44 @@ class TestTrialCounts:
         assert (f"--max-forced: must be >= 1, got {value}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("command", ["compile", "run", "regions", "faults"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_region_size_below_one_exit_2(self, command, value, capsys):
+        """A region bound below 1 is an argparse error, not a traceback
+        from the size-bound pass."""
+        with pytest.raises(SystemExit) as exc:
+            main([command, "demo.c", "--max-region-size", value])
+        assert exc.value.code == 2
+        assert (f"--max-region-size: must be >= 1, got {value}"
+                in capsys.readouterr().err)
+
+
+RESILIENT_COMMANDS = [
+    ["experiment", "table2", "mcf"],
+    ["campaign", "bzip2", "--no-manifest"],
+    ["fuzz", "--no-manifest"],
+]
+
+
+class TestResilienceFlags:
+    @pytest.mark.parametrize("argv", RESILIENT_COMMANDS)
+    @pytest.mark.parametrize("value", ["0", "-1", "inf"])
+    def test_unit_timeout_not_positive_finite_exit_2(self, argv, value, capsys):
+        """0 used to mean no limit, -1 timed out every pool unit and inf
+        overflows the pool's wait."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--unit-timeout", value])
+        assert exc.value.code == 2
+        assert (f"--unit-timeout: must be > 0 and finite, got {value}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", RESILIENT_COMMANDS)
+    def test_negative_retries_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--retries", "-1"])
+        assert exc.value.code == 2
+        assert "--retries: must be >= 0, got -1" in capsys.readouterr().err
+
 
 @pytest.mark.usefixtures("isolated_store")
 class TestRecovery:
@@ -244,13 +344,37 @@ class TestRecovery:
                      "--trials", "2"]) == 2
         assert "recovery error" in capsys.readouterr().err
 
+    def test_hunt_below_threshold_writes_nothing(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """No divergence reaches 2.0 (rates lie in [0, 1]), so the hunt
+        reports and leaves examples/regressions/ alone."""
+        monkeypatch.chdir(tmp_path)
+        assert main(["recovery", "compare", "blackscholes",
+                     "--backends", "tmr", "--trials", "2",
+                     "--hunt", "1", "--threshold", "2.0"]) == 0
+        out = capsys.readouterr().out
+        assert "hunt: worst divergence" in out
+        assert "hunt: below threshold 2.00; no reproducer written" in out
+        assert not (tmp_path / "examples").exists()
+
+
+def _raise_in_every_bzip2_unit(trials, seed):
+    """A chaos policy that raises ``ChaosError`` in every unit of a
+    ``campaign bzip2 --trials T --seed S`` run (pool path only)."""
+    from repro.harness.campaign import fault_campaign_units
+    from repro.harness.resilience import ChaosPolicy
+
+    units = fault_campaign_units(["bzip2"], trials, seed)
+    return ChaosPolicy(raise_units=tuple(uid for uid, _ in units))
+
 
 class TestCampaignIncremental:
     @pytest.fixture(autouse=True)
     def restore_harness_options(self):
-        """main() threads --jobs/--chaos/--retries into the process-global
-        HarnessOptions; restore every field so the chaos policy (and the
-        jobs>1 pool path it needs) never leaks into later test files."""
+        """main() threads --jobs/--retries into the process-global
+        HarnessOptions; restore every field so the jobs>1 pool path the
+        chaos tests need never leaks into later test files."""
         import dataclasses
 
         from repro.experiments.common import current_options
@@ -327,26 +451,23 @@ class TestCampaignIncremental:
         ]
         assert all(row.endswith("n/a") for row in rows)
 
-    def test_chaos_quarantine_is_exit_1(self, isolated_store, capsys):
-        # Warm the build pair inline first so the chaos below only ever
-        # fires inside campaign units, not the prebuild compiles.
-        assert main(["campaign", "bzip2", "--trials", "2", "--no-manifest"]) == 0
-        capsys.readouterr()
+    def test_chaos_quarantine_is_exit_1(
+        self, isolated_store, capsys, campaign_chaos
+    ):
+        campaign_chaos(_raise_in_every_bzip2_unit(trials=2, seed=99))
         argv = ["campaign", "bzip2", "--trials", "2", "--seed", "99",
-                "--no-manifest", "-j", "2",
-                "--chaos", "seed=1,raise=1.0"]
+                "--no-manifest", "-j", "2", "--retries", "0"]
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert "quarantined after" in captured.out
 
     def test_monolithic_chaos_lists_quarantined_units(
-        self, isolated_store, capsys
+        self, isolated_store, capsys, campaign_chaos
     ):
-        assert main(["campaign", "bzip2", "--trials", "2", "--no-manifest"]) == 0
-        capsys.readouterr()
         _store_off()
+        campaign_chaos(_raise_in_every_bzip2_unit(trials=2, seed=99))
         argv = ["campaign", "bzip2", "--trials", "2", "--seed", "99",
-                "--no-manifest", "-j", "2", "--chaos", "seed=1,raise=1.0"]
+                "--no-manifest", "-j", "2", "--retries", "0"]
         assert main(argv) == 1
         out = capsys.readouterr().out
         assert "quarantined units (pass --fresh to retry):" in out

@@ -6,9 +6,15 @@ import os
 import pytest
 
 from repro.cli import main
-from repro.fuzz.driver import run_fuzz_campaign
+from repro.fuzz.driver import (
+    FuzzInfraFailure,
+    FuzzSummary,
+    format_fuzz_report,
+    run_fuzz_campaign,
+)
 from repro.fuzz.generator import GEN_VERSION
 from repro.fuzz.oracle import OracleFailure, OracleReport
+from repro.harness.resilience import UNIT_ERROR
 
 # Cheap oracle settings for orchestration tests: the oracle stack
 # itself is exercised exhaustively in test_fuzz_oracle.py.
@@ -136,6 +142,32 @@ class TestOracleFailurePath:
         assert summary.executed == 0
         assert summary.skipped == 2
         assert len(summary.failures) == 2
+
+
+class TestInfraFailure:
+    def test_report_names_the_error_without_a_manifest(self, tmp_path):
+        """A trial whose oracle run raised is an infra failure; its
+        reason reaches the report, not only the manifest."""
+        summary = run_fuzz_campaign(
+            trials=1, seed=0, max_forced=0, manifest_path=None,
+            out_dir=str(tmp_path),
+        )
+        assert not summary.ok and summary.infra_failed == 1
+        assert summary.infra_failures == [FuzzInfraFailure(
+            index=0, category=UNIT_ERROR,
+            error="ValueError: max_forced must be >= 1, got 0",
+        )]
+        assert (
+            "  ! trial 0 infra fail [unit-error]: "
+            "ValueError: max_forced must be >= 1, got 0"
+        ) in format_fuzz_report(summary).splitlines()
+
+    def test_long_error_is_cut_like_oracle_details(self):
+        summary = FuzzSummary(trials=1, infra_failures=[
+            FuzzInfraFailure(index=4, category="timeout", error="x" * 500)
+        ])
+        line = format_fuzz_report(summary).splitlines()[-1]
+        assert line == "  ! trial 4 infra fail [timeout]: " + "x" * 160
 
 
 class TestFuzzCLI:

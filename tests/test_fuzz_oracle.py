@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.core.construction import ConstructionConfig
 from repro.fuzz.generator import generate
 from repro.fuzz.oracle import (
+    ORACLE_DIFF_IDEMPOTENT,
     ORACLE_MULTI_FAULT,
     ORACLE_REEXEC,
     ORACLE_REFERENCE,
@@ -13,11 +13,10 @@ from repro.fuzz.oracle import (
 )
 
 # A seed whose program the broken construction (first hitting-set cut
-# silently dropped) miscompiles — found by scanning seeds 0..59; cheap
+# silently dropped; the ``broken_construction`` fixture in
+# tests/conftest.py) miscompiles — found by scanning seeds 0..59; cheap
 # (57 dynamic check points).  If GEN_VERSION bumps, re-scan.
 BROKEN_SEED = 3
-
-BROKEN_CONFIG = ConstructionConfig(verify=False, drop_hitting_set_cut=0)
 
 
 class TestHealthyCompiler:
@@ -51,31 +50,29 @@ class TestHealthyCompiler:
 
 
 class TestBrokenConstructionCaught:
+    @pytest.mark.usefixtures("broken_construction")
     def test_reexec_oracle_catches_dropped_cut(self):
         """The dynamic oracle's reason to exist: a construction with a
         hitting-set cut removed passes both differential oracles (the
         fault-free run is still correct) but must fail re-execution."""
         source = generate(BROKEN_SEED).source
-        report = check_source(
-            source, config=BROKEN_CONFIG, verify=False, multi_fault=False
-        )
+        report = check_source(source, multi_fault=False)
         assert not report.ok
         assert report.failed_oracles == (ORACLE_REEXEC,)
 
+    @pytest.mark.usefixtures("dropped_cut")
     def test_static_verifier_catches_it_first_when_enabled(self):
         # With verification on, the hole never reaches the dynamic
         # oracles: compile_minic raises inside check_source and the
         # failure is attributed to the idempotent-build oracle.
         source = generate(BROKEN_SEED).source
-        config = ConstructionConfig(drop_hitting_set_cut=0)
-        report = check_source(source, config=config, multi_fault=False)
-        assert not report.ok
+        report = check_source(source, multi_fault=False)
+        assert report.failed_oracles == (ORACLE_DIFF_IDEMPOTENT,)
 
+    @pytest.mark.usefixtures("broken_construction")
     def test_multi_fault_flavour(self):
         source = generate(BROKEN_SEED).source
-        report = check_source(
-            source, config=BROKEN_CONFIG, verify=False, multi_fault=True
-        )
+        report = check_source(source, multi_fault=True)
         assert not report.ok
         assert ORACLE_REEXEC in report.failed_oracles or (
             ORACLE_MULTI_FAULT in report.failed_oracles

@@ -3,7 +3,6 @@ determinism."""
 
 import pytest
 
-from repro.core.construction import ConstructionConfig
 from repro.fuzz.generator import Leaf, ProgramSpec, generate, render
 from repro.fuzz.reduce import (
     failure_predicate,
@@ -13,18 +12,15 @@ from repro.fuzz.reduce import (
 )
 
 # See tests/test_fuzz_oracle.py: a seed miscompiled by the
-# broken-construction hook, caught by the re-execution oracle.
+# ``broken_construction`` fixture, caught by the re-execution oracle.
 BROKEN_SEED = 3
-
-BROKEN_CONFIG = ConstructionConfig(verify=False, drop_hitting_set_cut=0)
 
 
 def _broken_predicate():
-    return failure_predicate(
-        ("reexec",), config=BROKEN_CONFIG, verify=False, multi_fault=False
-    )
+    return failure_predicate(("reexec",), multi_fault=False)
 
 
+@pytest.mark.usefixtures("broken_construction")
 class TestReduceKnownFailure:
     def test_shrinks_and_still_fails_same_oracle(self):
         predicate = _broken_predicate()

@@ -72,6 +72,14 @@ class TestInline:
         with pytest.raises(RuntimeError, match="bad unit"):
             TaskExecutor(1).map(boom, [1])
 
+    @pytest.mark.parametrize("unit_timeout", [0, 0.0, -1.0, float("inf")])
+    def test_unit_timeout_must_be_positive_and_finite(self, unit_timeout):
+        # 0 used to mean "no limit", a negative value timed out every
+        # pool unit and inf overflows the pool's wait: all are
+        # configuration errors.
+        with pytest.raises(ValueError, match="unit_timeout must be > 0"):
+            TaskExecutor(2, unit_timeout=unit_timeout)
+
 
 class TestParallel:
     def test_map_preserves_item_order(self):

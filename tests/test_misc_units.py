@@ -153,7 +153,6 @@ class TestCostModel:
     def test_defaults(self):
         cost = CostModel()
         assert cost.alu_issue_factor == 1
-        assert cost.l1_lines == 0
         assert cost.latency["div"] > cost.latency["add"]
 
     def test_latency_table_is_private_copy(self):
