@@ -76,8 +76,8 @@ def _config_from_args(args) -> ConstructionConfig:
 
 def _trial_count(text: str, minimum: int = 0) -> int:
     """argparse type of every ``--trials``, ``--latency`` and
-    ``--retries``: a non-negative integer (``--max-forced`` and
-    ``--max-region-size`` bind ``minimum=1``)."""
+    ``--retries``: a non-negative integer (``--max-forced``, ``--hunt``
+    and ``--max-region-size`` bind ``minimum=1``)."""
     try:
         value = int(text)
     except ValueError:
@@ -98,6 +98,19 @@ def _seconds(text: str) -> float:
             f"invalid float value: {text!r}") from None
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be > 0 and finite, got {text}")
+    return value
+
+
+def _threshold(text: str) -> float:
+    """argparse type of ``recovery --threshold``: a number >= 0 (NaN
+    compares false with every divergence, so it would flag nothing)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be a number >= 0, got {text}")
     return value
 
 
@@ -244,7 +257,7 @@ def cmd_faults(args) -> int:
     source = _read_source(args.file)
     idem = compile_minic(source, idempotent=True, config=_config_from_args(args))
     orig = compile_minic(source, idempotent=False)
-    reference_sim = Simulator(idem.program)
+    reference_sim = Simulator(idem.program, timed=False)
     reference = reference_sim.run("main")
     reference_output = list(reference_sim.output)
     print(f"fault-free result: {reference}")
@@ -571,10 +584,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["value", "control"], default="value")
     p.add_argument("--latency", type=_trial_count, default=0,
                    help="detection latency in dynamic instructions")
-    p.add_argument("--threshold", type=float, default=0.25,
+    p.add_argument("--threshold", type=_threshold, default=0.25,
                    help="flag regions where |predicted - measured| recovery "
                         "exceeds this")
-    p.add_argument("--hunt", type=int, default=None, metavar="N",
+    p.add_argument("--hunt", type=functools.partial(_trial_count, minimum=1),
+                   default=None, metavar="N",
                    help="scan N fuzz-generated programs for the worst "
                         "predictor divergence; at/above --threshold the "
                         "reducer minimizes it into examples/regressions/")

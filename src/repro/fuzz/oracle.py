@@ -163,7 +163,7 @@ def _count_checkpoints(sim: Simulator) -> List[int]:
 def _forced_run(
     program, entry: str, triggers: Sequence[int], max_instructions: int
 ) -> Tuple[object, List[object], Dict[str, List[object]], int]:
-    sim = Simulator(program, max_instructions=max_instructions)
+    sim = Simulator(program, max_instructions=max_instructions, timed=False)
     forced = ForcedRecovery(sim, triggers)
     result = sim.run(entry)
     return result, list(sim.output), _sim_globals(sim), forced.recoveries
@@ -203,7 +203,8 @@ def check_source(
     # ---- differential: original binary -------------------------------
     try:
         original = compile_minic(source, idempotent=False)
-        sim = Simulator(original.program, max_instructions=max_instructions)
+        sim = Simulator(original.program, max_instructions=max_instructions,
+                        timed=False)
         value = sim.run(entry)
         divergence = _diff_state(
             "original", value, ref_result, sim.output, ref_output,
@@ -227,7 +228,8 @@ def check_source(
         ))
         return report
     try:
-        clean = Simulator(idem.program, max_instructions=max_instructions)
+        clean = Simulator(idem.program, max_instructions=max_instructions,
+                          timed=False)
         counter = _count_checkpoints(clean)
         value = clean.run(entry)
         report.checkpoints = counter[0]

@@ -197,7 +197,7 @@ def trace_eligibility(
     here injects at precisely that instruction (the faulted run's
     dynamic prefix equals the fault-free prefix up to injection).
     """
-    sim = Simulator(program, max_instructions=max_instructions)
+    sim = Simulator(program, max_instructions=max_instructions, timed=False)
     trace = EligibilityTrace(span=1, instructions=0)
     value_site, control_site = faults.value_site, faults.control_site
 
@@ -206,7 +206,7 @@ def trace_eligibility(
             trace.control_events.append(s.instructions)
             trace.control_regions.append(region_key(s))
 
-    def post(s: Simulator, instr, loc) -> None:
+    def post(s: Simulator, instr) -> None:
         if value_site(instr):
             trace.value_events.append(s.instructions)
             trace.value_regions.append(region_key(s))
@@ -848,7 +848,7 @@ def campaign_sections(
             reference = trace.result, trace.output
         elif any(plan.missing for plan in plans):
             with _fault_free_run(name, label, func):
-                reference_sim = Simulator(idempotent_program)
+                reference_sim = Simulator(idempotent_program, timed=False)
                 reference = (
                     reference_sim.run(func), list(reference_sim.output)
                 )

@@ -119,7 +119,7 @@ class CheckpointLogInjector(FaultInjector):
             len(sim.frames),
             list(sim.int_regs),
             list(sim.float_regs),
-            sim.loc.copy(),
+            sim.loc,
         )
         self._undo = []
         self._since = 0
@@ -143,7 +143,7 @@ class CheckpointLogInjector(FaultInjector):
         self._undo = []
         sim.int_regs[:] = int_regs
         sim.float_regs[:] = float_regs
-        sim.loc = loc.copy()
+        sim.loc = loc
 
     # ------------------------------------------------------------------
     # Snapshot bookkeeping: every instruction, around the fault model
@@ -172,9 +172,9 @@ class CheckpointLogInjector(FaultInjector):
         if self._model_pre is not None:
             self._model_pre(sim, instr)
 
-    def _post(self, sim: Simulator, instr: MachineInstr, loc) -> None:
+    def _post(self, sim: Simulator, instr: MachineInstr) -> None:
         if self._model_post is not None:
-            self._model_post(sim, instr, loc)
+            self._model_post(sim, instr)
         if instr.opcode == "callb":
             # I/O and allocation are not replayable; never allow a
             # restore to cross them.

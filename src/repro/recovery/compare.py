@@ -131,7 +131,7 @@ def compare_workload(
 
     workload = get_workload(name)
     original, idempotent = build_pair(name)
-    sim = Simulator(idempotent.program)
+    sim = Simulator(idempotent.program, timed=False)
     reference = sim.run(workload.entry, ())
     reference_output = list(sim.output)
 
@@ -306,7 +306,7 @@ def measure_divergence(
     """
     original = compile_minic(source, idempotent=False)
     idempotent = compile_minic(source, idempotent=True)
-    sim = Simulator(idempotent.program)
+    sim = Simulator(idempotent.program, timed=False)
     reference = sim.run("main", ())
     reference_output = list(sim.output)
 

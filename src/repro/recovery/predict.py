@@ -79,7 +79,7 @@ def profile_regions(
     fault sites are counted by the fault model's own site rule.
     Returns ``(profiles, result, sim)``.
     """
-    sim = Simulator(program, max_instructions=max_instructions)
+    sim = Simulator(program, max_instructions=max_instructions, timed=False)
     profiles: Dict[str, RegionProfile] = {}
     current = [None]
     value_site, control_site = faults.value_site, faults.control_site

@@ -183,7 +183,7 @@ class FaultInjector:
         if sim.instructions >= self._strike_at and control_site(instr):
             self._inject(sim, instr.srcs[0])
 
-    def _strike_result(self, sim: Simulator, instr: MachineInstr, loc) -> None:
+    def _strike_result(self, sim: Simulator, instr: MachineInstr) -> None:
         if sim.instructions >= self._strike_at and value_site(instr):
             self._inject(sim, instr.dst)
 
@@ -260,7 +260,7 @@ def run_with_fault(
     math domain error) or run away is ``crashed``; any other exception
     is a simulator bug and propagates.
     """
-    sim = Simulator(program, max_instructions=max_instructions)
+    sim = Simulator(program, max_instructions=max_instructions, timed=False)
     factory = injector_factory or FaultInjector
     injector = factory(sim, plan, recover=recover)
     outcome = injector.outcome
@@ -399,7 +399,7 @@ def campaign_span(
     or per-section) over the same program faces the identical target
     distribution.
     """
-    baseline = Simulator(program)
+    baseline = Simulator(program, timed=False)
     baseline.run(func, args)
     return target_span(baseline.instructions)
 

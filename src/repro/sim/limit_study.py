@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.codegen.machine import MachineInstr, MachineProgram
 from repro.interp.memory import STACK_BASE
-from repro.sim.simulator import Location, Simulator
+from repro.sim.simulator import Simulator
 
 CATEGORY_SEMANTIC = "semantic"
 CATEGORY_SEMANTIC_CALLS = "semantic_calls"
@@ -180,11 +180,11 @@ def run_limit_study(
     """
     warmup = 0
     if warmup_fraction > 0:
-        counting = Simulator(program, max_instructions=max_instructions)
+        counting = Simulator(program, max_instructions=max_instructions, timed=False)
         counting.run(func, args)
         warmup = int(counting.instructions * warmup_fraction)
 
-    sim = Simulator(program, max_instructions=max_instructions)
+    sim = Simulator(program, max_instructions=max_instructions, timed=False)
     trackers = {
         CATEGORY_SEMANTIC: _ClobberTracker(
             track_registers=False, track_stack=False, split_at_calls=False

@@ -30,7 +30,7 @@ def trace_paths(
     so the statistic matches the paper's "instructions executed through a
     region" notion rather than our marker overhead.
     """
-    sim = Simulator(program, max_instructions=max_instructions)
+    sim = Simulator(program, max_instructions=max_instructions, timed=False)
     stats = PathStats()
     state = {"length": 0}
 

@@ -23,6 +23,16 @@ Stands in for the paper's gem5/ARMv7 setup (§6.1). Key behaviours:
   instruction; detection fires at the next DMR check point (load, store,
   branch, call, or boundary), whereupon the configured recovery action
   runs. See :mod:`repro.sim.faults`.
+
+Execution engine: each :class:`MachineFunction` is decoded once per
+simulator, on first entry, into flat per-instruction records (a small-int
+op, the register lists and indices it reads and writes, a resolved branch
+pc, a pre-built :class:`Location`, a static timing tuple), with a
+fell-off-block sentinel after each block; one loop over locals runs them.
+Decoding never raises: a record that cannot run raises the error it
+would have raised when, and only when, it executes. The timing model runs
+only when the simulator is ``timed``; hooks run only while one is
+installed (see ``docs/simulator.md``).
 """
 
 from __future__ import annotations
@@ -33,8 +43,11 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.codegen.machine import (
+    CLASS_FLOAT,
     CLASS_INT,
     DEFAULT_LATENCY,
+    NUM_FLOAT_REGS,
+    NUM_INT_REGS,
     MachineFunction,
     MachineInstr,
     MachineProgram,
@@ -70,37 +83,97 @@ class CostModel:
     latency: Dict[str, int] = field(default_factory=lambda: dict(DEFAULT_LATENCY))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Location:
+    """A static instruction position; immutable, so rp and hooks share
+    the one the decoder built."""
+
+    __slots__ = ("func", "block", "index")
     func: str
     block: int
     index: int
 
-    def copy(self) -> "Location":
-        return Location(self.func, self.block, self.index)
-
 
 class _Frame:
-    __slots__ = ("func", "base", "return_loc")
+    __slots__ = ("code", "base", "return_loc", "return_pc")
 
-    def __init__(self, func: MachineFunction, base: int, return_loc: Optional[Location]) -> None:
-        self.func = func
+    def __init__(
+        self,
+        code: "_Code",
+        base: int,
+        return_loc: Optional[Location],
+        return_pc: int,
+    ) -> None:
         self.base = base
         self.return_loc = return_loc
+        self.code = code
+        self.return_pc = return_pc
+
+
+# Record ops, numbered in the order the loop tests them (most frequent
+# first in the suite's dynamic mix).
+(
+    OP_MOVI, OP_MOV, OP_ADD, OP_LDSLOT, OP_B, OP_STSLOT, OP_LD, OP_BINOP,
+    OP_CMPNE, OP_BNZ, OP_CMPLT, OP_RCB, OP_SUB, OP_RET, OP_CALL, OP_ST,
+    OP_LEA, OP_ITOF, OP_FTOI, OP_CSEL, OP_CALLB, OP_STLOG, OP_ADVLP, OP_NOP,
+    OP_TRAP, OP_BNZ_TRAP, OP_FELL,
+) = range(27)
+
+_MASK64 = (1 << 64) - 1
+_SIGN64 = 1 << 63
+_WRAP64 = 1 << 64
+
+#: reg_ready slots: r0-r15, then f0-f31, then one slot that only
+#: destination-less instructions write.
+_NO_SLOT = NUM_INT_REGS + NUM_FLOAT_REGS
+#: the timing tuple of a record that issues nothing (the sentinels)
+_UNTIMED = ((), False, _NO_SLOT, 0, 0, False)
+_GROUP_ENDS = frozenset(["bnz", "b", "ret", "call", "callb"])
+
+
+class _Code:
+    """One function decoded: parallel per-pc lists."""
+
+    __slots__ = ("records", "locs", "instrs", "timing", "columns", "starts", "frame_words")
+
+    def __init__(self, func: MachineFunction) -> None:
+        self.records: List[tuple] = []
+        #: the Location of every pc, sentinels included
+        self.locs: List[Location] = []
+        #: the MachineInstr of every pc (None for a sentinel)
+        self.instrs: List[Optional[MachineInstr]] = []
+        self.timing: List[tuple] = []
+        #: the four lists above, as the loop loads them
+        self.columns = (self.records, self.locs, self.instrs, self.timing)
+        #: pc of each block's first record; the last entry ends the code
+        self.starts: List[int] = []
+        self.frame_words = max(func.frame.size, 1)
+
+    def pc(self, loc: Location) -> int:
+        """The pc of ``loc`` in this function (its block's sentinel when
+        ``loc`` lies past the block's end)."""
+        sentinel = self.starts[loc.block + 1] - 1
+        return min(self.starts[loc.block] + loc.index, sentinel)
 
 
 class Simulator:
-    """Executes a :class:`MachineProgram`."""
+    """Executes a :class:`MachineProgram`.
+
+    ``timed=False`` skips the timing model: results, output and every
+    count are the same, and ``cycles`` stays 0.
+    """
 
     def __init__(
         self,
         program: MachineProgram,
         cost_model: Optional[CostModel] = None,
         max_instructions: int = 100_000_000,
+        timed: bool = True,
     ) -> None:
         self.program = program
         self.cost = cost_model or CostModel()
         self.max_instructions = max_instructions
+        self.timed = timed
 
         self.memory = Memory()
         self.globals: Dict[str, int] = {}
@@ -112,9 +185,11 @@ class Simulator:
         self.log_size = 2048
         self.log_base = self.memory.alloc_heap(self.log_size)
 
-        self.int_regs: List[object] = [0] * 16
-        self.float_regs: List[float] = [0.0] * 32
+        # Decoded records hold these two lists: mutate them in place.
+        self.int_regs: List[object] = [0] * NUM_INT_REGS
+        self.float_regs: List[float] = [0.0] * NUM_FLOAT_REGS
         self.frames: List[_Frame] = []
+        #: the current location; kept up to date while a hook is installed
         self.loc: Optional[Location] = None
 
         # rp: (frame depth, location) — where recovery re-enters.
@@ -127,22 +202,27 @@ class Simulator:
         self.instructions = 0
         self.boundaries_crossed = 0
 
-        # Timing state (half-cycle granularity for dual issue).
+        # Timing state (half-cycle granularity for dual issue): ready
+        # times in slots numbered like _NO_SLOT's comment says; registers
+        # outside the 48 get slots appended on decode.
         self.half_slots = 0
-        self.reg_ready: Dict[Tuple[str, int], int] = {}
+        self.reg_ready: List[int] = [0] * (_NO_SLOT + 1)
+        self._slots: Dict[Tuple[str, int], int] = {
+            (CLASS_INT, i): i for i in range(NUM_INT_REGS)
+        }
+        self._slots.update(
+            ((CLASS_FLOAT, i), NUM_INT_REGS + i) for i in range(NUM_FLOAT_REGS)
+        )
         self.mem_ready = 0
+        self._timings: Dict[str, tuple] = {}
 
         #: optional hook called before each instruction: hook(sim, instr)
         self.pre_hook: Optional[Callable[["Simulator", MachineInstr], None]] = None
-        #: optional hook called after each instruction: hook(sim, instr, loc)
-        self.post_hook: Optional[Callable[["Simulator", MachineInstr, Location], None]] = None
+        #: optional hook called after each instruction: hook(sim, instr)
+        self.post_hook: Optional[Callable[["Simulator", MachineInstr], None]] = None
         self._redirected = False
 
-        # High-frequency observability (per-region dynamic sizes) is
-        # sampled only when the observer has tracing enabled; run-level
-        # totals are always published (once per run, negligible).
-        self._obs_detailed = obs.get_observer().enabled
-        self._region_start_instr = 0
+        self._code: Dict[str, _Code] = {}
 
     # ------------------------------------------------------------------
     # Setup
@@ -196,44 +276,174 @@ class Simulator:
         return count
 
     # ------------------------------------------------------------------
-    # Timing
+    # Decoding
     # ------------------------------------------------------------------
-    def _account(self, instr: MachineInstr) -> None:
+    def _decoded(self, func: MachineFunction) -> _Code:
+        code = self._code.get(func.name)
+        if code is None:
+            code = self._code[func.name] = self._decode(func)
+        return code
+
+    def _decode(self, func: MachineFunction) -> _Code:
+        code = _Code(func)
+        labels: Dict[str, int] = {}
+        for b, block in enumerate(func.blocks):
+            code.starts.append(len(code.locs))
+            labels.setdefault(block.name, len(code.locs))
+            for i, instr in enumerate(block.instructions):
+                code.locs.append(Location(func.name, b, i))
+                code.instrs.append(instr)
+            code.locs.append(Location(func.name, b, len(block.instructions)))
+            code.instrs.append(None)
+        code.starts.append(len(code.locs))
+        block_names = [block.name for block in func.blocks]
+        for pc, instr in enumerate(code.instrs):
+            if instr is None:
+                block = code.locs[pc].block
+                code.records.append(
+                    (OP_FELL, f"fell off block {block_names[block]} in {func.name}")
+                )
+                code.timing.append(_UNTIMED)
+                continue
+            record, timing = self._decode_instr(instr, pc, code, labels)
+            code.records.append(record)
+            code.timing.append(timing)
+        return code
+
+    def _decode_instr(self, instr: MachineInstr, pc: int, code: _Code, labels):
+        """(record, timing) of one instruction; an untimed simulator
+        decodes no timing.
+
+        Any error found here is deferred into a trap record, so that a
+        program fails, as before decoding existed, only if and when the
+        instruction runs: a failure to time it raises before the store
+        buffer flushes, any other after.
+        """
+        timing = _UNTIMED
+        try:
+            if self.timed:
+                timing = self._timing(instr)
+        except Exception as exc:  # re-raised by the trap when it executes
+            return (OP_TRAP, exc, False), _UNTIMED
+        try:
+            record = self._record(instr, pc, code, labels)
+        except Exception as exc:  # re-raised by the trap when it executes
+            record = (OP_TRAP, exc, instr.opcode in self.CHECK_POINTS)
+        return record, timing
+
+    def _slot(self, reg: Reg) -> int:
+        key = (reg.rclass, reg.index)
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = len(self.reg_ready)
+            self.reg_ready.append(0)
+        return slot
+
+    def _timing(self, instr: MachineInstr) -> tuple:
+        """(source slots, is memory, destination slot, result latency in
+        half-cycles, issue slots, ends the issue group)."""
+        memory_op, latency, issue_slots, ends_group = self._opcode_timing(instr)
+        return (
+            tuple(self._slot(src) for src in instr.srcs),
+            memory_op,
+            _NO_SLOT if instr.dst is None else self._slot(instr.dst),
+            latency,
+            issue_slots,
+            ends_group,
+        )
+
+    def _opcode_timing(self, instr: MachineInstr) -> tuple:
+        """The part of an instruction's timing its opcode fixes."""
         opcode = instr.opcode
-        latency = self.cost.latency.get(opcode, 1)
-
-        issue_half = self.half_slots
-        for src in instr.srcs:
-            ready = self.reg_ready.get((src.rclass, src.index), 0)
-            if ready > issue_half:
-                issue_half = ready
-
-        extra_ops = 0
-        if instr.is_alu and self.cost.alu_issue_factor > 1:
-            extra_ops += self.cost.alu_issue_factor - 1
-        if opcode in ("ld", "ldslot"):
-            extra_ops += self.cost.check_ops_per_load
-        elif opcode in ("st", "stslot"):
-            extra_ops += self.cost.check_ops_per_store
-        elif opcode in ("bnz", "b", "ret"):
-            extra_ops += self.cost.check_ops_per_branch
-
-        if instr.is_memory:
-            if self.mem_ready > issue_half:
-                issue_half = self.mem_ready
-            self.mem_ready = issue_half + 2  # one memory op per cycle
-
-        if instr.dst is not None:
-            self.reg_ready[(instr.dst.rclass, instr.dst.index)] = (
-                issue_half + 2 * latency
+        timing = self._timings.get(opcode)
+        if timing is None:
+            cost = self.cost
+            extra_ops = 0
+            if instr.is_alu and cost.alu_issue_factor > 1:
+                extra_ops += cost.alu_issue_factor - 1
+            if opcode in ("ld", "ldslot"):
+                extra_ops += cost.check_ops_per_load
+            elif opcode in ("st", "stslot"):
+                extra_ops += cost.check_ops_per_store
+            elif opcode in ("bnz", "b", "ret"):
+                extra_ops += cost.check_ops_per_branch
+            timing = self._timings[opcode] = (
+                instr.is_memory,
+                2 * cost.latency.get(opcode, 1),
+                1 + extra_ops,
+                opcode in _GROUP_ENDS,
             )
+        return timing
 
-        # Each op (plus its redundancy/check companions) consumes issue
-        # slots; two slots per cycle.
-        self.half_slots = issue_half + 1 + extra_ops
-        if opcode in ("bnz", "b", "ret", "call", "callb"):
-            # A taken control transfer ends the issue group.
-            self.half_slots += self.half_slots % 2
+    def _reg(self, reg: Reg) -> Tuple[list, int]:
+        """The register list and index ``reg`` lives at."""
+        if reg.rclass == CLASS_INT:
+            return self.int_regs, reg.index
+        return self.float_regs, reg.index
+
+    def _record(self, instr: MachineInstr, pc: int, code: _Code, labels) -> tuple:
+        opcode = instr.opcode
+        srcs, dst, reg = instr.srcs, instr.dst, self._reg
+        if opcode in ("movi", "fmovi"):
+            return (OP_MOVI, *reg(dst), instr.imm)
+        if opcode == "ga":
+            address = self.globals[instr.imm]
+            return (OP_MOVI, *reg(dst), address)
+        if opcode in ("mov", "fmov"):
+            return (OP_MOV, *reg(srcs[0]), *reg(dst))
+        if opcode in _INT_BINOPS or opcode in _FLOAT_BINOPS:
+            operands = (*reg(srcs[0]), *reg(srcs[1]), *reg(dst))
+            op = _INLINE_BINOPS.get(opcode)
+            if op is not None:
+                return (op, *operands)
+            function = _INT_BINOPS.get(opcode) or _FLOAT_BINOPS[opcode]
+            return (OP_BINOP, function, *operands)
+        if opcode == "ldslot":
+            return (OP_LDSLOT, *reg(dst), instr.imm)
+        if opcode == "stslot":
+            return (OP_STSLOT, *reg(srcs[0]), instr.imm)
+        if opcode == "ld":
+            return (OP_LD, *reg(srcs[0]), *reg(dst))
+        if opcode == "st":
+            return (OP_ST, *reg(srcs[0]), *reg(srcs[1]))
+        if opcode in ("b", "bnz"):
+            target = labels.get(instr.imm)
+            if target is None:
+                missing = KeyError(instr.imm)  # what block_index raised
+                if opcode == "b":
+                    return (OP_TRAP, missing, True)
+                return (OP_BNZ_TRAP, *reg(srcs[0]), missing)
+            if opcode == "b":
+                return (OP_B, target)
+            return (OP_BNZ, *reg(srcs[0]), target)
+        if opcode == "rcb":
+            return (OP_RCB, code.locs[pc + 1])
+        if opcode == "ret":
+            return (OP_RET,)
+        if opcode == "call":
+            callee = self.program.functions.get(instr.callee)
+            if callee is None:
+                return (OP_TRAP, SimulationError(
+                    f"call to unknown function {instr.callee!r}"), True)
+            return (OP_CALL, callee, code.locs[pc + 1], pc + 1)
+        if opcode == "callb":
+            return (OP_CALLB, instr.callee, code.locs[pc + 1])
+        if opcode == "lea":
+            return (OP_LEA, *reg(dst), instr.imm)
+        if opcode == "itof":
+            return (OP_ITOF, *reg(srcs[0]), *reg(dst))
+        if opcode == "ftoi":
+            return (OP_FTOI, *reg(srcs[0]), *reg(dst))
+        if opcode == "csel":
+            return (OP_CSEL, *reg(srcs[0]), *reg(srcs[1]), *reg(srcs[2]), *reg(dst))
+        if opcode == "stlog":
+            return (OP_STLOG, *reg(srcs[0]), instr.imm or 0)
+        if opcode == "advlp":
+            return (OP_ADVLP, instr.imm or 1)
+        if opcode in ("check", "majority"):
+            return (OP_NOP,)  # detection ops are timing-only in this model
+        return (OP_TRAP, SimulationError(f"cannot simulate opcode {opcode!r}"),
+                opcode in self.CHECK_POINTS)
 
     # ------------------------------------------------------------------
     # Execution
@@ -252,7 +462,7 @@ class Simulator:
             else:
                 self.int_regs[int_index] = value
                 int_index += 1
-        self._enter_function(func, return_loc=None)
+        self._enter_function(func, None, 0)
         try:
             with obs.span("sim.run", func=func_name, program=self.program.name):
                 self._loop()
@@ -270,159 +480,257 @@ class Simulator:
         observer.counter("sim.cycles").inc(self.cycles)
         observer.counter("sim.boundaries").inc(self.boundaries_crossed)
 
-    def _enter_function(self, func: MachineFunction, return_loc: Optional[Location]) -> None:
-        base = self.memory.alloc_stack(max(func.frame.size, 1))
-        self.frames.append(_Frame(func, base, return_loc))
-        self.loc = Location(func.name, 0, 0)
+    def _enter_function(
+        self, func: MachineFunction, return_loc: Optional[Location], return_pc: int
+    ) -> _Frame:
+        code = self._decoded(func)
+        base = self.memory.alloc_stack(code.frame_words)
+        frame = _Frame(code, base, return_loc, return_pc)
+        self.frames.append(frame)
+        self.loc = entry = code.locs[0] if code.locs else Location(func.name, 0, 0)
         # Call/entry is an implicit verification + restart point.
         self.flush_store_buffer()
-        self.rp = (len(self.frames), self.loc.copy())
-
-    def _current_instr(self) -> Optional[MachineInstr]:
-        frame = self.frames[-1]
-        block = frame.func.blocks[self.loc.block]
-        if self.loc.index >= len(block.instructions):
-            raise SimulationError(
-                f"fell off block {block.name} in {frame.func.name}"
-            )
-        return block.instructions[self.loc.index]
+        self.rp = (len(self.frames), entry)
+        return frame
 
     def redirect(self) -> None:
         """Tell the fetch loop that a hook changed ``loc`` (recovery jump)."""
         self._redirected = True
-
-    def _loop(self) -> None:
-        while self.frames:
-            instr = self._current_instr()
-            if self.pre_hook is not None:
-                self.pre_hook(self, instr)
-                if self._redirected:
-                    self._redirected = False
-                    continue  # refetch from the new location
-            self.instructions += 1
-            if self.instructions > self.max_instructions:
-                raise SimLimitExceeded(
-                    f"exceeded {self.max_instructions} simulated instructions"
-                )
-            self._account(instr)
-            executed_at = self.loc.copy()
-            self._execute(instr)
-            if self.post_hook is not None:
-                self.post_hook(self, instr, executed_at)
 
     #: opcodes at which buffered stores are verified and committed
     CHECK_POINTS = frozenset(
         ["ld", "st", "ldslot", "stslot", "bnz", "b", "ret", "call", "callb", "rcb"]
     )
 
-    def _execute(self, instr: MachineInstr) -> None:
-        opcode = instr.opcode
-        frame = self.frames[-1]
+    def _loop(self) -> None:
+        frames = self.frames
+        frame = frames[-1]
+        records, locs, instrs, timing = frame.code.columns
+        base = frame.base
+        pc = frame.code.pc(self.loc)
+        sbuf = self.store_buffer
+        memory = self.memory
+        load = memory.load
+        count = self.instructions
+        limit = self.max_instructions
+        timed = self.timed
+        ready = self.reg_ready
+        half = self.half_slots
+        mem_ready = self.mem_ready
+        hooked = self.pre_hook is not None or self.post_hook is not None
+        instr = None
+        try:
+            while True:
+                record = records[pc]
+                op = record[0]
+                if hooked:
+                    if op == OP_FELL:
+                        raise SimulationError(record[1])
+                    instr = instrs[pc]
+                    pre = self.pre_hook
+                    if pre is not None:
+                        self.instructions = count
+                        self.loc = locs[pc]
+                        pre(self, instr)
+                        if self._redirected:
+                            self._redirected = False
+                            frame = frames[-1]
+                            records, locs, instrs, timing = frame.code.columns
+                            base = frame.base
+                            pc = frame.code.pc(self.loc)
+                            hooked = self.pre_hook is not None or self.post_hook is not None
+                            continue  # refetch from the new location
+                count += 1
+                if count > limit and op != OP_FELL:
+                    raise SimLimitExceeded(f"exceeded {limit} simulated instructions")
+                if timed:
+                    srcs, memory_op, dst, latency, issue_slots, ends_group = timing[pc]
+                    issue = half
+                    for src in srcs:
+                        if ready[src] > issue:
+                            issue = ready[src]
+                    if memory_op:
+                        if mem_ready > issue:
+                            issue = mem_ready
+                        mem_ready = issue + 2  # one memory op per cycle
+                    ready[dst] = issue + latency
+                    half = issue + issue_slots
+                    if ends_group:
+                        # A taken control transfer ends the issue group.
+                        half += half % 2
 
-        if opcode in self.CHECK_POINTS:
-            # DMR verification retires: everything buffered so far is known
-            # good and commits to memory. (The fault harness intercepts
-            # *before* this via pre_hook when a fault is pending.)
-            self.flush_store_buffer()
+                # Check points (ld, st, ldslot, stslot, b, bnz, rcb, call,
+                # callb, ret) first commit the verified stores.
+                if op == OP_MOVI:
+                    _, dl, d, value = record
+                    dl[d] = value
+                    pc += 1
+                elif op == OP_MOV:
+                    _, sl, s, dl, d = record
+                    dl[d] = sl[s]
+                    pc += 1
+                elif op == OP_ADD:
+                    _, al, a, bl, b, dl, d = record
+                    value = al[a] + bl[b]
+                    value &= _MASK64
+                    if value >= _SIGN64:
+                        value -= _WRAP64
+                    dl[d] = value
+                    pc += 1
+                elif op == OP_LDSLOT:
+                    if sbuf:
+                        self.flush_store_buffer()
+                    _, dl, d, offset = record
+                    dl[d] = load(base + offset)
+                    pc += 1
+                elif op == OP_B:
+                    if sbuf:
+                        self.flush_store_buffer()
+                    pc = record[1]
+                elif op == OP_STSLOT:
+                    if sbuf:
+                        self.flush_store_buffer()
+                    _, vl, v, offset = record
+                    sbuf.append((base + offset, vl[v]))
+                    pc += 1
+                elif op == OP_LD:
+                    if sbuf:
+                        self.flush_store_buffer()
+                    _, al, a, dl, d = record
+                    dl[d] = load(al[a])
+                    pc += 1
+                elif op == OP_BINOP:
+                    _, function, al, a, bl, b, dl, d = record
+                    dl[d] = function(al[a], bl[b])
+                    pc += 1
+                elif op == OP_CMPNE:
+                    _, al, a, bl, b, dl, d = record
+                    dl[d] = 1 if al[a] != bl[b] else 0
+                    pc += 1
+                elif op == OP_BNZ:
+                    if sbuf:
+                        self.flush_store_buffer()
+                    _, cl, c, target = record
+                    pc = target if cl[c] else pc + 1
+                elif op == OP_CMPLT:
+                    _, al, a, bl, b, dl, d = record
+                    dl[d] = 1 if al[a] < bl[b] else 0
+                    pc += 1
+                elif op == OP_RCB:
+                    if sbuf:
+                        self.flush_store_buffer()
+                    self.boundaries_crossed += 1
+                    self.rp = (len(frames), record[1])
+                    pc += 1
+                elif op == OP_SUB:
+                    _, al, a, bl, b, dl, d = record
+                    value = al[a] - bl[b]
+                    value &= _MASK64
+                    if value >= _SIGN64:
+                        value -= _WRAP64
+                    dl[d] = value
+                    pc += 1
+                elif op == OP_RET:
+                    if sbuf:
+                        self.flush_store_buffer()
+                    done = frames.pop()
+                    memory.free_stack(done.base)
+                    if done.return_loc is None:
+                        self.loc = None
+                        if hooked and self.post_hook is not None:
+                            self.instructions = count
+                            self.post_hook(self, instr)
+                        return
+                    frame = frames[-1]
+                    records, locs, instrs, timing = frame.code.columns
+                    base = frame.base
+                    pc = done.return_pc
+                    # Return is an implicit verification + restart point.
+                    self.rp = (len(frames), done.return_loc)
+                elif op == OP_CALL:
+                    if sbuf:
+                        self.flush_store_buffer()
+                    _, callee, return_loc, return_pc = record
+                    frame = self._enter_function(callee, return_loc, return_pc)
+                    records, locs, instrs, timing = frame.code.columns
+                    base = frame.base
+                    pc = 0
+                elif op == OP_ST:
+                    if sbuf:
+                        self.flush_store_buffer()
+                    _, vl, v, al, a = record
+                    sbuf.append((al[a], vl[v]))
+                    pc += 1
+                elif op == OP_LEA:
+                    _, dl, d, offset = record
+                    dl[d] = base + offset
+                    pc += 1
+                elif op == OP_ITOF:
+                    _, sl, s, dl, d = record
+                    dl[d] = float(sl[s])
+                    pc += 1
+                elif op == OP_FTOI:
+                    _, sl, s, dl, d = record
+                    dl[d] = wrap64(int(sl[s]))
+                    pc += 1
+                elif op == OP_CSEL:
+                    _, cl, c, al, a, bl, b, dl, d = record
+                    dl[d] = al[a] if cl[c] else bl[b]
+                    pc += 1
+                elif op == OP_CALLB:
+                    if sbuf:
+                        self.flush_store_buffer()
+                    self._builtin(record[1])
+                    # Builtins (I/O, allocation) are not safely re-executable:
+                    # they are single-instruction regions — advance the restart
+                    # point past them (§2.3, "non-idempotent instructions").
+                    self.rp = (len(frames), record[2])
+                    pc += 1
+                elif op == OP_STLOG:
+                    # Checkpoint-and-log: write into the wrap-around log
+                    # region at [lp + imm]. Log traffic is not
+                    # program-visible state, so it bypasses the store
+                    # buffer (it writes through the L1 in the paper's
+                    # setup); cost is accounted as a normal store.
+                    _, vl, v, offset = record
+                    self._log_write(offset, vl[v])
+                    pc += 1
+                elif op == OP_ADVLP:
+                    self.int_regs[15] = wrap64(self.int_regs[15] + record[1])
+                    pc += 1
+                elif op == OP_NOP:
+                    pc += 1
+                elif op == OP_TRAP:
+                    if record[2] and sbuf:
+                        self.flush_store_buffer()
+                    raise record[1]
+                elif op == OP_BNZ_TRAP:
+                    if sbuf:
+                        self.flush_store_buffer()
+                    _, cl, c, missing = record
+                    if cl[c]:
+                        raise missing
+                    pc += 1
+                else:  # OP_FELL: the sentinel is fetched, never retired
+                    count -= 1
+                    raise SimulationError(record[1])
 
-        if opcode in _INT_BINOPS:
-            a = self.get_reg(instr.srcs[0])
-            b = self.get_reg(instr.srcs[1])
-            self.set_reg(instr.dst, _INT_BINOPS[opcode](a, b))
-        elif opcode in _FLOAT_BINOPS:
-            a = self.get_reg(instr.srcs[0])
-            b = self.get_reg(instr.srcs[1])
-            self.set_reg(instr.dst, _FLOAT_BINOPS[opcode](a, b))
-        elif opcode == "mov" or opcode == "fmov":
-            self.set_reg(instr.dst, self.get_reg(instr.srcs[0]))
-        elif opcode == "movi" or opcode == "fmovi":
-            self.set_reg(instr.dst, instr.imm)
-        elif opcode == "ga":
-            self.set_reg(instr.dst, self.globals[instr.imm])
-        elif opcode == "lea":
-            self.set_reg(instr.dst, frame.base + instr.imm)
-        elif opcode == "ld":
-            addr = self.get_reg(instr.srcs[0])
-            self.set_reg(instr.dst, self.mem_load(addr))
-        elif opcode == "st":
-            addr = self.get_reg(instr.srcs[1])
-            self.mem_store(addr, self.get_reg(instr.srcs[0]))
-        elif opcode == "ldslot":
-            self.set_reg(instr.dst, self.mem_load(frame.base + instr.imm))
-        elif opcode == "stslot":
-            self.mem_store(frame.base + instr.imm, self.get_reg(instr.srcs[0]))
-        elif opcode == "itof":
-            self.set_reg(instr.dst, float(self.get_reg(instr.srcs[0])))
-        elif opcode == "ftoi":
-            self.set_reg(instr.dst, wrap64(int(self.get_reg(instr.srcs[0]))))
-        elif opcode == "csel":
-            cond = self.get_reg(instr.srcs[0])
-            self.set_reg(
-                instr.dst,
-                self.get_reg(instr.srcs[1]) if cond else self.get_reg(instr.srcs[2]),
-            )
-        elif opcode == "bnz":
-            if self.get_reg(instr.srcs[0]):
-                self._jump(instr.imm)
-                return
-        elif opcode == "b":
-            self._jump(instr.imm)
-            return
-        elif opcode == "rcb":
-            self.boundaries_crossed += 1
-            if self._obs_detailed:
-                # Dynamic instructions since the previous boundary — the
-                # per-region path length the paper's Figs. 8/9 measure.
-                obs.histogram("sim.region_dynamic_size").observe(
-                    self.instructions - self._region_start_instr
-                )
-                self._region_start_instr = self.instructions
-            next_loc = Location(self.loc.func, self.loc.block, self.loc.index + 1)
-            self.rp = (len(self.frames), next_loc)
-        elif opcode == "call":
-            callee = self.program.functions.get(instr.callee)
-            if callee is None:
-                raise SimulationError(f"call to unknown function {instr.callee!r}")
-            return_loc = Location(self.loc.func, self.loc.block, self.loc.index + 1)
-            self._enter_function(callee, return_loc)
-            return
-        elif opcode == "callb":
-            self._builtin(instr)
-            # Builtins (I/O, allocation) are not safely re-executable:
-            # they are single-instruction regions — advance the restart
-            # point past them (§2.3, "non-idempotent instructions").
-            next_loc = Location(self.loc.func, self.loc.block, self.loc.index + 1)
-            self.rp = (len(self.frames), next_loc)
-        elif opcode == "ret":
-            done = self.frames.pop()
-            self.memory.free_stack(done.base)
-            if done.return_loc is None:
-                self.loc = None
-                return
-            self.loc = done.return_loc
-            # Return is an implicit verification + restart point.
-            self.rp = (len(self.frames), self.loc.copy())
-            return
-        elif opcode == "stlog":
-            # Checkpoint-and-log: write into the wrap-around log region at
-            # [lp + imm]. Log traffic is not program-visible state, so it
-            # bypasses the store buffer (it writes through the L1 in the
-            # paper's setup); cost is accounted as a normal store.
-            self._log_write(instr.imm or 0, self.get_reg(instr.srcs[0]))
-        elif opcode == "advlp":
-            self.int_regs[15] = wrap64(self.int_regs[15] + (instr.imm or 1))
-        elif opcode in ("check", "majority"):
-            pass  # detection ops are timing-only in this model
-        else:
-            raise SimulationError(f"cannot simulate opcode {opcode!r}")
-
-        self.loc.index += 1
-
-    def _jump(self, block_name: str) -> None:
-        frame = self.frames[-1]
-        self.loc = Location(
-            frame.func.name, frame.func.block_index(block_name), 0
-        )
+                if hooked:
+                    post = self.post_hook
+                    if post is not None:
+                        self.instructions = count
+                        self.loc = next_loc = locs[pc]
+                        post(self, instr)
+                        if self.loc is not next_loc:
+                            frame = frames[-1]
+                            records, locs, instrs, timing = frame.code.columns
+                            base = frame.base
+                            pc = frame.code.pc(self.loc)
+                    hooked = self.pre_hook is not None or self.post_hook is not None
+        finally:
+            self.instructions = count
+            self.half_slots = half
+            self.mem_ready = mem_ready
 
     # ------------------------------------------------------------------
     # Recovery (used by the fault harness)
@@ -442,13 +750,12 @@ class Simulator:
             dead = self.frames.pop()
             self.memory.free_stack(dead.base)
         self.discard_store_buffer()
-        self.loc = loc.copy()
+        self.loc = loc
 
     # ------------------------------------------------------------------
     # Builtins
     # ------------------------------------------------------------------
-    def _builtin(self, instr: MachineInstr) -> None:
-        name = instr.callee
+    def _builtin(self, name: str) -> None:
         ints = self.int_regs
         floats = self.float_regs
         if name == "malloc":
@@ -537,3 +844,6 @@ _FLOAT_BINOPS = {
     "fcmpgt": lambda a, b: int(a > b),
     "fcmpge": lambda a, b: int(a >= b),
 }
+
+#: binops the loop runs inline rather than through the tables above
+_INLINE_BINOPS = {"add": OP_ADD, "sub": OP_SUB, "cmpne": OP_CMPNE, "cmplt": OP_CMPLT}

@@ -1,5 +1,7 @@
 """The fault injectors and eligibility trace as they were before the
-fault-site core, frozen verbatim as differential oracles.
+fault-site core, frozen verbatim as differential oracles, and
+``run_with_fault`` as it was before the decoded engine.  All of them
+run on ``tests/frozen_simulator.py``, the simulator before decoding.
 
 Each scheme used to restate the fault model — where a fault strikes,
 what it corrupts, which region it is attributed to, when it is
@@ -26,7 +28,8 @@ from repro.sim.faults import (
     FaultPlan,
     region_key,
 )
-from repro.sim.simulator import Simulator
+from repro.interp.memory import MemoryError_
+from tests.frozen_simulator import SimulationError, Simulator
 
 #: Sentinel for "address was unmapped before this store" in the undo log.
 _UNMAPPED = object()
@@ -383,3 +386,25 @@ def trace_eligibility(
     trace.span = max(sim.instructions - 2, 1)
     return trace
 
+
+def run_with_fault(
+    program: MachineProgram,
+    plan: FaultPlan,
+    func: str = "main",
+    args: Tuple = (),
+    recover: bool = True,
+    max_instructions: int = 50_000_000,
+    injector_factory=None,
+) -> FaultOutcome:
+    """Execute ``func`` with one injected fault; returns the outcome."""
+    sim = Simulator(program, max_instructions=max_instructions)
+    factory = injector_factory or FaultInjector
+    injector = factory(sim, plan, recover=recover)
+    outcome = injector.outcome
+    try:
+        outcome.result = sim.run(func, args)
+    except (MemoryError_, SimulationError):
+        outcome.crashed = True
+    outcome.output = list(sim.output)
+    outcome.instructions = sim.instructions
+    return outcome

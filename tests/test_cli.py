@@ -284,6 +284,23 @@ class TestTrialCounts:
         assert (f"--max-forced: must be >= 1, got {value}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_hunt_below_one_exit_2(self, value, capsys):
+        """-1 used to report a hunt over -1 programs, and 0 skipped it."""
+        with pytest.raises(SystemExit) as exc:
+            main(["recovery", "compare", "bzip2", "--hunt", value])
+        assert exc.value.code == 2
+        assert f"--hunt: must be >= 1, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "-0.5"])
+    def test_threshold_nan_or_negative_exit_2(self, value, capsys):
+        """Every comparison with NaN is false, so no region was flagged."""
+        with pytest.raises(SystemExit) as exc:
+            main(["recovery", "compare", "bzip2", "--threshold", value])
+        assert exc.value.code == 2
+        assert (f"--threshold: must be a number >= 0, got {value}"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("command", ["compile", "run", "regions", "faults"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_max_region_size_below_one_exit_2(self, command, value, capsys):

@@ -5,8 +5,8 @@ Two properties hold the refactor in place:
 - **Differential.** Every label a campaign can run (``original``,
   ``idempotent``, ``tmr``, ``checkpoint_log``) is replayed trial by
   trial against the pre-core injectors frozen in
-  ``tests/frozen_injectors.py``, and every ``FaultOutcome`` field must
-  match; the eligibility trace must predict the same landing as the
+  ``tests/frozen_injectors.py`` (which run on the frozen simulator), and
+  every ``FaultOutcome`` field must match; the eligibility trace must predict the same landing as the
   frozen trace hooks.  Corpus: ``repro.fuzz.generator.sources(12)`` plus
   the campaign-cache kernel, both fault kinds, latency 0 and 4.
 - **One rule.** Changing the eligibility rule in its single place
@@ -97,7 +97,7 @@ def test_policies_match_frozen_injectors(program_index):
                         SEED, index, span, kind=kind, detection_latency=latency,
                     )
                     new = run_with_fault(program, plan, injector_factory=factory)
-                    old = run_with_fault(
+                    old = frozen.run_with_fault(
                         program, plan, injector_factory=FROZEN[label],
                     )
                     where = (label, kind, latency, index)

@@ -89,7 +89,7 @@ int main() {
         sim = Simulator(program)
         seen_rp = []
 
-        def hook(s, instr, loc):
+        def hook(s, instr):
             if instr.opcode == "callb":
                 seen_rp.append(s.rp)
 

@@ -89,7 +89,7 @@ class TestRestartPointer:
         program = build(MINIC_QUICK, idempotent=True)
         sim = Simulator(program)
         rp_values = []
-        sim.post_hook = lambda s, i, loc: rp_values.append(s.rp) if i.opcode == "rcb" else None
+        sim.post_hook = lambda s, i: rp_values.append(s.rp) if i.opcode == "rcb" else None
         sim.run("main")
         assert rp_values
         depths = {depth for depth, _ in rp_values}

@@ -10,6 +10,7 @@ import pytest
 
 from repro.compiler import compile_minic
 from repro.interp import Interpreter
+from repro.recovery.schemes import SCHEME_DMR, SCHEME_TMR, run_scheme
 from repro.sim import Simulator
 from repro.workloads import (
     SUITES,
@@ -19,7 +20,18 @@ from repro.workloads import (
     workload_names,
 )
 
-DIFFERENTIAL = ["bzip2", "mcf", "sjeng", "milc", "soplex", "blackscholes", "canneal"]
+#: (instructions, cycles, boundaries crossed) of each fault-free run under
+#: the default cost model, (original, idempotent), as measured before the
+#: simulator decoded its programs: any change to the timing model moves them.
+DIFFERENTIAL = {
+    "bzip2": ((154340, 153825, 0), (167663, 161606, 11809)),
+    "mcf": ((287524, 284989, 0), (345919, 341486, 21823)),
+    "sjeng": ((443735, 513860, 0), (498951, 564443, 28845)),
+    "milc": ((359666, 429798, 0), (370609, 436838, 8575)),
+    "soplex": ((194729, 229894, 0), (209771, 237582, 12736)),
+    "blackscholes": ((129920, 203568, 0), (144556, 213206, 12812)),
+    "canneal": ((1377566, 1865979, 0), (1472495, 1933557, 74052)),
+}
 
 
 class TestRegistry:
@@ -88,12 +100,23 @@ class TestDifferentialExecution:
         expected = interp.run("main")
         expected_output = list(interp.output)
 
-        for idem in (False, True):
+        for idem, counts in zip((False, True), DIFFERENTIAL[name]):
             program = compile_minic(workload.source, idempotent=idem).program
             sim = Simulator(program)
             result = sim.run("main")
             assert result == expected, (name, idem)
             assert sim.output == expected_output, (name, idem)
+            assert (sim.instructions, sim.cycles, sim.boundaries_crossed) \
+                == counts, (name, idem)
+
+    def test_scheme_cycles_pinned(self):
+        """DMR and TMR issue-cost multipliers, priced on mcf."""
+        workload = get_workload("mcf")
+        original = compile_minic(workload.source, idempotent=False).program
+        idempotent = compile_minic(workload.source, idempotent=True).program
+        cycles = [run_scheme(scheme, original, idempotent).cycles
+                  for scheme in (SCHEME_DMR, SCHEME_TMR)]
+        assert cycles == [328278, 411387]
 
     @pytest.mark.parametrize(
         "name, bound",
