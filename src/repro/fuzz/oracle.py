@@ -35,7 +35,7 @@ from repro.compiler import compile_minic
 from repro.frontend import compile_source
 from repro.interp import Interpreter
 from repro.interp.memory import MemoryError_
-from repro.sim.simulator import SimulationError, Simulator
+from repro.sim.simulator import SimulationError, Simulator, Snapshot
 
 #: Oracle identifiers carried on failures (and preserved by the reducer).
 ORACLE_REFERENCE = "reference"
@@ -161,9 +161,11 @@ def _count_checkpoints(sim: Simulator) -> List[int]:
 
 
 def _forced_run(
-    program, entry: str, triggers: Sequence[int], max_instructions: int
+    sim: Simulator, start: Snapshot, entry: str, triggers: Sequence[int]
 ) -> Tuple[object, List[object], Dict[str, List[object]], int]:
-    sim = Simulator(program, max_instructions=max_instructions, timed=False)
+    """Run ``entry`` on ``sim`` from its pre-run state ``start``, forcing
+    recovery at ``triggers``."""
+    sim.restore(start)
     forced = ForcedRecovery(sim, triggers)
     result = sim.run(entry)
     return result, list(sim.output), _sim_globals(sim), forced.recoveries
@@ -228,8 +230,10 @@ def check_source(
         ))
         return report
     try:
+        # The forced runs below reuse this simulator from its pre-run state.
         clean = Simulator(idem.program, max_instructions=max_instructions,
                           timed=False)
+        start = clean.snapshot()
         counter = _count_checkpoints(clean)
         value = clean.run(entry)
         report.checkpoints = counter[0]
@@ -252,8 +256,8 @@ def check_source(
     points = _forced_points(report.checkpoints, max_forced)
     for occurrence in points:
         failure = _check_forced(
-            idem.program, entry, (occurrence,), ORACLE_REEXEC,
-            ref_result, ref_output, ref_memory, max_instructions,
+            clean, start, entry, (occurrence,), ORACLE_REEXEC,
+            ref_result, ref_output, ref_memory,
         )
         report.forced_runs += 1
         if failure:
@@ -264,9 +268,8 @@ def check_source(
     if multi_fault:
         for occurrence in points:
             failure = _check_forced(
-                idem.program, entry, (occurrence, occurrence + 1),
-                ORACLE_MULTI_FAULT,
-                ref_result, ref_output, ref_memory, max_instructions,
+                clean, start, entry, (occurrence, occurrence + 1),
+                ORACLE_MULTI_FAULT, ref_result, ref_output, ref_memory,
             )
             report.forced_runs += 1
             if failure:
@@ -296,14 +299,14 @@ def _forced_points(checkpoints: int, max_forced: Optional[int]) -> List[int]:
 
 
 def _check_forced(
-    program, entry: str, triggers: Tuple[int, ...], oracle: str,
-    ref_result: object, ref_output: List[object],
-    ref_memory: Dict[str, List[object]], max_instructions: int,
+    sim: Simulator, start: Snapshot, entry: str, triggers: Tuple[int, ...],
+    oracle: str, ref_result: object, ref_output: List[object],
+    ref_memory: Dict[str, List[object]],
 ) -> Optional[OracleFailure]:
     label = f"recovery at check point(s) {list(triggers)}"
     try:
         result, output, memory, recoveries = _forced_run(
-            program, entry, triggers, max_instructions
+            sim, start, entry, triggers
         )
     except (MemoryError_, SimulationError) as exc:
         return OracleFailure(

@@ -22,7 +22,8 @@ region of every fault site, by calling the fault model's own site rule —
 predicts where every trial lands without running it.  Sections
 then execute exactly their assigned trial indices through
 :func:`repro.sim.faults.run_planned_trial` (the same code path the
-monolithic loop uses), and the composed buckets match trial for trial.
+monolithic loop uses, forking from one golden run per unit), and the
+composed buckets match trial for trial.
 
 Section keys and staleness
 --------------------------
@@ -726,8 +727,11 @@ def run_section_trials(
     kind: str = FAULT_VALUE,
     detection_latency: int = 0,
     injector_factory=None,
+    golden: Optional[faults.GoldenRun] = None,
 ) -> List[List[object]]:
     """Execute one section's trial indices; returns store rows.
+
+    ``golden`` is the unit's golden run for the trials to fork from.
 
     Every trial must land in the section's region — the assignment
     predicted it from the shared fault-free prefix — so a mismatch means
@@ -740,7 +744,7 @@ def run_section_trials(
         outcome = run_planned_trial(
             program, unit_seed, index, span, func=func, kind=kind,
             detection_latency=detection_latency,
-            injector_factory=injector_factory,
+            injector_factory=injector_factory, golden=golden,
         )
         bucket = classify_outcome(outcome, reference_result, reference_output)
         landed = outcome.region or REGION_UNKNOWN if outcome.injected else None
@@ -824,7 +828,8 @@ def campaign_sections(
     output)``, which every scheme must reproduce.  Without it, the trace
     is that run when the campaigned program is the idempotent build;
     otherwise one plain run supplies it, and only when some section has
-    trials to inject.
+    trials to inject.  So is the golden run the trials fork from
+    (:func:`repro.sim.faults.record_golden_run`).
 
     The identity index (:func:`index_entries`) is the store's one
     read-modify-write file, so it is left to the caller: a suite
@@ -843,15 +848,20 @@ def campaign_sections(
         store, name, func, label, kind, detection_latency, seed,
         assignment, program,
     )
-    if reference is None:
-        if program is idempotent_program:
-            reference = trace.result, trace.output
-        elif any(plan.missing for plan in plans):
-            with _fault_free_run(name, label, func):
-                reference_sim = Simulator(idempotent_program, timed=False)
-                reference = (
-                    reference_sim.run(func), list(reference_sim.output)
-                )
+    golden = None
+    if any(plan.missing for plan in plans):
+        with _fault_free_run(name, label, func):
+            if reference is None:
+                if program is idempotent_program:
+                    reference = trace.result, trace.output
+                else:
+                    reference_sim = Simulator(idempotent_program, timed=False)
+                    reference = (
+                        reference_sim.run(func), list(reference_sim.output)
+                    )
+            golden = faults.record_golden_run(
+                program, func=func, injector_factory=injector_factory
+            )
     for plan in plans:
         if not plan.missing:
             continue
@@ -860,7 +870,7 @@ def campaign_sections(
             region=plan.status.region, indices=plan.missing,
             span=assignment.span, unit_seed=seed, func=func, kind=kind,
             detection_latency=detection_latency,
-            injector_factory=injector_factory,
+            injector_factory=injector_factory, golden=golden,
         )
         plan.record = make_section_record(
             name, func, label, kind, detection_latency, seed,

@@ -39,6 +39,9 @@ class Memory:
         self.stack_top = STACK_BASE
         self.load_count = 0
         self.store_count = 0
+        #: ``[zero_base, zero_end)`` is mapped but holds no cells until
+        #: written: an absent address there reads as 0 (see reserve_heap)
+        self.zero_base = self.zero_end = HEAP_BASE
 
     # ------------------------------------------------------------------
     # Allocation
@@ -53,14 +56,29 @@ class Memory:
         return addr
 
     def alloc_heap(self, size: int) -> int:
+        addr = self._bump_heap(size)
+        for i in range(size):
+            self.cells[addr + i] = 0
+        return addr
+
+    def reserve_heap(self, size: int) -> int:
+        """Allocate a zero-filled heap block without writing its cells.
+
+        The block gets the address :meth:`alloc_heap` would give it; an
+        address in it that was never written reads as 0.  One block at
+        most can be reserved.
+        """
+        addr = self._bump_heap(size)
+        self.zero_base, self.zero_end = addr, addr + size
+        return addr
+
+    def _bump_heap(self, size: int) -> int:
         if size < 0:
             raise MemoryError_(f"malloc of negative size {size}")
         if self.heap_top + size > STACK_BASE:
             raise MemoryError_("heap exhausted")
         addr = self.heap_top
         self.heap_top += max(size, 1)
-        for i in range(size):
-            self.cells[addr + i] = 0
         return addr
 
     def alloc_stack(self, size: int) -> int:
@@ -83,19 +101,27 @@ class Memory:
         try:
             value = self.cells[addr]
         except KeyError:
-            raise MemoryError_(f"load from unmapped address {addr:#x}") from None
+            if not self.zero_base <= addr < self.zero_end:
+                raise MemoryError_(f"load from unmapped address {addr:#x}") from None
+            value = 0
         self.load_count += 1
         return value
 
     def store(self, addr: int, value) -> None:
-        if addr not in self.cells:
+        if addr not in self.cells and not self.zero_base <= addr < self.zero_end:
             raise MemoryError_(f"store to unmapped address {addr:#x}")
         self.cells[addr] = value
         self.store_count += 1
 
     def peek(self, addr: int):
-        """Read without counting (for harnesses/tests)."""
-        return self.cells[addr]
+        """Read without counting (for harnesses/tests); ``KeyError`` if
+        ``addr`` is unmapped."""
+        try:
+            return self.cells[addr]
+        except KeyError:
+            if not self.zero_base <= addr < self.zero_end:
+                raise
+            return 0
 
     def poke(self, addr: int, value) -> None:
         """Write without counting, mapping the cell if needed (test setup)."""

@@ -100,7 +100,7 @@ class CheckpointLogInjector(FaultInjector):
     def __init__(
         self,
         sim: Simulator,
-        plan: FaultPlan,
+        plan: Optional[FaultPlan],
         recover: bool = True,
         interval: int = DEFAULT_INTERVAL,
     ) -> None:
@@ -108,6 +108,8 @@ class CheckpointLogInjector(FaultInjector):
         self.interval = interval
         self.checkpoints_taken = 0
         self._ckpt: Optional[Tuple] = None
+        #: ``sim.instructions`` when ``_ckpt`` was taken
+        self._ckpt_count = 0
         self._undo: List[Tuple[int, object]] = []
         self._since = 0
 
@@ -121,9 +123,24 @@ class CheckpointLogInjector(FaultInjector):
             list(sim.float_regs),
             sim.loc,
         )
+        self._ckpt_count = sim.instructions
         self._undo = []
         self._since = 0
         self.checkpoints_taken += 1
+
+    def restart_count(self, sim: Simulator) -> int:
+        """Where the last checkpoint was taken."""
+        return self._ckpt_count
+
+    def fork_state(self) -> Tuple:
+        """The checkpoint, the undo log since it and the check points
+        until the next one."""
+        return (self._ckpt, self._ckpt_count, list(self._undo), self._since,
+                self.checkpoints_taken)
+
+    def restore_fork_state(self, state: Tuple) -> None:
+        self._ckpt, self._ckpt_count, undo, self._since, self.checkpoints_taken = state
+        self._undo = list(undo)
 
     def roll_back(self, sim: Simulator) -> None:
         """Restore the last checkpoint and unwind the undo log."""

@@ -24,18 +24,25 @@ the fault-free result; on an original (non-idempotent) binary the same
 procedure silently corrupts state — the negative control used in tests.
 The TMR and checkpoint-and-log policies of :mod:`repro.recovery.backends`
 subclass it.
+
+A campaign's trials fork from one fault-free :class:`GoldenRun` of their
+program: :func:`run_planned_trial` restores the golden run's last
+snapshot before the strike, and stops the trial as soon as its state
+matches a later snapshot exactly (see ``docs/campaigns.md``).
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro import obs
 from repro.codegen.machine import MachineInstr, MachineProgram
 from repro.harness.executor import derive_seed
 from repro.interp.memory import MemoryError_
-from repro.sim.simulator import SimulationError, Simulator
+from repro.sim.simulator import SimulationError, Simulator, Snapshot
 
 FAULT_VALUE = "value"      # corrupt an instruction's destination register
 FAULT_CONTROL = "control"  # corrupt a branch condition (wrong control flow)
@@ -44,6 +51,12 @@ FAULT_CONTROL = "control"  # corrupt a branch condition (wrong control flow)
 #: detection and outcome classification.  Outcome-store section keys mix
 #: it in, so bump it whenever a change here can alter any trial's outcome.
 FAULT_MODEL_VERSION = "repro.faults/1"
+
+#: Retired instructions between two snapshots of a golden run, at first.
+SNAPSHOT_INTERVAL = 4096
+#: Snapshots a golden run keeps: at the cap it drops every other one and
+#: doubles its interval, so long runs hold no more state than short ones.
+MAX_SNAPSHOTS = 16
 
 
 @dataclass
@@ -142,34 +155,56 @@ class FaultInjector:
     """Drives a simulator run with one planned fault and rp recovery.
 
     The hooks are the fault model, installed only while there is
-    something to watch: an armed control fault strikes in the pre-issue
-    hook and an armed value fault in the post-retire hook, each at the
-    first site reached once ``plan.strike_count`` instructions have
-    retired; the pending fault then surfaces in the pre-issue hook of
-    the first check point :meth:`detects` accepts, and no hook runs
-    after that. The scheme-specific parts are the recovery policy:
-    :attr:`corrupts` and :meth:`roll_back`, and :meth:`_install` for a
-    policy that watches every instruction itself. None of them restates
-    when a fault strikes or surfaces.
+    something to watch. Nothing can strike before ``plan.strike_count``
+    instructions have retired, so the trial executor arms the injector
+    (:meth:`arm`) only once ``plan.strike_count - 1`` have. An armed control
+    fault then strikes in the pre-issue hook and an armed value fault in
+    the post-retire hook, each at the first site reached once
+    ``plan.strike_count`` instructions have retired; the pending fault
+    then surfaces in the pre-issue hook of the first check point
+    :meth:`detects` accepts, and no hook runs after that. The
+    scheme-specific parts are the recovery policy: :attr:`corrupts`,
+    :meth:`roll_back` and :meth:`restart_count`, :meth:`_install` for a
+    policy that watches every instruction itself, and
+    :meth:`fork_state` for one that keeps state of its own. None of them
+    restates when a fault strikes or surfaces.
     """
 
     #: Whether the fault reaches architectural state. A scheme that masks
     #: it (TMR's vote) only marks it, and recovery has nothing to undo.
     corrupts = True
 
-    def __init__(self, sim: Simulator, plan: FaultPlan, recover: bool = True) -> None:
+    def __init__(
+        self, sim: Simulator, plan: Optional[FaultPlan], recover: bool = True
+    ) -> None:
+        """``plan`` None arms no fault: the policy runs fault-free (a
+        :class:`GoldenRun`)."""
         self.sim = sim
         self.plan = plan
         self.recover = recover
         self.outcome = FaultOutcome()
+        #: instructions the roll-back re-runs: a trial count less the
+        #: fault-free run's count at the same point of the program
+        self.rewound = 0
         self._pending = False
         self._injected_at = 0
+        self._install(sim, None, None)
+
+    def arm(self, sim: Simulator) -> None:
+        """Watch for the strike: hook the sites ``plan`` can strike."""
+        plan = self.plan
         self._strike_at = plan.strike_count
         self._install(
             sim,
             self._strike_branch if plan.kind == FAULT_CONTROL else None,
             self._strike_result if plan.kind == FAULT_VALUE else None,
         )
+
+    @property
+    def settled(self) -> bool:
+        """Has the fault struck and surfaced?  From then on only the
+        simulator's state shapes the rest of the run."""
+        return self.outcome.injected and not self._pending
 
     def _install(self, sim: Simulator, pre, post) -> None:
         """Hook the fault model's current phase (None: nothing to watch)."""
@@ -222,6 +257,7 @@ class FaultInjector:
             return
         if self.corrupts:
             mark = sim.instructions
+            self.rewound = mark - self.restart_count(sim)
             self.roll_back(sim)
             sim.redirect()
             outcome.recovery_instructions = mark
@@ -238,6 +274,24 @@ class FaultInjector:
         """
         sim.recover_to_rp()
 
+    def restart_count(self, sim: Simulator) -> int:
+        """The count at which the run stood where :meth:`roll_back`
+        resumes: here, where ``rp`` was last set."""
+        return sim.rp_count
+
+    def fork_state(self) -> object:
+        """The policy's own state before any strike, for a trial forked
+        at this point (see :meth:`restore_fork_state`); None here."""
+        return None
+
+    def restore_fork_state(self, state: object) -> None:
+        """Take over the state :meth:`fork_state` saved."""
+
+
+#: Instruction budget of one fault trial: a fault that makes the
+#: program run away crashes at this count.
+TRIAL_MAX_INSTRUCTIONS = 50_000_000
+
 
 def run_with_fault(
     program: MachineProgram,
@@ -245,14 +299,14 @@ def run_with_fault(
     func: str = "main",
     args: Tuple = (),
     recover: bool = True,
-    max_instructions: int = 50_000_000,
+    max_instructions: int = TRIAL_MAX_INSTRUCTIONS,
     injector_factory: Optional[Callable[..., object]] = None,
 ) -> FaultOutcome:
     """Execute ``func`` with one injected fault; returns the outcome.
 
     ``injector_factory`` selects the recovery scheme driving the run —
     any callable with :class:`FaultInjector`'s ``(sim, plan, recover)``
-    signature exposing an ``outcome`` attribute. The default is the
+    signature returning a :class:`FaultInjector`. The default is the
     paper's idempotence scheme (``FaultInjector``); the alternatives
     live in :mod:`repro.recovery.backends`.
 
@@ -261,16 +315,156 @@ def run_with_fault(
     is a simulator bug and propagates.
     """
     sim = Simulator(program, max_instructions=max_instructions, timed=False)
-    factory = injector_factory or FaultInjector
-    injector = factory(sim, plan, recover=recover)
+    return _execute(sim, plan, func, args, recover, injector_factory)
+
+
+@dataclass
+class GoldenRun:
+    """One fault-free run of a program under a recovery policy, recorded
+    for trials to fork from (:func:`record_golden_run`).
+
+    ``forks`` are ``(snapshot, policy state)`` pairs in count order, the
+    policy state being the injector's :meth:`~FaultInjector.fork_state`.
+    ``sim`` is the decoded simulator every trial forked from this run
+    reuses, with the trial budget :data:`TRIAL_MAX_INSTRUCTIONS`, and
+    ``start`` its state before the run began.
+    """
+
+    sim: Simulator
+    start: Snapshot
+    forks: List[Tuple[Snapshot, object]]
+    result: object
+    output: List[object]
+    instructions: int
+
+    @property
+    def span(self) -> int:
+        return target_span(self.instructions)
+
+    def fork_for(self, plan: FaultPlan) -> int:
+        """How many of ``forks`` precede ``plan``'s strike: a trial
+        forks from the last of them (from ``start`` when there is none)."""
+        counts = [snapshot.instructions for snapshot, _policy in self.forks]
+        return bisect_left(counts, plan.strike_count)
+
+
+def record_golden_run(
+    program: MachineProgram,
+    func: str = "main",
+    args: Tuple = (),
+    injector_factory: Optional[Callable[..., object]] = None,
+) -> GoldenRun:
+    """Run ``program`` fault-free under the policy of ``injector_factory``
+    (no fault armed), snapshotting every :data:`SNAPSHOT_INTERVAL`
+    retired instructions; at most :data:`MAX_SNAPSHOTS` are kept.
+
+    A run that traps raises, as any fault-free run does.
+    """
+    sim = Simulator(program, timed=False)
+    start = sim.snapshot()
+    injector = (injector_factory or FaultInjector)(sim, None)
+    forks: List[Tuple[Snapshot, object]] = []
+    interval = SNAPSHOT_INTERVAL
+    sim.start(func, args)
+    while not sim.resume((sim.instructions // interval + 1) * interval):
+        forks.append((sim.snapshot(), injector.fork_state()))
+        if len(forks) == MAX_SNAPSHOTS:
+            forks = forks[1::2]  # those at multiples of the doubled interval
+            interval *= 2
+    sim.max_instructions = TRIAL_MAX_INSTRUCTIONS
+    return GoldenRun(
+        sim=sim, start=start, forks=forks, result=sim.result,
+        output=list(sim.output), instructions=sim.instructions,
+    )
+
+
+def _execute(
+    sim: Simulator,
+    plan: FaultPlan,
+    func: str,
+    args: Tuple,
+    recover: bool,
+    injector_factory: Optional[Callable[..., object]],
+    golden: Optional[GoldenRun] = None,
+) -> FaultOutcome:
+    """The trial executor: run ``plan`` on ``sim`` and judge the outcome.
+
+    Without ``golden`` the trial is a full run from the start.  With it,
+    the trial forks from the golden run's last snapshot before the strike
+    (``sim`` is ``golden.sim``) and, once the fault has struck and
+    surfaced, compares its state with each later snapshot at the trial
+    count that lines up with it: the snapshot's count plus the
+    instructions the roll-back rewound.  On an exact match (see
+    :meth:`Simulator.matches`) the rest of the trial is the golden run's
+    rest, so the result and output are the golden run's and the count is
+    the golden total plus the trial's excess.  A match whose total would
+    pass ``max_instructions`` is not taken: the trial runs on and crashes
+    where the full run would.
+    """
+    forks = golden.forks if golden is not None else []
+    after = golden.fork_for(plan) if golden is not None else 0
+    if golden is not None:
+        sim.restore(forks[after - 1][0] if after else golden.start)
+    injector = (injector_factory or FaultInjector)(sim, plan, recover=recover)
+    if after:
+        injector.restore_fork_state(forks[after - 1][1])
     outcome = injector.outcome
+    forked_at = sim.instructions
+    rejoined: Optional[Snapshot] = None
     try:
-        outcome.result = sim.run(func, args)
+        if not after:
+            sim.start(func, args)
+        # Nothing strikes before this count: run there with no fault hook.
+        arm_at = plan.strike_count - 1
+        if arm_at <= sim.instructions or not sim.resume(arm_at):
+            injector.arm(sim)
+            rejoined = _until_rejoined(sim, injector, golden, after)
+        outcome.result = sim.result if rejoined is None else golden.result
     except (MemoryError_, SimulationError):
         outcome.crashed = True
-    outcome.output = list(sim.output)
-    outcome.instructions = sim.instructions
+    obs.counter("faults.simulated_instructions").inc(sim.instructions - forked_at)
+    if rejoined is None:
+        outcome.output = list(sim.output)
+        outcome.instructions = sim.instructions
+        end = "crashed" if outcome.crashed else "ran_to_end"
+    else:
+        outcome.output = list(golden.output)
+        outcome.instructions = (
+            golden.instructions + sim.instructions - rejoined.instructions
+        )
+        end = "converged"
+    obs.counter("faults.trials").inc(end=end)
     return outcome
+
+
+def _until_rejoined(
+    sim: Simulator,
+    injector: FaultInjector,
+    golden: Optional[GoldenRun],
+    position: int,
+) -> Optional[Snapshot]:
+    """Run the trial on until it ends (None) or its state matches one of
+    ``golden.forks[position:]`` (that snapshot)."""
+    forks = golden.forks if golden is not None else []
+    while True:
+        pause = None
+        while position < len(forks):
+            at = forks[position][0].instructions + injector.rewound
+            if at >= sim.instructions:
+                pause = at
+                break
+            position += 1
+        if sim.resume(pause):
+            return None
+        snapshot = forks[position][0]
+        if sim.instructions != snapshot.instructions + injector.rewound:
+            continue  # a roll-back since the pause moved the alignment
+        position += 1
+        excess = sim.instructions - snapshot.instructions
+        if golden.instructions + excess > sim.max_instructions:
+            position = len(forks)  # no match can be taken: run to the end
+        elif injector.settled and sim.matches(snapshot):
+            return snapshot
 
 
 @dataclass
@@ -421,20 +615,28 @@ def run_planned_trial(
     detection_latency: int = 0,
     recover: bool = True,
     injector_factory: Optional[Callable[..., object]] = None,
+    golden: Optional[GoldenRun] = None,
 ) -> FaultOutcome:
     """Execute campaign trial ``index`` exactly as :func:`fault_campaign` would.
 
     Trial identity is ``(seed, index, span)`` alone, so any partition of
     a campaign's index range — such as the per-region sections of
     :mod:`repro.harness.incremental` — reproduces the monolithic run's
-    outcomes bit for bit.
+    outcomes bit for bit.  With ``golden`` (a :func:`record_golden_run`
+    of ``program``, ``func`` and ``args`` under ``injector_factory``'s
+    policy) the trial forks from it and stops where it rejoins it, with
+    every outcome field as the full run's.
     """
     plan = trial_plan(
         seed, index, span, kind=kind, detection_latency=detection_latency
     )
-    return run_with_fault(
-        program, plan, func=func, args=args, recover=recover,
-        injector_factory=injector_factory,
+    if golden is None:
+        return run_with_fault(
+            program, plan, func=func, args=args, recover=recover,
+            injector_factory=injector_factory,
+        )
+    return _execute(
+        golden.sim, plan, func, args, recover, injector_factory, golden
     )
 
 
@@ -454,8 +656,9 @@ def fault_campaign(
 ) -> CampaignResult:
     """Inject ``trials`` faults at random points; compare against reference.
 
-    The fault-free dynamic instruction count is measured first so targets
-    are uniform over the execution.  Trial ``i`` is
+    One golden run (:func:`record_golden_run`) measures the fault-free
+    dynamic instruction count first, so targets are uniform over the
+    execution, and every trial forks from it.  Trial ``i`` is
     :func:`run_planned_trial` at ``(seed, i, span)``, so any partition of
     ``range(trials)`` run trial by trial measures the identical fault set.
 
@@ -466,14 +669,16 @@ def fault_campaign(
     additionally collect one :class:`CampaignResult` per region key
     (keyed by :func:`region_key` at injection time).
     """
-    span = campaign_span(program, func=func, args=args)
+    golden = record_golden_run(
+        program, func=func, args=args, injector_factory=injector_factory
+    )
 
     result = CampaignResult()
     for index in range(trials):
         outcome = run_planned_trial(
-            program, seed, index, span, func=func, args=args, kind=kind,
-            detection_latency=detection_latency, recover=recover,
-            injector_factory=injector_factory,
+            program, seed, index, golden.span, func=func, args=args,
+            kind=kind, detection_latency=detection_latency, recover=recover,
+            injector_factory=injector_factory, golden=golden,
         )
         bucket = classify_outcome(outcome, reference_result, reference_output)
         result.count(bucket, outcome.detected)
@@ -487,8 +692,6 @@ def fault_campaign(
 
 def _publish_campaign_metrics(result: CampaignResult, kind: str) -> None:
     """Fault-detection event totals onto the ``repro.obs`` registry."""
-    from repro import obs
-
     events = obs.counter("sim.fault_events")
     for outcome in ("trials", "injected", "detected", "recovered_correctly",
                     "wrong_result", "crashed", "undetected"):

@@ -33,13 +33,19 @@ Decoding never raises: a record that cannot run raises the error it
 would have raised when, and only when, it executes. The timing model runs
 only when the simulator is ``timed``; hooks run only while one is
 installed (see ``docs/simulator.md``).
+
+A run can pause at a given instruction count (:meth:`Simulator.resume`),
+and its complete state can be saved, restored and compared exactly
+(:meth:`Simulator.snapshot`, :meth:`~Simulator.restore`,
+:meth:`~Simulator.matches`): fault trials fork from a fault-free run
+this way (:mod:`repro.sim.faults`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.codegen.machine import (
@@ -94,6 +100,70 @@ class Location:
     index: int
 
 
+class Snapshot:
+    """A simulator's complete state between two instructions.
+
+    :meth:`Simulator.snapshot` takes one, :meth:`Simulator.restore` puts
+    it back and :meth:`Simulator.matches` compares against it.  Frames are
+    kept by function name, so it restores onto any simulator of the same
+    program.  Hooks are not state.
+    """
+
+    __slots__ = (
+        "instructions", "boundaries", "rp_count", "entry", "loc", "rp",
+        "frames", "int_regs", "float_regs", "store_buffer", "output",
+        "cells", "tops", "accesses", "timing",
+    )
+
+    def __init__(self, sim: "Simulator") -> None:
+        memory = sim.memory
+        self.instructions = sim.instructions
+        self.boundaries = sim.boundaries_crossed
+        self.rp_count = sim.rp_count
+        self.entry = sim.entry
+        self.loc = sim.loc
+        self.rp = sim.rp
+        self.frames = _frame_rows(sim.frames)
+        self.int_regs = list(sim.int_regs)
+        self.float_regs = list(sim.float_regs)
+        self.store_buffer = list(sim.store_buffer)
+        self.output = list(sim.output)
+        self.cells = dict(memory.cells)
+        self.tops = (memory.global_top, memory.heap_top, memory.stack_top)
+        self.accesses = (memory.load_count, memory.store_count)
+        self.timing = (sim.half_slots, list(sim.reg_ready), sim.mem_ready)
+
+
+def _frame_rows(frames: List["_Frame"]) -> List[tuple]:
+    return [(f.code.name, f.base, f.return_loc, f.return_pc) for f in frames]
+
+
+def _same_values(a: Sequence, b: Sequence) -> bool:
+    """``a == b`` with each pair of the same type and, for floats, the
+    same sign; a NaN never matches, not even itself."""
+    if a != b:
+        return False
+    for x, y in zip(a, b):
+        if type(x) is not type(y) or (type(x) is float and not _same_float(x, y)):
+            return False
+    return True
+
+
+def _same_float(x: float, y: float) -> bool:
+    return x == y and (x != 0.0 or math.copysign(1.0, x) == math.copysign(1.0, y))
+
+
+def _same_cells(a: Dict[int, object], b: Dict[int, object]) -> bool:
+    """:func:`_same_values` over two memories' cells."""
+    if a != b:
+        return False
+    for addr, x in a.items():
+        y = b[addr]
+        if type(x) is not type(y) or (type(x) is float and not _same_float(x, y)):
+            return False
+    return True
+
+
 class _Frame:
     __slots__ = ("code", "base", "return_loc", "return_pc")
 
@@ -134,9 +204,13 @@ _GROUP_ENDS = frozenset(["bnz", "b", "ret", "call", "callb"])
 class _Code:
     """One function decoded: parallel per-pc lists."""
 
-    __slots__ = ("records", "locs", "instrs", "timing", "columns", "starts", "frame_words")
+    __slots__ = (
+        "name", "records", "locs", "instrs", "timing", "columns", "starts",
+        "frame_words",
+    )
 
     def __init__(self, func: MachineFunction) -> None:
+        self.name = func.name
         self.records: List[tuple] = []
         #: the Location of every pc, sentinels included
         self.locs: List[Location] = []
@@ -182,8 +256,9 @@ class Simulator:
         # Checkpoint-and-log support: a 16KB-equivalent wrap-around log
         # (2048 words; 1K two-word entries) in its own heap block, indexed
         # by the lp register (r15). See repro.recovery.checkpoint_log.
+        # Its cells exist only once written (unwritten ones read as 0).
         self.log_size = 2048
-        self.log_base = self.memory.alloc_heap(self.log_size)
+        self.log_base = self.memory.reserve_heap(self.log_size)
 
         # Decoded records hold these two lists: mutate them in place.
         self.int_regs: List[object] = [0] * NUM_INT_REGS
@@ -194,6 +269,10 @@ class Simulator:
 
         # rp: (frame depth, location) — where recovery re-enters.
         self.rp: Optional[Tuple[int, Location]] = None
+        #: ``instructions`` when ``rp`` was last set
+        self.rp_count = 0
+        #: the function :meth:`start` entered
+        self.entry: Optional[MachineFunction] = None
 
         # Store buffer: list of (addr, value) since the last verification.
         self.store_buffer: List[Tuple[int, object]] = []
@@ -221,6 +300,8 @@ class Simulator:
         #: optional hook called after each instruction: hook(sim, instr)
         self.post_hook: Optional[Callable[["Simulator", MachineInstr], None]] = None
         self._redirected = False
+        #: a run began or was restored, and has not been counted in sim.runs
+        self._fresh = False
 
         self._code: Dict[str, _Code] = {}
 
@@ -450,6 +531,12 @@ class Simulator:
     # ------------------------------------------------------------------
     def run(self, func_name: str, args: Tuple = ()) -> object:
         """Execute ``func_name`` to completion; returns its r0/f0 result."""
+        self.start(func_name, args)
+        self.resume()
+        return self.result
+
+    def start(self, func_name: str, args: Tuple = ()) -> None:
+        """Enter ``func_name`` with ``args``; :meth:`resume` runs it."""
         func = self.program.functions.get(func_name)
         if func is None:
             raise SimulationError(f"no machine function {func_name!r}")
@@ -462,23 +549,44 @@ class Simulator:
             else:
                 self.int_regs[int_index] = value
                 int_index += 1
+        self.entry = func
+        self._fresh = True
         self._enter_function(func, None, 0)
+        self.rp_count = self.instructions
+
+    def resume(self, pause_at: Optional[int] = None) -> bool:
+        """Run on from ``loc``; True once the entry function has returned.
+
+        With ``pause_at``, the run stops (returning False) once that many
+        instructions have retired, before the next one issues and before
+        its pre hook runs; it stops at once if the count is already
+        there.  Hitting ``max_instructions`` first raises as usual.
+        """
+        counts = (self.instructions, self.cycles, self.boundaries_crossed)
         try:
-            with obs.span("sim.run", func=func_name, program=self.program.name):
-                self._loop()
+            with obs.span("sim.run", func=self.entry.name, program=self.program.name):
+                return self._loop(pause_at)
         finally:
-            self._publish_run_metrics(func_name)
-        if func.returns_float:
+            self._publish_run_metrics(*counts)
+
+    @property
+    def result(self) -> object:
+        """The entry function's result register (``f0`` if it returns a
+        float, else ``r0``)."""
+        if self.entry.returns_float:
             return self.float_regs[0]
         return self.int_regs[0]
 
-    def _publish_run_metrics(self, func_name: str) -> None:
-        """Run-level totals onto the metrics registry (crashes included)."""
+    def _publish_run_metrics(self, instructions: int, cycles: int, boundaries: int) -> None:
+        """What this stretch of a run simulated, onto the metrics registry
+        (crashes included); a run counts once, however often it paused."""
         observer = obs.get_observer()
-        observer.counter("sim.runs").inc()
-        observer.counter("sim.instructions").inc(self.instructions)
-        observer.counter("sim.cycles").inc(self.cycles)
-        observer.counter("sim.boundaries").inc(self.boundaries_crossed)
+        if self._fresh:
+            self._fresh = False
+            observer.counter("sim.runs").inc()
+        observer.counter("sim.instructions").inc(self.instructions - instructions)
+        observer.counter("sim.cycles").inc(self.cycles - cycles)
+        observer.counter("sim.boundaries").inc(self.boundaries_crossed - boundaries)
 
     def _enter_function(
         self, func: MachineFunction, return_loc: Optional[Location], return_pc: int
@@ -502,7 +610,7 @@ class Simulator:
         ["ld", "st", "ldslot", "stslot", "bnz", "b", "ret", "call", "callb", "rcb"]
     )
 
-    def _loop(self) -> None:
+    def _loop(self, pause_at: Optional[int]) -> bool:
         frames = self.frames
         frame = frames[-1]
         records, locs, instrs, timing = frame.code.columns
@@ -513,6 +621,9 @@ class Simulator:
         load = memory.load
         count = self.instructions
         limit = self.max_instructions
+        # One test serves the limit and the pause: the loop stops when
+        # the count passes ``stop``, and raises unless it was the pause.
+        stop = limit if pause_at is None else min(limit, pause_at)
         timed = self.timed
         ready = self.reg_ready
         half = self.half_slots
@@ -526,6 +637,9 @@ class Simulator:
                 if hooked:
                     if op == OP_FELL:
                         raise SimulationError(record[1])
+                    if count == pause_at:  # before the pre hook runs
+                        self.loc = locs[pc]
+                        return False
                     instr = instrs[pc]
                     pre = self.pre_hook
                     if pre is not None:
@@ -541,8 +655,12 @@ class Simulator:
                             hooked = self.pre_hook is not None or self.post_hook is not None
                             continue  # refetch from the new location
                 count += 1
-                if count > limit and op != OP_FELL:
-                    raise SimLimitExceeded(f"exceeded {limit} simulated instructions")
+                if count > stop and op != OP_FELL:
+                    if stop != pause_at:
+                        raise SimLimitExceeded(f"exceeded {limit} simulated instructions")
+                    count -= 1
+                    self.loc = locs[pc]
+                    return False
                 if timed:
                     srcs, memory_op, dst, latency, issue_slots, ends_group = timing[pc]
                     issue = half
@@ -621,6 +739,7 @@ class Simulator:
                         self.flush_store_buffer()
                     self.boundaries_crossed += 1
                     self.rp = (len(frames), record[1])
+                    self.rp_count = count
                     pc += 1
                 elif op == OP_SUB:
                     _, al, a, bl, b, dl, d = record
@@ -640,18 +759,20 @@ class Simulator:
                         if hooked and self.post_hook is not None:
                             self.instructions = count
                             self.post_hook(self, instr)
-                        return
+                        return True
                     frame = frames[-1]
                     records, locs, instrs, timing = frame.code.columns
                     base = frame.base
                     pc = done.return_pc
                     # Return is an implicit verification + restart point.
                     self.rp = (len(frames), done.return_loc)
+                    self.rp_count = count
                 elif op == OP_CALL:
                     if sbuf:
                         self.flush_store_buffer()
                     _, callee, return_loc, return_pc = record
                     frame = self._enter_function(callee, return_loc, return_pc)
+                    self.rp_count = count
                     records, locs, instrs, timing = frame.code.columns
                     base = frame.base
                     pc = 0
@@ -685,6 +806,7 @@ class Simulator:
                     # they are single-instruction regions — advance the restart
                     # point past them (§2.3, "non-idempotent instructions").
                     self.rp = (len(frames), record[2])
+                    self.rp_count = count
                     pc += 1
                 elif op == OP_STLOG:
                     # Checkpoint-and-log: write into the wrap-around log
@@ -751,6 +873,68 @@ class Simulator:
             self.memory.free_stack(dead.base)
         self.discard_store_buffer()
         self.loc = loc
+
+    # ------------------------------------------------------------------
+    # Snapshots
+    # ------------------------------------------------------------------
+    def snapshot(self) -> Snapshot:
+        """The complete state now: between two instructions, before
+        :meth:`start`, or after the run ended."""
+        return Snapshot(self)
+
+    def restore(self, snapshot: Snapshot) -> None:
+        """Put ``snapshot``'s state back; :meth:`resume` (or, for a
+        snapshot from before :meth:`start`, :meth:`run`) continues it."""
+        memory = self.memory
+        memory.cells = dict(snapshot.cells)
+        memory.global_top, memory.heap_top, memory.stack_top = snapshot.tops
+        memory.load_count, memory.store_count = snapshot.accesses
+        self.instructions = snapshot.instructions
+        self.boundaries_crossed = snapshot.boundaries
+        self.rp_count = snapshot.rp_count
+        self.entry = snapshot.entry
+        self.loc = snapshot.loc
+        self.rp = snapshot.rp
+        functions = self.program.functions
+        self.frames[:] = [
+            _Frame(self._decoded(functions[name]), base, return_loc, return_pc)
+            for name, base, return_loc, return_pc in snapshot.frames
+        ]
+        # Decoded records hold these lists: restore them in place.
+        self.int_regs[:] = snapshot.int_regs
+        self.float_regs[:] = snapshot.float_regs
+        self.store_buffer[:] = snapshot.store_buffer
+        self.output[:] = snapshot.output
+        self.half_slots, ready, self.mem_ready = snapshot.timing
+        # Slots decoded since the snapshot were not written before it.
+        self.reg_ready[:] = ready + [0] * (len(self.reg_ready) - len(ready))
+        self._redirected = False
+        self._fresh = True
+
+    def matches(self, snapshot: Snapshot) -> bool:
+        """Is the state exactly ``snapshot``'s, so that the run goes on
+        from here as it went on from there?
+
+        Everything a later instruction can read is compared: location,
+        ``rp``, frames, registers, store buffer, output so far, memory
+        cells and segment tops.  Values match only with the same type,
+        and floats with the same sign; a NaN matches nothing.  Counts
+        (``instructions``, boundaries, ``rp_count``, memory accesses)
+        and timing are not compared.
+        """
+        memory = self.memory
+        return (
+            self.loc == snapshot.loc
+            and self.rp == snapshot.rp
+            and (memory.global_top, memory.heap_top, memory.stack_top) == snapshot.tops
+            and _frame_rows(self.frames) == snapshot.frames
+            and _same_values(self.int_regs, snapshot.int_regs)
+            and _same_values(self.float_regs, snapshot.float_regs)
+            and len(self.store_buffer) == len(snapshot.store_buffer)
+            and all(map(_same_values, self.store_buffer, snapshot.store_buffer))
+            and _same_values(self.output, snapshot.output)
+            and _same_cells(memory.cells, snapshot.cells)
+        )
 
     # ------------------------------------------------------------------
     # Builtins
