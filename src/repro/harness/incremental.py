@@ -17,19 +17,19 @@ How bit-identity is preserved
 Trial ``i``'s fault plan is a pure function of ``(seed, i, span)``
 (:func:`repro.sim.faults.trial_plan`), and the faulted run's dynamic
 prefix is identical to the fault-free run up to the injection point.  So
-one fault-free *eligibility trace* — recording the dynamic position and
-region of every fault site, by calling the fault model's own site rule —
-predicts where every trial lands without running it.  Sections
-then execute exactly their assigned trial indices through
-:func:`repro.sim.faults.run_planned_trial` (the same code path the
-monolithic loop uses, forking from one golden run per unit), and the
-composed buckets match trial for trial.
+one walk over the unit's fault-free golden run, arming the injector for
+each plan in turn and recording where it strikes without corrupting
+anything (:func:`repro.sim.faults.landings`), tells where every trial
+lands before any runs.  Sections then execute exactly their assigned
+trial indices through :func:`repro.sim.faults.run_planned_trial` (the
+same code path the monolithic loop uses, forking from the same golden
+run), and the composed buckets match trial for trial.
 
 Section keys and staleness
 --------------------------
 A section's store key hashes ``(store schema, PIPELINE_VERSION,
 FAULT_MODEL_VERSION, workload, entry, label, kind, latency, unit seed,
-trace span, region key, owning function's machine-code fingerprint)``.
+trial span, region key, owning function's machine-code fingerprint)``.
 The fingerprint is the SHA-256 of the function's formatted machine code
 — a *stable* content checksum (the process-seeded
 :func:`repro.ir.verifier.cfg_checksum` cannot key a persistent store).
@@ -60,7 +60,6 @@ import hashlib
 import json
 import os
 import tempfile
-from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -77,9 +76,7 @@ from repro.sim.faults import (
     CampaignResult,
     _publish_campaign_metrics,
     classify_outcome,
-    region_key,
     run_planned_trial,
-    target_span,
     trial_plan,
 )
 from repro.sim.simulator import Simulator
@@ -151,76 +148,8 @@ def campaign_target(
 
 
 # ----------------------------------------------------------------------
-# Eligibility trace: predict where every trial lands without running it
+# Trial assignment: where every trial lands, before it runs
 # ----------------------------------------------------------------------
-@dataclass
-class EligibilityTrace:
-    """Fault sites of one fault-free run, in dynamic order.
-
-    ``value_events[i]`` is the retired-instruction count at which the
-    ``i``-th :func:`~repro.sim.faults.value_site` retires, and
-    ``control_events[i]`` the count before the ``i``-th
-    :func:`~repro.sim.faults.control_site` issues — the quantity
-    :class:`~repro.sim.faults.FaultInjector` compares against a plan's
-    :attr:`~repro.sim.faults.FaultPlan.strike_count`.  ``*_regions[i]``
-    is the region key the injector would attribute a fault there to.
-    ``result`` and ``output`` are the run's return value and printed
-    output, so a trace of the idempotent build doubles as the campaign's
-    reference run.
-    """
-
-    span: int
-    instructions: int
-    value_events: List[int] = field(default_factory=list)
-    value_regions: List[str] = field(default_factory=list)
-    control_events: List[int] = field(default_factory=list)
-    control_regions: List[str] = field(default_factory=list)
-    result: object = None
-    output: List[object] = field(default_factory=list)
-
-    def events(self, kind: str) -> Tuple[List[int], List[str]]:
-        if kind == FAULT_VALUE:
-            return self.value_events, self.value_regions
-        return self.control_events, self.control_regions
-
-
-def trace_eligibility(
-    program: MachineProgram,
-    func: str = "main",
-    args: Tuple = (),
-    max_instructions: int = 50_000_000,
-) -> EligibilityTrace:
-    """One fault-free run recording every fault site.
-
-    The hooks call the fault model's own site rule at the points the
-    injector does (control sites before they issue, value sites after
-    they retire), so a trial whose strike count resolves to event ``i``
-    here injects at precisely that instruction (the faulted run's
-    dynamic prefix equals the fault-free prefix up to injection).
-    """
-    sim = Simulator(program, max_instructions=max_instructions, timed=False)
-    trace = EligibilityTrace(span=1, instructions=0)
-    value_site, control_site = faults.value_site, faults.control_site
-
-    def pre(s: Simulator, instr) -> None:
-        if control_site(instr):
-            trace.control_events.append(s.instructions)
-            trace.control_regions.append(region_key(s))
-
-    def post(s: Simulator, instr) -> None:
-        if value_site(instr):
-            trace.value_events.append(s.instructions)
-            trace.value_regions.append(region_key(s))
-
-    sim.pre_hook = pre
-    sim.post_hook = post
-    trace.result = sim.run(func, args)
-    trace.output = list(sim.output)
-    trace.instructions = sim.instructions
-    trace.span = target_span(sim.instructions)
-    return trace
-
-
 @dataclass
 class TrialAssignment:
     """Partition of a campaign's trial indices by landing region."""
@@ -228,37 +157,37 @@ class TrialAssignment:
     span: int
     #: region key -> sorted trial indices landing there
     regions: Dict[str, List[int]] = field(default_factory=dict)
-    #: trials whose target falls past the last eligible event: they
-    #: inject nothing and contribute only to the ``trials`` count
+    #: trials whose target falls past the last fault site: they inject
+    #: nothing and contribute only to the ``trials`` count
     uninjected: List[int] = field(default_factory=list)
 
 
-def assign_trials(
-    trace: EligibilityTrace,
+def trace_eligibility(
+    golden: faults.GoldenRun,
     seed: int,
     trials: int,
     kind: str = FAULT_VALUE,
     detection_latency: int = 0,
+    func: str = "main",
 ) -> TrialAssignment:
     """Map every trial index to the region its fault lands in.
 
-    Pure arithmetic over the trace: trial ``i``'s plan comes from the
-    exact :func:`~repro.sim.faults.trial_plan` the executing run will
-    use, and the landing event is the first fault site at or past its
-    strike count (binary search).
+    Trial ``i``'s plan is the exact :func:`~repro.sim.faults.trial_plan`
+    the executing run will use, and where it lands is what the injector
+    records when one walk over the golden run arms it for that plan
+    (:func:`repro.sim.faults.landings`).
     """
-    events, regions = trace.events(kind)
-    assignment = TrialAssignment(span=trace.span)
-    for index in range(trials):
-        plan = trial_plan(
-            seed, index, trace.span, kind=kind,
-            detection_latency=detection_latency,
-        )
-        pos = bisect_left(events, plan.strike_count)
-        if pos >= len(events):
+    plans = [
+        trial_plan(seed, index, golden.span, kind=kind,
+                   detection_latency=detection_latency)
+        for index in range(trials)
+    ]
+    assignment = TrialAssignment(span=golden.span)
+    for index, landing in enumerate(faults.landings(golden, plans, func=func)):
+        if landing is None:
             assignment.uninjected.append(index)
         else:
-            assignment.regions.setdefault(regions[pos], []).append(index)
+            assignment.regions.setdefault(landing[1], []).append(index)
     return assignment
 
 
@@ -735,8 +664,8 @@ def run_section_trials(
 
     Every trial must land in the section's region — the assignment
     predicted it from the shared fault-free prefix — so a mismatch means
-    the faulted run diverged from the eligibility trace before the fault
-    struck, and is raised as a permanent (non-retryable) unit error
+    the faulted run diverged from the walk of the golden run before the
+    fault struck, and is raised as a permanent (non-retryable) unit error
     rather than silently mis-filed.
     """
     rows: List[List[object]] = []
@@ -816,8 +745,10 @@ def campaign_sections(
 ) -> InlineCampaign:
     """Campaign one workload × label section by section.
 
-    One eligibility trace assigns every trial its landing region; each
-    region's trials that ``store`` lacks inject, and that section's
+    One golden run (:func:`repro.sim.faults.record_golden_run`) gives the
+    span and the snapshots trials fork from, and one walk over it
+    (:func:`trace_eligibility`) assigns every trial its landing region;
+    each region's trials that ``store`` lacks inject, and that section's
     record publishes at once, so a killed campaign keeps every finished
     section.  The composed result is bit-identical to
     :func:`repro.sim.faults.fault_campaign` (or ``backend.campaign``) at
@@ -825,11 +756,10 @@ def campaign_sections(
     nothing is published: that is the monolithic campaign.
 
     ``reference`` is the idempotent build's fault-free ``(result,
-    output)``, which every scheme must reproduce.  Without it, the trace
-    is that run when the campaigned program is the idempotent build;
+    output)``, which every scheme must reproduce.  Without it, the golden
+    run is that run when the campaigned program is the idempotent build;
     otherwise one plain run supplies it, and only when some section has
-    trials to inject.  So is the golden run the trials fork from
-    (:func:`repro.sim.faults.record_golden_run`).
+    trials to inject.
 
     The identity index (:func:`index_entries`) is the store's one
     read-modify-write file, so it is left to the caller: a suite
@@ -840,28 +770,24 @@ def campaign_sections(
         original_program, idempotent_program, flavour, backend
     )
     with _fault_free_run(name, label, func):
-        trace = trace_eligibility(program, func=func)
-    assignment = assign_trials(
-        trace, seed, trials, kind=kind, detection_latency=detection_latency
+        golden = faults.record_golden_run(
+            program, func=func, injector_factory=injector_factory
+        )
+    assignment = trace_eligibility(
+        golden, seed, trials, kind=kind, detection_latency=detection_latency,
+        func=func,
     )
     plans = plan_sections(
         store, name, func, label, kind, detection_latency, seed,
         assignment, program,
     )
-    golden = None
-    if any(plan.missing for plan in plans):
-        with _fault_free_run(name, label, func):
-            if reference is None:
-                if program is idempotent_program:
-                    reference = trace.result, trace.output
-                else:
-                    reference_sim = Simulator(idempotent_program, timed=False)
-                    reference = (
-                        reference_sim.run(func), list(reference_sim.output)
-                    )
-            golden = faults.record_golden_run(
-                program, func=func, injector_factory=injector_factory
-            )
+    if reference is None and any(plan.missing for plan in plans):
+        if program is idempotent_program:
+            reference = golden.result, golden.output
+        else:
+            with _fault_free_run(name, label, func):
+                reference_sim = Simulator(idempotent_program, timed=False)
+                reference = reference_sim.run(func), list(reference_sim.output)
     for plan in plans:
         if not plan.missing:
             continue

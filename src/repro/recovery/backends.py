@@ -25,10 +25,11 @@ recovery policy over it:
   The statically derived checkpoint contents come from
   :mod:`repro.recovery.checkpoint` (live sets at region boundaries).
 
-All three report a :class:`repro.sim.faults.FaultOutcome` per trial,
+All three report a :class:`repro.sim.faults.FaultOutcome` per trial and
 reuse the campaign bucket arithmetic of
-:func:`repro.sim.faults.fault_campaign`, and price their fault-free
-overhead through :func:`repro.recovery.schemes.run_scheme`.
+:func:`repro.sim.faults.fault_campaign`; each names the configuration of
+:mod:`repro.recovery.schemes` that prices its fault-free overhead
+(:attr:`RecoveryBackend.scheme`).
 """
 
 from __future__ import annotations
@@ -38,11 +39,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.codegen.machine import MachineInstr, MachineProgram
 from repro.recovery.schemes import (
     SCHEME_CHECKPOINT_LOG,
-    SCHEME_DMR,
     SCHEME_IDEMPOTENCE,
     SCHEME_TMR,
     instrument_checkpoint_log,
-    run_scheme,
 )
 from repro.sim.faults import (
     FAULT_VALUE,
@@ -203,10 +202,10 @@ class RecoveryBackend:
 
     Subclasses define which binary executes under fault injection
     (:meth:`campaign_program`) and which recovery policy drives the
-    fault model (:meth:`make_injector`); the shared :meth:`campaign` /
-    :meth:`overhead` machinery then reports the common campaign buckets
-    and the scheme's fault-free dynamic overhead against the DMR
-    baseline.
+    fault model (:meth:`make_injector`); the shared :meth:`campaign`
+    then reports the common campaign buckets.  :attr:`scheme` names the
+    configuration whose fault-free cycles, against the DMR baseline's,
+    are the backend's price (:func:`repro.recovery.schemes.compare_schemes`).
     """
 
     #: registry key (``--backends``, report rows)
@@ -261,22 +260,6 @@ class RecoveryBackend:
             injector_factory=self.make_injector,
             per_region=per_region,
         )
-
-    def overhead(
-        self,
-        original_program: MachineProgram,
-        idempotent_program: MachineProgram,
-        func: str = "main",
-        args: Tuple = (),
-    ) -> float:
-        """Fault-free dynamic overhead vs the DMR baseline (Fig. 12)."""
-        baseline = run_scheme(
-            SCHEME_DMR, original_program, idempotent_program, func=func, args=args
-        )
-        run = run_scheme(
-            self.scheme, original_program, idempotent_program, func=func, args=args
-        )
-        return run.overhead_vs(baseline)
 
 
 class IdempotentBackend(RecoveryBackend):

@@ -28,6 +28,7 @@ from repro.recovery.predict import (
     predict_outcomes,
     profile_regions,
 )
+from repro.recovery.schemes import SCHEME_DMR, SCHEME_IDEMPOTENCE, compare_schemes
 from repro.sim.faults import FAULT_VALUE, CampaignResult, format_rate
 from repro.sim.simulator import Simulator
 
@@ -131,9 +132,12 @@ def compare_workload(
 
     workload = get_workload(name)
     original, idempotent = build_pair(name)
-    sim = Simulator(idempotent.program, timed=False)
-    reference = sim.run(workload.entry, ())
-    reference_output = list(sim.output)
+    runs = compare_schemes(
+        original.program, idempotent.program, func=workload.entry
+    )
+    # Every scheme computed the same answer (compare_schemes asserts it),
+    # so the idempotence run doubles as the campaign reference.
+    reference = runs[SCHEME_IDEMPOTENCE]
 
     plans = module_checkpoint_plans(idempotent.module)
     report = WorkloadReport(
@@ -153,8 +157,8 @@ def compare_workload(
         campaign = incremental_campaign(
             original.program,
             idempotent.program,
-            reference,
-            reference_output,
+            reference.result,
+            reference.output,
             trials=trials,
             func=workload.entry,
             kind=kind,
@@ -167,8 +171,7 @@ def compare_workload(
         report.backends.append(
             BackendReport(
                 backend=backend_name,
-                overhead=backend.overhead(original.program, idempotent.program,
-                                          func=workload.entry),
+                overhead=runs[backend.scheme].overhead_vs(runs[SCHEME_DMR]),
                 campaign=campaign,
                 prediction=prediction,
                 regions=compare_predictions(prediction, per_region),

@@ -13,9 +13,10 @@ This module is the one owner of that model. Where a fault may strike is
 :func:`value_site` / :func:`control_site` plus
 :attr:`FaultPlan.strike_count`; what it does to the value or branch is
 :meth:`FaultPlan.corrupt`; the region it lands in is :func:`region_key`;
-when it surfaces is :meth:`FaultInjector.detects`. The eligibility trace
-of :mod:`repro.harness.incremental` and the region profile of
-:mod:`repro.recovery.predict` call the same functions.
+when it surfaces is :meth:`FaultInjector.detects`. :func:`landings`,
+which tells the section engine of :mod:`repro.harness.incremental` where
+every trial lands, arms the injector itself; the region profile of
+:mod:`repro.recovery.predict` calls the same site functions.
 
 Recovery is a policy over that core. :class:`FaultInjector`'s own is the
 paper's idempotence scheme: discard unverified stores and jump to the
@@ -29,6 +30,8 @@ A campaign's trials fork from one fault-free :class:`GoldenRun` of their
 program: :func:`run_planned_trial` restores the golden run's last
 snapshot before the strike, and stops the trial as soon as its state
 matches a later snapshot exactly (see ``docs/campaigns.md``).
+:func:`landings` walks the same golden run once to find where each
+trial will strike.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.codegen.machine import MachineInstr, MachineProgram
@@ -325,9 +328,10 @@ class GoldenRun:
 
     ``forks`` are ``(snapshot, policy state)`` pairs in count order, the
     policy state being the injector's :meth:`~FaultInjector.fork_state`.
-    ``sim`` is the decoded simulator every trial forked from this run
-    reuses, with the trial budget :data:`TRIAL_MAX_INSTRUCTIONS`, and
-    ``start`` its state before the run began.
+    ``sim`` is the decoded simulator that every trial forked from this
+    run, and the walk of :func:`landings`, reuse, with the trial budget
+    :data:`TRIAL_MAX_INSTRUCTIONS`, and ``start`` its state before the
+    run began.
     """
 
     sim: Simulator
@@ -358,9 +362,10 @@ def record_golden_run(
     (no fault armed), snapshotting every :data:`SNAPSHOT_INTERVAL`
     retired instructions; at most :data:`MAX_SNAPSHOTS` are kept.
 
-    A run that traps raises, as any fault-free run does.
+    The run has the trial budget :data:`TRIAL_MAX_INSTRUCTIONS`: one that
+    traps or runs past it raises, as any fault-free run does.
     """
-    sim = Simulator(program, timed=False)
+    sim = Simulator(program, max_instructions=TRIAL_MAX_INSTRUCTIONS, timed=False)
     start = sim.snapshot()
     injector = (injector_factory or FaultInjector)(sim, None)
     forks: List[Tuple[Snapshot, object]] = []
@@ -371,11 +376,71 @@ def record_golden_run(
         if len(forks) == MAX_SNAPSHOTS:
             forks = forks[1::2]  # those at multiples of the doubled interval
             interval *= 2
-    sim.max_instructions = TRIAL_MAX_INSTRUCTIONS
+    sim.pre_hook = sim.post_hook = None  # the policy's, for this run only
     return GoldenRun(
         sim=sim, start=start, forks=forks, result=sim.result,
         output=list(sim.output), instructions=sim.instructions,
     )
+
+
+class _SiteMarker(FaultInjector):
+    """The injector, marking where its plan strikes and changing nothing:
+    the strike takes TMR's path (``corrupts`` False), and the marker
+    disarms there instead of awaiting detection."""
+
+    corrupts = False
+
+    def _inject(self, sim: Simulator, reg) -> None:
+        super()._inject(sim, reg)
+        self._install(sim, None, None)
+
+
+def landings(
+    golden: GoldenRun,
+    plans: Sequence[FaultPlan],
+    func: str = "main",
+    args: Tuple = (),
+) -> List[Optional[Tuple[int, str]]]:
+    """Where each of ``plans`` (all of one kind) strikes: the count and
+    region the injector records there, or None for a plan that would
+    strike past the last fault site.
+
+    One fault-free walk over ``golden``, in strike order.  Up to its
+    strike a trial *is* the fault-free run, so the walk arms an injector
+    (:class:`_SiteMarker`) exactly as :func:`_execute` does: it restores
+    the last snapshot before the strike when that lies ahead of the walk,
+    runs with no hook to ``strike_count - 1``, arms, and steps until the
+    strike.  A plan whose strike count is at most the last landing's
+    lands there too, since no site lies between.  So no instruction runs
+    twice, and hooks run only between arming and striking.
+    """
+    sim = golden.sim
+    found: List[Optional[Tuple[int, str]]] = [None] * len(plans)
+    last: Optional[Tuple[int, str]] = None
+    ended = False
+    sim.restore(golden.start)
+    sim.start(func, args)
+    for i in sorted(range(len(plans)), key=lambda i: plans[i].strike_count):
+        plan = plans[i]
+        if last is not None and plan.strike_count <= last[0]:
+            found[i] = last
+            continue
+        if ended:
+            continue
+        after = golden.fork_for(plan)
+        if after and golden.forks[after - 1][0].instructions > sim.instructions:
+            sim.restore(golden.forks[after - 1][0])
+        arm_at = plan.strike_count - 1
+        if arm_at > sim.instructions and sim.resume(arm_at):
+            ended = True
+            continue
+        marker = _SiteMarker(sim, plan, recover=False)
+        marker.arm(sim)
+        while not (marker.outcome.injected or ended):
+            ended = sim.resume(sim.instructions + 1)
+        if marker.outcome.injected:
+            last = found[i] = (marker._injected_at, marker.outcome.region)
+    return found
 
 
 def _execute(

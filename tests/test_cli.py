@@ -498,7 +498,7 @@ class TestCampaignIncremental:
         def trap(self, *args, **kwargs):
             raise SimulationError("trap in the fault-free run")
 
-        monkeypatch.setattr(Simulator, "run", trap)
+        monkeypatch.setattr(Simulator, "start", trap)
         argv = ["campaign", "blackscholes", "--trials", "2", "--no-manifest"]
         assert main(argv) == 1
         out = capsys.readouterr().out

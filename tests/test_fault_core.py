@@ -1,17 +1,21 @@
 """The fault-site core: one fault model under every recovery policy.
 
-Two properties hold the refactor in place:
+Three properties hold the refactor in place:
 
 - **Differential.** Every label a campaign can run (``original``,
   ``idempotent``, ``tmr``, ``checkpoint_log``) is replayed trial by
   trial against the pre-core injectors frozen in
   ``tests/frozen_injectors.py`` (which run on the frozen simulator), and
-  every ``FaultOutcome`` field must match; the eligibility trace must predict the same landing as the
-  frozen trace hooks.  Corpus: ``repro.fuzz.generator.sources(12)`` plus
-  the campaign-cache kernel, both fault kinds, latency 0 and 4.
+  every ``FaultOutcome`` field must match, landing where the frozen
+  trace hooks say.  Every trial assignment of the landing walk over the
+  golden run (``trace_eligibility``) must equal the frozen trace's.
+  Corpus: ``repro.fuzz.generator.sources(12)`` plus the campaign-cache
+  kernel, both fault kinds, latency 0 and 4.
 - **One rule.** Changing the eligibility rule in its single place
-  (``repro.sim.faults``) moves all three injectors, the eligibility
-  trace and the region profile together.
+  (``repro.sim.faults``) moves all three injectors, the landing walk
+  and the region profile together.
+- **Bound.** The walk simulates at most one fault-free run and hooks
+  only the instructions between arming and striking.
 """
 
 import dataclasses
@@ -19,11 +23,12 @@ from bisect import bisect_left
 
 import pytest
 
+from repro import obs
 from repro.bench.campaign_cache import BASE_SOURCE
 from repro.compiler import compile_minic
 from repro.fuzz.generator import sources
 from repro.harness.campaign import campaign_target
-from repro.harness.incremental import assign_trials, trace_eligibility
+from repro.harness.incremental import TrialAssignment, trace_eligibility
 from repro.recovery.backends import get_backend
 from repro.recovery.predict import profile_regions
 from repro.sim import faults
@@ -31,6 +36,7 @@ from repro.sim.faults import (
     FAULT_CONTROL,
     FAULT_VALUE,
     campaign_span,
+    record_golden_run,
     run_planned_trial,
     run_with_fault,
     trial_plan,
@@ -83,15 +89,9 @@ def test_policies_match_frozen_injectors(program_index):
         program, factory = _target(pair, label)
         span = campaign_span(program)
         old_trace = frozen.trace_eligibility(program)
-        new_trace = trace_eligibility(program)
-        assert new_trace.span == old_trace.span == span
+        assert old_trace.span == span
         for kind in KINDS:
             for latency in LATENCIES:
-                assignment = assign_trials(
-                    new_trace, SEED, TRIALS, kind=kind,
-                    detection_latency=latency,
-                )
-                predicted = {i: r for r, ix in assignment.regions.items() for i in ix}
                 for index in range(TRIALS):
                     plan = trial_plan(
                         SEED, index, span, kind=kind, detection_latency=latency,
@@ -103,7 +103,6 @@ def test_policies_match_frozen_injectors(program_index):
                     where = (label, kind, latency, index)
                     assert dataclasses.asdict(new) == dataclasses.asdict(old), where
                     landing = _frozen_landing(old_trace, plan)
-                    assert predicted.get(index) == landing, where
                     assert (new.region if new.injected else None) == landing, where
                     compared += new.injected
     assert compared > 0
@@ -130,15 +129,36 @@ def _narrowed_rule(monkeypatch):
     )
 
 
-def _predicted(trace, kind, trials):
-    """(hook count, region) of the site each trial's fault strikes, by the
-    trace; None when the target lies past the last site."""
-    events, regions = trace.events(kind)
+def _site_events(program):
+    """A hooked fault-free run, the oracle of these tests: per kind, the
+    ``(count, region)`` of every site by the rule in force, at the point
+    the injector checks it (control sites before they issue, value sites
+    after they retire)."""
+    sim = faults.Simulator(program, timed=False)
+    events = {FAULT_VALUE: [], FAULT_CONTROL: []}
+
+    def pre(s, instr):
+        if faults.control_site(instr):
+            events[FAULT_CONTROL].append((s.instructions, faults.region_key(s)))
+
+    def post(s, instr):
+        if faults.value_site(instr):
+            events[FAULT_VALUE].append((s.instructions, faults.region_key(s)))
+
+    sim.pre_hook, sim.post_hook = pre, post
+    sim.run("main")
+    return events
+
+
+def _predicted(events, span, kind, trials):
+    """(hook count, region) of the site each trial's fault strikes by the
+    oracle: the first at or past its strike count; None past the last."""
+    counts = [count for count, _region in events[kind]]
     landings = []
     for index in range(trials):
-        plan = trial_plan(SEED, index, trace.span, kind=kind)
-        pos = bisect_left(events, plan.strike_count)
-        landings.append((events[pos], regions[pos]) if pos < len(events) else None)
+        plan = trial_plan(SEED, index, span, kind=kind)
+        pos = bisect_left(counts, plan.strike_count)
+        landings.append(events[kind][pos] if pos < len(counts) else None)
     return landings
 
 
@@ -163,30 +183,112 @@ def _landed(program, factory, kind, span, trials):
 
 @pytest.mark.parametrize("label", LABELS)
 def test_one_rule_moves_every_consumer(monkeypatch, label):
-    """Injectors, trace and profile all follow a change of the rule: the
-    trace still predicts every landing, and each region's profile counts
-    equal the trace's events."""
+    """Injectors, the landing walk and the profile all follow a change of
+    the rule: the walk finds every landing the oracle predicts, and each
+    region's profile counts equal the oracle's sites."""
     program, factory = _target(_pair(BASE_SOURCE), label)
     trials = 12
-    before = trace_eligibility(program)
-    unchanged = {kind: _predicted(before, kind, trials) for kind in KINDS}
+    golden = record_golden_run(program, injector_factory=factory)
+    before = _site_events(program)
+    unchanged = {
+        kind: _predicted(before, golden.span, kind, trials) for kind in KINDS
+    }
     _narrowed_rule(monkeypatch)
-    trace = trace_eligibility(program)
-    assert 0 < len(trace.value_events) < len(before.value_events)
-    assert 0 < len(trace.control_events) < len(before.control_events)
+    events = _site_events(program)
 
     for kind in KINDS:
-        predicted = _predicted(trace, kind, trials)
+        assert 0 < len(events[kind]) < len(before[kind])
+        predicted = _predicted(events, golden.span, kind, trials)
         assert predicted != unchanged[kind]  # the change bites
-        assert _landed(program, factory, kind, trace.span, trials) == predicted
-        assignment = assign_trials(trace, SEED, trials, kind=kind)
+        assert _landed(program, factory, kind, golden.span, trials) == predicted
+        plans = [trial_plan(SEED, i, golden.span, kind=kind) for i in range(trials)]
+        assert faults.landings(golden, plans) == predicted
+        assignment = trace_eligibility(golden, SEED, trials, kind=kind)
         for region, indices in assignment.regions.items():
             assert all(predicted[i][1] == region for i in indices)
         assert all(predicted[i] is None for i in assignment.uninjected)
 
+    regions = {kind: [region for _count, region in events[kind]] for kind in KINDS}
     profiles, _result, _sim = profile_regions(program)
     for key, profile in profiles.items():
-        assert profile.eligible == trace.value_regions.count(key), key
-        assert profile.branches == trace.control_regions.count(key), key
-    assert sum(p.eligible for p in profiles.values()) == len(trace.value_events)
-    assert sum(p.branches for p in profiles.values()) == len(trace.control_events)
+        assert profile.eligible == regions[FAULT_VALUE].count(key), key
+        assert profile.branches == regions[FAULT_CONTROL].count(key), key
+    assert sum(p.eligible for p in profiles.values()) == len(events[FAULT_VALUE])
+    assert sum(p.branches for p in profiles.values()) == len(events[FAULT_CONTROL])
+
+
+# ----------------------------------------------------------------------
+# The landing walk
+# ----------------------------------------------------------------------
+def _frozen_assignment(trace, trials, kind, latency):
+    """The assignment by the frozen trace: each trial at its first site."""
+    assignment = TrialAssignment(span=trace.span)
+    for index in range(trials):
+        plan = trial_plan(
+            SEED, index, trace.span, kind=kind, detection_latency=latency,
+        )
+        landing = _frozen_landing(trace, plan)
+        if landing is None:
+            assignment.uninjected.append(index)
+        else:
+            assignment.regions.setdefault(landing, []).append(index)
+    return assignment
+
+
+@pytest.mark.parametrize("interval", (256, 4096))
+@pytest.mark.parametrize("program_index", range(len(CORPUS)))
+def test_walk_matches_frozen_trace(monkeypatch, program_index, interval):
+    monkeypatch.setattr(faults, "SNAPSHOT_INTERVAL", interval)
+    pair = _pair(CORPUS[program_index])
+    for label in LABELS:
+        program, factory = _target(pair, label)
+        golden = record_golden_run(program, injector_factory=factory)
+        trace = frozen.trace_eligibility(program)
+        assert golden.span == trace.span
+        for kind in KINDS:
+            for latency in LATENCIES:
+                for trials in (8, 48):
+                    assignment = trace_eligibility(
+                        golden, SEED, trials, kind=kind,
+                        detection_latency=latency,
+                    )
+                    expected = _frozen_assignment(trace, trials, kind, latency)
+                    assert assignment == expected, (label, kind, latency, trials)
+
+
+@pytest.fixture
+def observer():
+    """A fresh metrics registry for the test."""
+    fresh = obs.Observer()
+    previous = obs.set_observer(fresh)
+    yield fresh
+    obs.set_observer(previous)
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_the_walk_replays_at_most_one_run(observer, label):
+    """The walk simulates no more instructions than the golden run
+    retired, and with 48 value faults on the kernel runs fewer than 5%
+    of them with a hook installed: only those between arming and
+    striking."""
+    program, factory = _target(_pair(BASE_SOURCE), label)
+    golden = record_golden_run(program, injector_factory=factory)
+    sim, resume, hooked = golden.sim, golden.sim.resume, []
+
+    def counted(pause_at=None):
+        hooks = sim.pre_hook is not None or sim.post_hook is not None
+        before = sim.instructions
+        try:
+            return resume(pause_at)
+        finally:
+            if hooks:
+                hooked.append(sim.instructions - before)
+
+    sim.resume = counted
+    simulated = observer.counter("sim.instructions")
+    for kind in KINDS:
+        before, hooked[:] = simulated.total(), []
+        trace_eligibility(golden, SEED, 48, kind=kind)
+        assert simulated.total() - before <= golden.instructions, kind
+        if kind == FAULT_VALUE:
+            assert 0 < sum(hooked) < 0.05 * golden.instructions

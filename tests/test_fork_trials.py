@@ -14,7 +14,8 @@ rejoins it (:func:`repro.sim.faults.run_planned_trial`).  Every
   instructions here, so that forks and comparison points are dense.
 - **Edges.** A strike before the first snapshot, a target past the last
   fault site, a crash after the fork, a match whose total would pass the
-  instruction budget, ``recover=False``, and a golden run that traps.
+  instruction budget, ``recover=False``, and a golden run that traps or
+  outlasts the trial budget.
 - **Exact comparison.** ``1`` and ``1.0``, ``0.0`` and ``-0.0``, and a
   NaN never match.
 - **Convergence.** How many trials of one fixed campaign rejoin the
@@ -35,11 +36,10 @@ from repro.harness.incremental import (
     OutcomeStore,
     campaign_sections,
     campaign_target,
-    trace_eligibility,
 )
 from repro.harness.resilience import PermanentUnitError
 from repro.recovery.backends import IdempotentBackend, get_backend
-from repro.sim import SimulationError, faults
+from repro.sim import SimLimitExceeded, SimulationError, faults
 from repro.sim.faults import (
     FAULT_CONTROL,
     FAULT_VALUE,
@@ -195,9 +195,9 @@ int main() {
 def test_target_past_the_last_fault_site_injects_nothing():
     program = compile_minic(TAIL, idempotent=True).program
     golden = record_golden_run(program)
-    last_branch = trace_eligibility(program).control_events[-1]
+    last_branch = frozen.trace_eligibility(program).control_events[-1]
     index = _index_where(
-        golden, lambda plan: plan.strike_count > last_branch + 300,
+        golden, lambda plan: plan.target_instruction > last_branch + 300,
         kind=FAULT_CONTROL,
     )
     forked, full = _trial(program, golden, index, kind=FAULT_CONTROL)
@@ -296,6 +296,21 @@ def test_a_golden_run_that_traps_fails_the_unit():
         campaign_sections(
             original, idempotent, 4, OutcomeStore(enabled=False),
             backend=_TrapsFaultFreeBackend(), name="kernel",
+        )
+
+
+def test_a_golden_run_past_the_trial_budget_fails_the_unit(monkeypatch):
+    """The golden run has the trials' budget, so a program whose
+    fault-free run outlasts it fails the campaign instead of reporting
+    every trial crashed (the kernel runs 7,858 instructions)."""
+    monkeypatch.setattr(faults, "TRIAL_MAX_INSTRUCTIONS", 5000)
+    original, idempotent = _pair(BASE_SOURCE)
+    with pytest.raises(SimLimitExceeded):
+        fault_campaign(idempotent, 0, [], trials=12, seed=3)
+    with pytest.raises(PermanentUnitError, match="fault-free run failed"):
+        campaign_sections(
+            original, idempotent, 12, OutcomeStore(enabled=False), seed=3,
+            name="kernel",
         )
 
 

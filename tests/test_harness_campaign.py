@@ -526,7 +526,7 @@ class TestFaultFreeTrap:
         """A trapping fault-free run fails its unit with a permanent
         error naming workload and label; it never escapes the campaign
         as a bare simulator error."""
-        monkeypatch.setattr(Simulator, "run", _trap)
+        monkeypatch.setattr(Simulator, "start", _trap)
         manifest_path = str(tmp_path / "campaign.jsonl")
         summary = run_fault_campaign(
             names=["blackscholes"], trials=2, seed=1,

@@ -32,7 +32,6 @@ from repro.harness.incremental import (
     STORE_SCHEMA,
     OutcomeStore,
     SectionStatus,
-    assign_trials,
     compose_campaign,
     detect_gap_histogram,
     function_fingerprint,
@@ -50,7 +49,14 @@ from repro.harness.incremental import (
 from repro.recovery.backends import BACKEND_NAMES, get_backend
 from repro.recovery.predict import measured_region_results
 from repro.sim import Simulator
-from repro.sim.faults import FAULT_CONTROL, FAULT_VALUE, CampaignResult, fault_campaign
+from repro.sim.faults import (
+    FAULT_CONTROL,
+    FAULT_VALUE,
+    CampaignResult,
+    fault_campaign,
+    record_golden_run,
+    run_planned_trial,
+)
 
 KERNEL = """
 int hist[8];
@@ -130,9 +136,9 @@ class TestFingerprints:
 class TestTrialAssignment:
     def test_partitions_every_trial_exactly_once(self, kernel_pair):
         _, idempotent, _, _ = kernel_pair
-        trace = trace_eligibility(idempotent.program)
+        golden = record_golden_run(idempotent.program)
         for kind in (FAULT_VALUE, FAULT_CONTROL):
-            assignment = assign_trials(trace, seed=9, trials=20, kind=kind)
+            assignment = trace_eligibility(golden, seed=9, trials=20, kind=kind)
             seen = list(assignment.uninjected)
             for indices in assignment.regions.values():
                 seen.extend(indices)
@@ -143,8 +149,8 @@ class TestTrialAssignment:
         of every trial equals where the injector actually fires (the
         per-region fault_campaign counts agree with the assignment)."""
         _, idempotent, reference, reference_output = kernel_pair
-        trace = trace_eligibility(idempotent.program)
-        assignment = assign_trials(trace, seed=4, trials=16, kind=FAULT_VALUE)
+        golden = record_golden_run(idempotent.program)
+        assignment = trace_eligibility(golden, seed=4, trials=16, kind=FAULT_VALUE)
         per_region = {}
         fault_campaign(
             idempotent.program, reference, reference_output, trials=16,
@@ -154,19 +160,28 @@ class TestTrialAssignment:
         measured = {r: c.injected for r, c in per_region.items() if c.injected}
         assert predicted == measured
 
-    def test_truncated_trace_yields_uninjected_trials(self):
-        from repro.harness.incremental import EligibilityTrace
-
-        trace = EligibilityTrace(
-            span=1000, instructions=1002,
-            value_events=[1, 2, 3], value_regions=["r", "r", "r"],
+    def test_targets_past_the_last_site_are_uninjected(self):
+        """Control faults aimed past the last branch inject nothing, and
+        the assignment files them so before they run."""
+        source = (
+            "int main() {\n  int acc = 0;\n"
+            "  for (int i = 0; i < 8; i = i + 1) {\n    acc = acc + i;\n  }\n"
+            + "  acc = acc * 5 + 7;\n" * 200
+            + "  return acc;\n}\n"
         )
-        assignment = assign_trials(trace, seed=1, trials=12, kind=FAULT_VALUE)
-        assert assignment.uninjected  # most targets fall past event 3
+        program = compile_minic(source, idempotent=True).program
+        golden = record_golden_run(program)
+        assignment = trace_eligibility(golden, seed=1, trials=12, kind=FAULT_CONTROL)
+        assert assignment.uninjected and assignment.regions
         total = len(assignment.uninjected) + sum(
             len(ix) for ix in assignment.regions.values()
         )
         assert total == 12
+        for index in range(12):
+            outcome = run_planned_trial(
+                program, 1, index, golden.span, kind=FAULT_CONTROL
+            )
+            assert outcome.injected == (index not in assignment.uninjected)
 
 
 class TestOutcomeStore:
@@ -468,8 +483,7 @@ class TestCompositionEdgeCases:
 
 class TestExplainStale:
     def _plans(self, store, program, seed=7, trials=10):
-        trace = trace_eligibility(program)
-        assignment = assign_trials(trace, seed, trials)
+        assignment = trace_eligibility(record_golden_run(program), seed, trials)
         return plan_sections(
             store, "kernel", "main", "idempotent", FAULT_VALUE, 0, seed,
             assignment, program,

@@ -28,6 +28,7 @@ from repro.recovery.checkpoint import (
     module_checkpoint_plans,
 )
 from repro.core.regions import RegionDecomposition, boundary_live_sets
+from repro.recovery.schemes import SCHEME_DMR, compare_schemes
 from repro.sim.faults import (
     FAULT_CONTROL,
     CampaignResult,
@@ -249,10 +250,9 @@ class TestTMR:
         """Fig. 12 ordering on this kernel: the x3 issue cost tops both
         alternatives."""
         original, idempotent, _reference, _output = builds
+        runs = compare_schemes(original.program, idempotent.program)
         overheads = {
-            name: get_backend(name).overhead(
-                original.program, idempotent.program
-            )
+            name: runs[get_backend(name).scheme].overhead_vs(runs[SCHEME_DMR])
             for name in BACKEND_NAMES
         }
         assert overheads["tmr"] > overheads["idempotent"]
