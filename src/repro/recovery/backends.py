@@ -21,7 +21,8 @@ recovery policy over it:
   dynamic overhead, best recovery.
 - ``checkpoint_log`` — checkpoint-and-log in the AutoCheck mould:
   periodic register-file checkpoints plus an undo log of committed
-  stores; detection restores the last checkpoint and rolls the log back.
+  stores, both kept by the simulator while this policy drives it;
+  detection restores the last checkpoint and rolls the log back.
   The statically derived checkpoint contents come from
   :mod:`repro.recovery.checkpoint` (live sets at region boundaries).
 
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.codegen.machine import MachineInstr, MachineProgram
+from repro.codegen.machine import MachineProgram
 from repro.recovery.schemes import (
     SCHEME_CHECKPOINT_LOG,
     SCHEME_IDEMPOTENCE,
@@ -51,9 +52,6 @@ from repro.sim.faults import (
     fault_campaign,
 )
 from repro.sim.simulator import Simulator
-
-#: Sentinel for "address was unmapped before this store" in the undo log.
-_UNMAPPED = object()
 
 
 class TMRInjector(FaultInjector):
@@ -74,13 +72,16 @@ class TMRInjector(FaultInjector):
 class CheckpointLogInjector(FaultInjector):
     """Checkpoint-and-log recovery over the store-instrumented binary.
 
-    State capture is the scheme's defining move: every ``interval``-th
-    check point (and at every call-depth change, where the frame stack
-    is in flux) the injector snapshots the register files and location;
-    between checkpoints it keeps an undo log of committed stores — the
-    dynamic realisation of the statically derived live-set checkpoints
-    of :mod:`repro.recovery.checkpoint`. Detection restores the snapshot
-    and unwinds the log in reverse.
+    State capture is the scheme's defining move: every
+    :data:`~repro.sim.simulator.CHECKPOINT_INTERVAL`-th check point (and
+    at every call-depth change, where the frame stack is in flux) the
+    register files and location are checkpointed; between checkpoints an
+    undo log keeps the pre-image of every committed store — the dynamic
+    realisation of the statically derived live-set checkpoints of
+    :mod:`repro.recovery.checkpoint`. Detection restores the checkpoint
+    and unwinds the log in reverse. The simulator keeps both while this
+    policy drives it (:attr:`~FaultInjector.checkpoints`), so the policy
+    hooks no instruction outside a fault's window.
 
     A fresh checkpoint is also forced after every ``callb``: externally
     visible effects (``print`` output, ``malloc``'s heap bump) cannot be
@@ -94,107 +95,15 @@ class CheckpointLogInjector(FaultInjector):
     checkpoint-spacing analogue of idempotence's rp-slip hazard.
     """
 
-    DEFAULT_INTERVAL = 8
-
-    def __init__(
-        self,
-        sim: Simulator,
-        plan: Optional[FaultPlan],
-        recover: bool = True,
-        interval: int = DEFAULT_INTERVAL,
-    ) -> None:
-        super().__init__(sim, plan, recover=recover)
-        self.interval = interval
-        self.checkpoints_taken = 0
-        self._ckpt: Optional[Tuple] = None
-        #: ``sim.instructions`` when ``_ckpt`` was taken
-        self._ckpt_count = 0
-        self._undo: List[Tuple[int, object]] = []
-        self._since = 0
-
-    # ------------------------------------------------------------------
-    # Checkpoint machinery
-    # ------------------------------------------------------------------
-    def _take(self, sim: Simulator) -> None:
-        self._ckpt = (
-            len(sim.frames),
-            list(sim.int_regs),
-            list(sim.float_regs),
-            sim.loc,
-        )
-        self._ckpt_count = sim.instructions
-        self._undo = []
-        self._since = 0
-        self.checkpoints_taken += 1
+    checkpoints = True
 
     def restart_count(self, sim: Simulator) -> int:
         """Where the last checkpoint was taken."""
-        return self._ckpt_count
-
-    def fork_state(self) -> Tuple:
-        """The checkpoint, the undo log since it and the check points
-        until the next one."""
-        return (self._ckpt, self._ckpt_count, list(self._undo), self._since,
-                self.checkpoints_taken)
-
-    def restore_fork_state(self, state: Tuple) -> None:
-        self._ckpt, self._ckpt_count, undo, self._since, self.checkpoints_taken = state
-        self._undo = list(undo)
+        return sim.checkpoint_count
 
     def roll_back(self, sim: Simulator) -> None:
         """Restore the last checkpoint and unwind the undo log."""
-        depth, int_regs, float_regs, loc = self._ckpt
-        # Depth equality is structural: every call-depth change takes a
-        # fresh checkpoint, so detection always happens in the frame the
-        # checkpoint was taken in. The loop is defensive only.
-        while len(sim.frames) > depth:
-            dead = sim.frames.pop()
-            sim.memory.free_stack(dead.base)
-        sim.discard_store_buffer()
-        for addr, old in reversed(self._undo):
-            if old is _UNMAPPED:
-                sim.memory.cells.pop(addr, None)
-            else:
-                sim.memory.cells[addr] = old
-        self._undo = []
-        sim.int_regs[:] = int_regs
-        sim.float_regs[:] = float_regs
-        sim.loc = loc
-
-    # ------------------------------------------------------------------
-    # Snapshot bookkeeping: every instruction, around the fault model
-    # ------------------------------------------------------------------
-    def _install(self, sim: Simulator, pre, post) -> None:
-        self._model_pre, self._model_post = pre, post
-        sim.pre_hook, sim.post_hook = self._pre, self._post
-
-    def _pre(self, sim: Simulator, instr: MachineInstr) -> None:
-        if sim.frames and (self._ckpt is None or len(sim.frames) != self._ckpt[0]):
-            self._take(sim)
-        if instr.opcode in Simulator.CHECK_POINTS and not (
-            self._pending and self.detects(sim, instr)
-        ):
-            self._since += 1
-            if self._since >= self.interval:
-                self._take(sim)
-            # The buffered stores commit when this check point executes;
-            # log their pre-images so a later restore can unwind them.
-            for addr, _value in sim.store_buffer:
-                try:
-                    old = sim.memory.peek(addr)
-                except KeyError:
-                    old = _UNMAPPED
-                self._undo.append((addr, old))
-        if self._model_pre is not None:
-            self._model_pre(sim, instr)
-
-    def _post(self, sim: Simulator, instr: MachineInstr) -> None:
-        if self._model_post is not None:
-            self._model_post(sim, instr)
-        if instr.opcode == "callb":
-            # I/O and allocation are not replayable; never allow a
-            # restore to cross them.
-            self._take(sim)
+        sim.recover_to_checkpoint()
 
 
 class RecoveryBackend:
@@ -300,16 +209,11 @@ class CheckpointLogBackend(RecoveryBackend):
     flavour = "original"
     seed_key = "checkpoint_log"
 
-    def __init__(self, interval: int = CheckpointLogInjector.DEFAULT_INTERVAL) -> None:
-        self.interval = interval
-
     def campaign_program(self, original_program, idempotent_program):
         return instrument_checkpoint_log(original_program)
 
     def make_injector(self, sim, plan, recover=True):
-        return CheckpointLogInjector(
-            sim, plan, recover=recover, interval=self.interval
-        )
+        return CheckpointLogInjector(sim, plan, recover=recover)
 
 
 #: Registry order is report order: cheapest scheme first.

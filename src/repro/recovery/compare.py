@@ -30,7 +30,7 @@ from repro.recovery.predict import (
 )
 from repro.recovery.schemes import SCHEME_DMR, SCHEME_IDEMPOTENCE, compare_schemes
 from repro.sim.faults import FAULT_VALUE, CampaignResult, format_rate
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import CHECKPOINT_INTERVAL, Simulator
 
 DEFAULT_TRIALS = 24
 DEFAULT_THRESHOLD = 0.25
@@ -151,7 +151,7 @@ def compare_workload(
         profiles, _result, _sim = profile_regions(program, func=workload.entry)
         prediction = predict_outcomes(
             profiles, backend_name, latency=latency, kind=kind,
-            interval=getattr(backend, "interval", 8),
+            interval=CHECKPOINT_INTERVAL,
         )
         per_region: Dict[str, CampaignResult] = {}
         campaign = incremental_campaign(
@@ -318,7 +318,7 @@ def measure_divergence(
     profiles, _result, _sim = profile_regions(program)
     prediction = predict_outcomes(
         profiles, backend_name, latency=latency, kind=kind,
-        interval=getattr(backend, "interval", 8),
+        interval=CHECKPOINT_INTERVAL,
     )
     campaign = backend.campaign(
         original.program, idempotent.program, reference, reference_output,

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.codegen.machine import MachineInstr, MachineProgram
 from repro.sim import faults
 from repro.sim.faults import CampaignResult, region_key
-from repro.sim.simulator import Simulator
+from repro.sim.simulator import CHECKPOINT_INTERVAL, Simulator
 
 
 @dataclass
@@ -144,7 +144,7 @@ def predict_outcomes(
     backend: str,
     latency: int = 0,
     kind: str = "value",
-    interval: int = 8,
+    interval: int = CHECKPOINT_INTERVAL,
 ) -> OutcomePrediction:
     """Static outcome probabilities per region and program-wide.
 

@@ -24,7 +24,10 @@ restart pointer ``rp``. On an idempotent binary this always reproduces
 the fault-free result; on an original (non-idempotent) binary the same
 procedure silently corrupts state — the negative control used in tests.
 The TMR and checkpoint-and-log policies of :mod:`repro.recovery.backends`
-subclass it.
+subclass it.  Recovery state lives in the simulator, as ``rp`` does: a
+checkpoint-and-log policy has the simulator keep its checkpoint and undo
+log, so no policy hooks an instruction outside a fault's window, from
+arming to detection.
 
 A campaign's trials fork from one fault-free :class:`GoldenRun` of their
 program: :func:`run_planned_trial` restores the golden run's last
@@ -167,15 +170,17 @@ class FaultInjector:
     then surfaces in the pre-issue hook of the first check point
     :meth:`detects` accepts, and no hook runs after that. The
     scheme-specific parts are the recovery policy: :attr:`corrupts`,
-    :meth:`roll_back` and :meth:`restart_count`, :meth:`_install` for a
-    policy that watches every instruction itself, and
-    :meth:`fork_state` for one that keeps state of its own. None of them
-    restates when a fault strikes or surfaces.
+    :attr:`checkpoints`, :meth:`roll_back` and :meth:`restart_count`.
+    None of them restates when a fault strikes or surfaces.
     """
 
     #: Whether the fault reaches architectural state. A scheme that masks
     #: it (TMR's vote) only marks it, and recovery has nothing to undo.
     corrupts = True
+    #: Whether the policy rolls back to the simulator's checkpoint: the
+    #: simulator keeps its checkpoint and undo log while the policy
+    #: drives it.
+    checkpoints = False
 
     def __init__(
         self, sim: Simulator, plan: Optional[FaultPlan], recover: bool = True
@@ -191,6 +196,7 @@ class FaultInjector:
         self.rewound = 0
         self._pending = False
         self._injected_at = 0
+        sim.checkpointing = self.checkpoints
         self._install(sim, None, None)
 
     def arm(self, sim: Simulator) -> None:
@@ -210,7 +216,30 @@ class FaultInjector:
         return self.outcome.injected and not self._pending
 
     def _install(self, sim: Simulator, pre, post) -> None:
-        """Hook the fault model's current phase (None: nothing to watch)."""
+        """Hook the fault model's current phase (None: nothing to watch).
+
+        While hooks are installed the loop leaves the checkpoint and undo
+        log to them, so on a checkpointing simulator they keep both around
+        the model's: a check point is counted and logged before the model's
+        pre hook runs (a strike must leave a clean checkpoint), but not
+        when the pending fault surfaces at it, and a call-depth change
+        or ``callb`` is checkpointed after the model's post hook.
+        """
+        if self.checkpoints and (pre is not None or post is not None):
+            model_pre, model_post = pre, post
+
+            def pre(sim: Simulator, instr: MachineInstr) -> None:
+                sim.checkpoint_before(
+                    instr, commits=not (self._pending and self.detects(sim, instr))
+                )
+                if model_pre is not None:
+                    model_pre(sim, instr)
+
+            def post(sim: Simulator, instr: MachineInstr) -> None:
+                if model_post is not None:
+                    model_post(sim, instr)
+                sim.checkpoint_after(instr)
+
         sim.pre_hook = pre
         sim.post_hook = post
 
@@ -282,14 +311,6 @@ class FaultInjector:
         resumes: here, where ``rp`` was last set."""
         return sim.rp_count
 
-    def fork_state(self) -> object:
-        """The policy's own state before any strike, for a trial forked
-        at this point (see :meth:`restore_fork_state`); None here."""
-        return None
-
-    def restore_fork_state(self, state: object) -> None:
-        """Take over the state :meth:`fork_state` saved."""
-
 
 #: Instruction budget of one fault trial: a fault that makes the
 #: program run away crashes at this count.
@@ -326,17 +347,17 @@ class GoldenRun:
     """One fault-free run of a program under a recovery policy, recorded
     for trials to fork from (:func:`record_golden_run`).
 
-    ``forks`` are ``(snapshot, policy state)`` pairs in count order, the
-    policy state being the injector's :meth:`~FaultInjector.fork_state`.
-    ``sim`` is the decoded simulator that every trial forked from this
-    run, and the walk of :func:`landings`, reuse, with the trial budget
+    ``forks`` are its snapshots in count order; a checkpoint-and-log
+    policy's checkpoint and undo log are part of them.  ``sim`` is the
+    decoded simulator that every trial forked from this run, and the
+    walk of :func:`landings`, reuse, with the trial budget
     :data:`TRIAL_MAX_INSTRUCTIONS`, and ``start`` its state before the
     run began.
     """
 
     sim: Simulator
     start: Snapshot
-    forks: List[Tuple[Snapshot, object]]
+    forks: List[Snapshot]
     result: object
     output: List[object]
     instructions: int
@@ -348,7 +369,7 @@ class GoldenRun:
     def fork_for(self, plan: FaultPlan) -> int:
         """How many of ``forks`` precede ``plan``'s strike: a trial
         forks from the last of them (from ``start`` when there is none)."""
-        counts = [snapshot.instructions for snapshot, _policy in self.forks]
+        counts = [snapshot.instructions for snapshot in self.forks]
         return bisect_left(counts, plan.strike_count)
 
 
@@ -367,16 +388,15 @@ def record_golden_run(
     """
     sim = Simulator(program, max_instructions=TRIAL_MAX_INSTRUCTIONS, timed=False)
     start = sim.snapshot()
-    injector = (injector_factory or FaultInjector)(sim, None)
-    forks: List[Tuple[Snapshot, object]] = []
+    (injector_factory or FaultInjector)(sim, None)
+    forks: List[Snapshot] = []
     interval = SNAPSHOT_INTERVAL
     sim.start(func, args)
     while not sim.resume((sim.instructions // interval + 1) * interval):
-        forks.append((sim.snapshot(), injector.fork_state()))
+        forks.append(sim.snapshot())
         if len(forks) == MAX_SNAPSHOTS:
             forks = forks[1::2]  # those at multiples of the doubled interval
             interval *= 2
-    sim.pre_hook = sim.post_hook = None  # the policy's, for this run only
     return GoldenRun(
         sim=sim, start=start, forks=forks, result=sim.result,
         output=list(sim.output), instructions=sim.instructions,
@@ -412,7 +432,8 @@ def landings(
     runs with no hook to ``strike_count - 1``, arms, and steps until the
     strike.  A plan whose strike count is at most the last landing's
     lands there too, since no site lies between.  So no instruction runs
-    twice, and hooks run only between arming and striking.
+    twice, hooks run only between arming and striking, and the marker,
+    which rolls nothing back, has the simulator keep no checkpoint log.
     """
     sim = golden.sim
     found: List[Optional[Tuple[int, str]]] = [None] * len(plans)
@@ -428,13 +449,13 @@ def landings(
         if ended:
             continue
         after = golden.fork_for(plan)
-        if after and golden.forks[after - 1][0].instructions > sim.instructions:
-            sim.restore(golden.forks[after - 1][0])
+        if after and golden.forks[after - 1].instructions > sim.instructions:
+            sim.restore(golden.forks[after - 1])
+        marker = _SiteMarker(sim, plan, recover=False)
         arm_at = plan.strike_count - 1
         if arm_at > sim.instructions and sim.resume(arm_at):
             ended = True
             continue
-        marker = _SiteMarker(sim, plan, recover=False)
         marker.arm(sim)
         while not (marker.outcome.injected or ended):
             ended = sim.resume(sim.instructions + 1)
@@ -469,10 +490,8 @@ def _execute(
     forks = golden.forks if golden is not None else []
     after = golden.fork_for(plan) if golden is not None else 0
     if golden is not None:
-        sim.restore(forks[after - 1][0] if after else golden.start)
+        sim.restore(forks[after - 1] if after else golden.start)
     injector = (injector_factory or FaultInjector)(sim, plan, recover=recover)
-    if after:
-        injector.restore_fork_state(forks[after - 1][1])
     outcome = injector.outcome
     forked_at = sim.instructions
     rejoined: Optional[Snapshot] = None
@@ -514,14 +533,14 @@ def _until_rejoined(
     while True:
         pause = None
         while position < len(forks):
-            at = forks[position][0].instructions + injector.rewound
+            at = forks[position].instructions + injector.rewound
             if at >= sim.instructions:
                 pause = at
                 break
             position += 1
         if sim.resume(pause):
             return None
-        snapshot = forks[position][0]
+        snapshot = forks[position]
         if sim.instructions != snapshot.instructions + injector.rewound:
             continue  # a roll-back since the pause moved the alignment
         position += 1

@@ -39,6 +39,11 @@ and its complete state can be saved, restored and compared exactly
 (:meth:`Simulator.snapshot`, :meth:`~Simulator.restore`,
 :meth:`~Simulator.matches`): fault trials fork from a fault-free run
 this way (:mod:`repro.sim.faults`).
+
+For checkpoint-and-log recovery the simulator can also keep a register
+checkpoint and an undo log of the stores committed since
+(:attr:`Simulator.checkpointing`, :meth:`~Simulator.recover_to_checkpoint`),
+as it keeps the restart pointer for idempotent recovery.
 """
 
 from __future__ import annotations
@@ -112,7 +117,7 @@ class Snapshot:
     __slots__ = (
         "instructions", "boundaries", "rp_count", "entry", "loc", "rp",
         "frames", "int_regs", "float_regs", "store_buffer", "output",
-        "cells", "tops", "accesses", "timing",
+        "cells", "tops", "accesses", "timing", "checkpointed",
     )
 
     def __init__(self, sim: "Simulator") -> None:
@@ -132,6 +137,11 @@ class Snapshot:
         self.tops = (memory.global_top, memory.heap_top, memory.stack_top)
         self.accesses = (memory.load_count, memory.store_count)
         self.timing = (sim.half_slots, list(sim.reg_ready), sim.mem_ready)
+        # A checkpoint is never changed once taken: share it.
+        self.checkpointed = (
+            sim.checkpoint, sim.checkpoint_count, list(sim.undo_log),
+            sim.check_points_since,
+        )
 
 
 def _frame_rows(frames: List["_Frame"]) -> List[tuple]:
@@ -199,6 +209,18 @@ _NO_SLOT = NUM_INT_REGS + NUM_FLOAT_REGS
 #: the timing tuple of a record that issues nothing (the sentinels)
 _UNTIMED = ((), False, _NO_SLOT, 0, 0, False)
 _GROUP_ENDS = frozenset(["bnz", "b", "ret", "call", "callb"])
+#: record ops of the check points (a trap raises before anything reads
+#: the undo log)
+_CHECK_OPS = frozenset([
+    OP_LDSLOT, OP_B, OP_STSLOT, OP_LD, OP_BNZ, OP_RCB, OP_RET, OP_CALL, OP_ST,
+    OP_CALLB, OP_BNZ_TRAP,
+])
+
+#: Check points from one periodic checkpoint of checkpoint-and-log to
+#: the next.
+CHECKPOINT_INTERVAL = 8
+#: An undo-log pre-image: the address was unmapped before the store.
+_UNMAPPED = object()
 
 
 class _Code:
@@ -277,9 +299,21 @@ class Simulator:
         # Store buffer: list of (addr, value) since the last verification.
         self.store_buffer: List[Tuple[int, object]] = []
 
+        #: keep the checkpoint-and-log state below (see docs/simulator.md)
+        self.checkpointing = False
+        #: (frame depth, int registers, float registers, location)
+        self.checkpoint: Optional[tuple] = None
+        #: ``instructions`` when ``checkpoint`` was taken
+        self.checkpoint_count = 0
+        #: (address, pre-image) of every store committed since
+        self.undo_log: List[Tuple[int, object]] = []
+        self.check_points_since = 0
+
         self.output: List[object] = []
         self.instructions = 0
         self.boundaries_crossed = 0
+        #: instructions this simulator retired with a hook installed
+        self.hooked_instructions = 0
 
         # Timing state (half-cycle granularity for dual issue): ready
         # times in slots numbered like _NO_SLOT's comment says; registers
@@ -553,6 +587,8 @@ class Simulator:
         self._fresh = True
         self._enter_function(func, None, 0)
         self.rp_count = self.instructions
+        if self.checkpointing:
+            self._take_checkpoint(self.instructions, self.loc)
 
     def resume(self, pause_at: Optional[int] = None) -> bool:
         """Run on from ``loc``; True once the entry function has returned.
@@ -562,7 +598,10 @@ class Simulator:
         its pre hook runs; it stops at once if the count is already
         there.  Hitting ``max_instructions`` first raises as usual.
         """
-        counts = (self.instructions, self.cycles, self.boundaries_crossed)
+        counts = (
+            self.instructions, self.cycles, self.boundaries_crossed,
+            self.hooked_instructions,
+        )
         try:
             with obs.span("sim.run", func=self.entry.name, program=self.program.name):
                 return self._loop(pause_at)
@@ -577,7 +616,9 @@ class Simulator:
             return self.float_regs[0]
         return self.int_regs[0]
 
-    def _publish_run_metrics(self, instructions: int, cycles: int, boundaries: int) -> None:
+    def _publish_run_metrics(
+        self, instructions: int, cycles: int, boundaries: int, hooked: int
+    ) -> None:
         """What this stretch of a run simulated, onto the metrics registry
         (crashes included); a run counts once, however often it paused."""
         observer = obs.get_observer()
@@ -585,6 +626,9 @@ class Simulator:
             self._fresh = False
             observer.counter("sim.runs").inc()
         observer.counter("sim.instructions").inc(self.instructions - instructions)
+        observer.counter("sim.hooked_instructions").inc(
+            self.hooked_instructions - hooked
+        )
         observer.counter("sim.cycles").inc(self.cycles - cycles)
         observer.counter("sim.boundaries").inc(self.boundaries_crossed - boundaries)
 
@@ -612,10 +656,6 @@ class Simulator:
 
     def _loop(self, pause_at: Optional[int]) -> bool:
         frames = self.frames
-        frame = frames[-1]
-        records, locs, instrs, timing = frame.code.columns
-        base = frame.base
-        pc = frame.code.pc(self.loc)
         sbuf = self.store_buffer
         memory = self.memory
         load = memory.load
@@ -628,231 +668,253 @@ class Simulator:
         ready = self.reg_ready
         half = self.half_slots
         mem_ready = self.mem_ready
-        hooked = self.pre_hook is not None or self.post_hook is not None
+        checkpointing = self.checkpointing
+        hooked_retired = 0
         instr = None
         try:
-            while True:
-                record = records[pc]
-                op = record[0]
-                if hooked:
-                    if op == OP_FELL:
-                        raise SimulationError(record[1])
-                    if count == pause_at:  # before the pre hook runs
+            while True:  # fetch from ``loc``: at entry, and where a hook moved it
+                frame = frames[-1]
+                records, locs, instrs, timing = frame.code.columns
+                base = frame.base
+                pc = frame.code.pc(self.loc)
+                hooked = self.pre_hook is not None or self.post_hook is not None
+                # One test per instruction serves the hooks and the
+                # checkpoint log: while a hook is installed the hooks keep
+                # the log (checkpoint_before/after), otherwise the loop does.
+                slow = hooked or checkpointing
+                while True:
+                    record = records[pc]
+                    op = record[0]
+                    if slow:
+                        if hooked:
+                            if op == OP_FELL:
+                                raise SimulationError(record[1])
+                            if count == pause_at:  # before the pre hook runs
+                                self.loc = locs[pc]
+                                return False
+                            instr = instrs[pc]
+                            pre = self.pre_hook
+                            if pre is not None:
+                                self.instructions = count
+                                self.loc = locs[pc]
+                                pre(self, instr)
+                                if self._redirected:
+                                    self._redirected = False
+                                    break  # fetch from the new location
+                        elif op in _CHECK_OPS and count < stop:  # it will run
+                            self.check_points_since += 1
+                            if sbuf or self.check_points_since >= CHECKPOINT_INTERVAL:
+                                self._log_check_point(count, locs[pc])
+                    count += 1
+                    if count > stop and op != OP_FELL:
+                        if stop != pause_at:
+                            raise SimLimitExceeded(
+                                f"exceeded {limit} simulated instructions"
+                            )
+                        count -= 1
                         self.loc = locs[pc]
                         return False
-                    instr = instrs[pc]
-                    pre = self.pre_hook
-                    if pre is not None:
-                        self.instructions = count
-                        self.loc = locs[pc]
-                        pre(self, instr)
-                        if self._redirected:
-                            self._redirected = False
-                            frame = frames[-1]
-                            records, locs, instrs, timing = frame.code.columns
-                            base = frame.base
-                            pc = frame.code.pc(self.loc)
-                            hooked = self.pre_hook is not None or self.post_hook is not None
-                            continue  # refetch from the new location
-                count += 1
-                if count > stop and op != OP_FELL:
-                    if stop != pause_at:
-                        raise SimLimitExceeded(f"exceeded {limit} simulated instructions")
-                    count -= 1
-                    self.loc = locs[pc]
-                    return False
-                if timed:
-                    srcs, memory_op, dst, latency, issue_slots, ends_group = timing[pc]
-                    issue = half
-                    for src in srcs:
-                        if ready[src] > issue:
-                            issue = ready[src]
-                    if memory_op:
-                        if mem_ready > issue:
-                            issue = mem_ready
-                        mem_ready = issue + 2  # one memory op per cycle
-                    ready[dst] = issue + latency
-                    half = issue + issue_slots
-                    if ends_group:
-                        # A taken control transfer ends the issue group.
-                        half += half % 2
+                    if timed:
+                        (srcs, memory_op, dst, latency, issue_slots,
+                         ends_group) = timing[pc]
+                        issue = half
+                        for src in srcs:
+                            if ready[src] > issue:
+                                issue = ready[src]
+                        if memory_op:
+                            if mem_ready > issue:
+                                issue = mem_ready
+                            mem_ready = issue + 2  # one memory op per cycle
+                        ready[dst] = issue + latency
+                        half = issue + issue_slots
+                        if ends_group:
+                            # A taken control transfer ends the issue group.
+                            half += half % 2
 
-                # Check points (ld, st, ldslot, stslot, b, bnz, rcb, call,
-                # callb, ret) first commit the verified stores.
-                if op == OP_MOVI:
-                    _, dl, d, value = record
-                    dl[d] = value
-                    pc += 1
-                elif op == OP_MOV:
-                    _, sl, s, dl, d = record
-                    dl[d] = sl[s]
-                    pc += 1
-                elif op == OP_ADD:
-                    _, al, a, bl, b, dl, d = record
-                    value = al[a] + bl[b]
-                    value &= _MASK64
-                    if value >= _SIGN64:
-                        value -= _WRAP64
-                    dl[d] = value
-                    pc += 1
-                elif op == OP_LDSLOT:
-                    if sbuf:
-                        self.flush_store_buffer()
-                    _, dl, d, offset = record
-                    dl[d] = load(base + offset)
-                    pc += 1
-                elif op == OP_B:
-                    if sbuf:
-                        self.flush_store_buffer()
-                    pc = record[1]
-                elif op == OP_STSLOT:
-                    if sbuf:
-                        self.flush_store_buffer()
-                    _, vl, v, offset = record
-                    sbuf.append((base + offset, vl[v]))
-                    pc += 1
-                elif op == OP_LD:
-                    if sbuf:
-                        self.flush_store_buffer()
-                    _, al, a, dl, d = record
-                    dl[d] = load(al[a])
-                    pc += 1
-                elif op == OP_BINOP:
-                    _, function, al, a, bl, b, dl, d = record
-                    dl[d] = function(al[a], bl[b])
-                    pc += 1
-                elif op == OP_CMPNE:
-                    _, al, a, bl, b, dl, d = record
-                    dl[d] = 1 if al[a] != bl[b] else 0
-                    pc += 1
-                elif op == OP_BNZ:
-                    if sbuf:
-                        self.flush_store_buffer()
-                    _, cl, c, target = record
-                    pc = target if cl[c] else pc + 1
-                elif op == OP_CMPLT:
-                    _, al, a, bl, b, dl, d = record
-                    dl[d] = 1 if al[a] < bl[b] else 0
-                    pc += 1
-                elif op == OP_RCB:
-                    if sbuf:
-                        self.flush_store_buffer()
-                    self.boundaries_crossed += 1
-                    self.rp = (len(frames), record[1])
-                    self.rp_count = count
-                    pc += 1
-                elif op == OP_SUB:
-                    _, al, a, bl, b, dl, d = record
-                    value = al[a] - bl[b]
-                    value &= _MASK64
-                    if value >= _SIGN64:
-                        value -= _WRAP64
-                    dl[d] = value
-                    pc += 1
-                elif op == OP_RET:
-                    if sbuf:
-                        self.flush_store_buffer()
-                    done = frames.pop()
-                    memory.free_stack(done.base)
-                    if done.return_loc is None:
-                        self.loc = None
-                        if hooked and self.post_hook is not None:
+                    # Check points (ld, st, ldslot, stslot, b, bnz, rcb, call,
+                    # callb, ret) first commit the verified stores.
+                    if op == OP_MOVI:
+                        _, dl, d, value = record
+                        dl[d] = value
+                        pc += 1
+                    elif op == OP_MOV:
+                        _, sl, s, dl, d = record
+                        dl[d] = sl[s]
+                        pc += 1
+                    elif op == OP_ADD:
+                        _, al, a, bl, b, dl, d = record
+                        value = al[a] + bl[b]
+                        value &= _MASK64
+                        if value >= _SIGN64:
+                            value -= _WRAP64
+                        dl[d] = value
+                        pc += 1
+                    elif op == OP_LDSLOT:
+                        if sbuf:
+                            self.flush_store_buffer()
+                        _, dl, d, offset = record
+                        dl[d] = load(base + offset)
+                        pc += 1
+                    elif op == OP_B:
+                        if sbuf:
+                            self.flush_store_buffer()
+                        pc = record[1]
+                    elif op == OP_STSLOT:
+                        if sbuf:
+                            self.flush_store_buffer()
+                        _, vl, v, offset = record
+                        sbuf.append((base + offset, vl[v]))
+                        pc += 1
+                    elif op == OP_LD:
+                        if sbuf:
+                            self.flush_store_buffer()
+                        _, al, a, dl, d = record
+                        dl[d] = load(al[a])
+                        pc += 1
+                    elif op == OP_BINOP:
+                        _, function, al, a, bl, b, dl, d = record
+                        dl[d] = function(al[a], bl[b])
+                        pc += 1
+                    elif op == OP_CMPNE:
+                        _, al, a, bl, b, dl, d = record
+                        dl[d] = 1 if al[a] != bl[b] else 0
+                        pc += 1
+                    elif op == OP_BNZ:
+                        if sbuf:
+                            self.flush_store_buffer()
+                        _, cl, c, target = record
+                        pc = target if cl[c] else pc + 1
+                    elif op == OP_CMPLT:
+                        _, al, a, bl, b, dl, d = record
+                        dl[d] = 1 if al[a] < bl[b] else 0
+                        pc += 1
+                    elif op == OP_RCB:
+                        if sbuf:
+                            self.flush_store_buffer()
+                        self.boundaries_crossed += 1
+                        self.rp = (len(frames), record[1])
+                        self.rp_count = count
+                        pc += 1
+                    elif op == OP_SUB:
+                        _, al, a, bl, b, dl, d = record
+                        value = al[a] - bl[b]
+                        value &= _MASK64
+                        if value >= _SIGN64:
+                            value -= _WRAP64
+                        dl[d] = value
+                        pc += 1
+                    elif op == OP_RET:
+                        if sbuf:
+                            self.flush_store_buffer()
+                        done = frames.pop()
+                        memory.free_stack(done.base)
+                        if done.return_loc is None:
+                            self.loc = None
+                            if hooked:
+                                hooked_retired += 1
+                                if self.post_hook is not None:
+                                    self.instructions = count
+                                    self.post_hook(self, instr)
+                            return True
+                        frame = frames[-1]
+                        records, locs, instrs, timing = frame.code.columns
+                        base = frame.base
+                        pc = done.return_pc
+                        # Return is an implicit verification + restart point.
+                        self.rp = (len(frames), done.return_loc)
+                        self.rp_count = count
+                        if checkpointing and self.post_hook is None:
+                            self._take_checkpoint(count, done.return_loc)
+                    elif op == OP_CALL:
+                        if sbuf:
+                            self.flush_store_buffer()
+                        _, callee, return_loc, return_pc = record
+                        frame = self._enter_function(callee, return_loc, return_pc)
+                        self.rp_count = count
+                        records, locs, instrs, timing = frame.code.columns
+                        base = frame.base
+                        pc = 0
+                        if checkpointing and self.post_hook is None:
+                            self._take_checkpoint(count, self.loc)
+                    elif op == OP_ST:
+                        if sbuf:
+                            self.flush_store_buffer()
+                        _, vl, v, al, a = record
+                        sbuf.append((al[a], vl[v]))
+                        pc += 1
+                    elif op == OP_LEA:
+                        _, dl, d, offset = record
+                        dl[d] = base + offset
+                        pc += 1
+                    elif op == OP_ITOF:
+                        _, sl, s, dl, d = record
+                        dl[d] = float(sl[s])
+                        pc += 1
+                    elif op == OP_FTOI:
+                        _, sl, s, dl, d = record
+                        dl[d] = wrap64(int(sl[s]))
+                        pc += 1
+                    elif op == OP_CSEL:
+                        _, cl, c, al, a, bl, b, dl, d = record
+                        dl[d] = al[a] if cl[c] else bl[b]
+                        pc += 1
+                    elif op == OP_CALLB:
+                        if sbuf:
+                            self.flush_store_buffer()
+                        self._builtin(record[1])
+                        # Builtins (I/O, allocation) are not safely re-executable:
+                        # they are single-instruction regions — advance the restart
+                        # point past them (§2.3, "non-idempotent instructions").
+                        self.rp = (len(frames), record[2])
+                        self.rp_count = count
+                        pc += 1
+                        if checkpointing and self.post_hook is None:
+                            self._take_checkpoint(count, record[2])
+                    elif op == OP_STLOG:
+                        # Checkpoint-and-log: write into the wrap-around log
+                        # region at [lp + imm]. Log traffic is not
+                        # program-visible state, so it bypasses the store
+                        # buffer (it writes through the L1 in the paper's
+                        # setup); cost is accounted as a normal store.
+                        _, vl, v, offset = record
+                        self._log_write(offset, vl[v])
+                        pc += 1
+                    elif op == OP_ADVLP:
+                        self.int_regs[15] = wrap64(self.int_regs[15] + record[1])
+                        pc += 1
+                    elif op == OP_NOP:
+                        pc += 1
+                    elif op == OP_TRAP:
+                        if record[2] and sbuf:
+                            self.flush_store_buffer()
+                        raise record[1]
+                    elif op == OP_BNZ_TRAP:
+                        if sbuf:
+                            self.flush_store_buffer()
+                        _, cl, c, missing = record
+                        if cl[c]:
+                            raise missing
+                        pc += 1
+                    else:  # OP_FELL: the sentinel is fetched, never retired
+                        count -= 1
+                        raise SimulationError(record[1])
+
+                    if hooked:
+                        hooked_retired += 1
+                        post = self.post_hook
+                        if post is not None:
                             self.instructions = count
-                            self.post_hook(self, instr)
-                        return True
-                    frame = frames[-1]
-                    records, locs, instrs, timing = frame.code.columns
-                    base = frame.base
-                    pc = done.return_pc
-                    # Return is an implicit verification + restart point.
-                    self.rp = (len(frames), done.return_loc)
-                    self.rp_count = count
-                elif op == OP_CALL:
-                    if sbuf:
-                        self.flush_store_buffer()
-                    _, callee, return_loc, return_pc = record
-                    frame = self._enter_function(callee, return_loc, return_pc)
-                    self.rp_count = count
-                    records, locs, instrs, timing = frame.code.columns
-                    base = frame.base
-                    pc = 0
-                elif op == OP_ST:
-                    if sbuf:
-                        self.flush_store_buffer()
-                    _, vl, v, al, a = record
-                    sbuf.append((al[a], vl[v]))
-                    pc += 1
-                elif op == OP_LEA:
-                    _, dl, d, offset = record
-                    dl[d] = base + offset
-                    pc += 1
-                elif op == OP_ITOF:
-                    _, sl, s, dl, d = record
-                    dl[d] = float(sl[s])
-                    pc += 1
-                elif op == OP_FTOI:
-                    _, sl, s, dl, d = record
-                    dl[d] = wrap64(int(sl[s]))
-                    pc += 1
-                elif op == OP_CSEL:
-                    _, cl, c, al, a, bl, b, dl, d = record
-                    dl[d] = al[a] if cl[c] else bl[b]
-                    pc += 1
-                elif op == OP_CALLB:
-                    if sbuf:
-                        self.flush_store_buffer()
-                    self._builtin(record[1])
-                    # Builtins (I/O, allocation) are not safely re-executable:
-                    # they are single-instruction regions — advance the restart
-                    # point past them (§2.3, "non-idempotent instructions").
-                    self.rp = (len(frames), record[2])
-                    self.rp_count = count
-                    pc += 1
-                elif op == OP_STLOG:
-                    # Checkpoint-and-log: write into the wrap-around log
-                    # region at [lp + imm]. Log traffic is not
-                    # program-visible state, so it bypasses the store
-                    # buffer (it writes through the L1 in the paper's
-                    # setup); cost is accounted as a normal store.
-                    _, vl, v, offset = record
-                    self._log_write(offset, vl[v])
-                    pc += 1
-                elif op == OP_ADVLP:
-                    self.int_regs[15] = wrap64(self.int_regs[15] + record[1])
-                    pc += 1
-                elif op == OP_NOP:
-                    pc += 1
-                elif op == OP_TRAP:
-                    if record[2] and sbuf:
-                        self.flush_store_buffer()
-                    raise record[1]
-                elif op == OP_BNZ_TRAP:
-                    if sbuf:
-                        self.flush_store_buffer()
-                    _, cl, c, missing = record
-                    if cl[c]:
-                        raise missing
-                    pc += 1
-                else:  # OP_FELL: the sentinel is fetched, never retired
-                    count -= 1
-                    raise SimulationError(record[1])
-
-                if hooked:
-                    post = self.post_hook
-                    if post is not None:
-                        self.instructions = count
-                        self.loc = next_loc = locs[pc]
-                        post(self, instr)
-                        if self.loc is not next_loc:
-                            frame = frames[-1]
-                            records, locs, instrs, timing = frame.code.columns
-                            base = frame.base
-                            pc = frame.code.pc(self.loc)
-                    hooked = self.pre_hook is not None or self.post_hook is not None
+                            self.loc = next_loc = locs[pc]
+                            post(self, instr)
+                            if self.loc is not next_loc:
+                                break  # fetch from where the hook moved it
+                        hooked = self.pre_hook is not None or self.post_hook is not None
+                        slow = hooked or checkpointing
         finally:
             self.instructions = count
             self.half_slots = half
             self.mem_ready = mem_ready
+            self.hooked_instructions += hooked_retired
 
     # ------------------------------------------------------------------
     # Recovery (used by the fault harness)
@@ -873,6 +935,72 @@ class Simulator:
             self.memory.free_stack(dead.base)
         self.discard_store_buffer()
         self.loc = loc
+
+    def recover_to_checkpoint(self) -> None:
+        """Restore the last checkpoint: pop frames to its depth, discard
+        unverified stores, unwind the undo log, restore the registers and
+        jump to its location."""
+        depth, int_regs, float_regs, loc = self.checkpoint
+        # Depth equality is structural: every call-depth change takes a
+        # fresh checkpoint, so detection always happens in the frame the
+        # checkpoint was taken in. The loop is defensive only.
+        while len(self.frames) > depth:
+            dead = self.frames.pop()
+            self.memory.free_stack(dead.base)
+        self.discard_store_buffer()
+        cells = self.memory.cells
+        for addr, old in reversed(self.undo_log):
+            if old is _UNMAPPED:
+                cells.pop(addr, None)
+            else:
+                cells[addr] = old
+        self.undo_log = []
+        self.int_regs[:] = int_regs
+        self.float_regs[:] = float_regs
+        self.loc = loc
+
+    # ------------------------------------------------------------------
+    # Checkpoint-and-log bookkeeping
+    # ------------------------------------------------------------------
+    def checkpoint_before(self, instr: MachineInstr, commits: bool) -> None:
+        """For a pre hook on a ``checkpointing`` simulator: what the loop
+        does before ``instr`` issues while no hook is installed.  A check
+        point that ``commits`` its stores is counted and logged; one at
+        which a fault surfaces does not commit them."""
+        if commits and instr.opcode in self.CHECK_POINTS:
+            self.check_points_since += 1
+            self._log_check_point(self.instructions, self.loc)
+
+    def checkpoint_after(self, instr: MachineInstr) -> None:
+        """For a post hook on a ``checkpointing`` simulator: what the loop
+        does after ``instr`` retires while no hook is installed, which is
+        to checkpoint a call-depth change or a ``callb``."""
+        frames = self.frames
+        if frames and (instr.opcode == "callb" or len(frames) != self.checkpoint[0]):
+            self._take_checkpoint(self.instructions, self.loc)
+
+    def _take_checkpoint(self, count: int, loc: Location) -> None:
+        self.checkpoint = (
+            len(self.frames), list(self.int_regs), list(self.float_regs), loc,
+        )
+        self.checkpoint_count = count
+        self.undo_log = []
+        self.check_points_since = 0
+
+    def _log_check_point(self, count: int, loc: Location) -> None:
+        """The check point at ``loc``, just counted, is about to commit the
+        store buffer: the :data:`CHECKPOINT_INTERVAL`-th since the last
+        checkpoint takes one first, and each buffered store's pre-image
+        joins the undo log."""
+        if self.check_points_since >= CHECKPOINT_INTERVAL:
+            self._take_checkpoint(count, loc)
+        peek = self.memory.peek
+        for addr, _value in self.store_buffer:
+            try:
+                old = peek(addr)
+            except KeyError:
+                old = _UNMAPPED
+            self.undo_log.append((addr, old))
 
     # ------------------------------------------------------------------
     # Snapshots
@@ -908,6 +1036,10 @@ class Simulator:
         self.half_slots, ready, self.mem_ready = snapshot.timing
         # Slots decoded since the snapshot were not written before it.
         self.reg_ready[:] = ready + [0] * (len(self.reg_ready) - len(ready))
+        self.checkpoint, self.checkpoint_count, undo, self.check_points_since = (
+            snapshot.checkpointed
+        )
+        self.undo_log = list(undo)
         self._redirected = False
         self._fresh = True
 
@@ -919,8 +1051,9 @@ class Simulator:
         ``rp``, frames, registers, store buffer, output so far, memory
         cells and segment tops.  Values match only with the same type,
         and floats with the same sign; a NaN matches nothing.  Counts
-        (``instructions``, boundaries, ``rp_count``, memory accesses)
-        and timing are not compared.
+        (``instructions``, boundaries, ``rp_count``, memory accesses),
+        timing and the checkpoint log, which only a recovery reads, are
+        not compared.
         """
         memory = self.memory
         return (

@@ -165,7 +165,7 @@ def _index_where(golden, predicate, kind=FAULT_VALUE):
 def test_strike_before_the_first_snapshot():
     program = _pair(BASE_SOURCE)[1]
     golden = record_golden_run(program)
-    first = golden.forks[0][0].instructions
+    first = golden.forks[0].instructions
     for kind in KINDS:
         index = _index_where(
             golden, lambda plan: plan.strike_count < first, kind=kind

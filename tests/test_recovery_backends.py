@@ -297,15 +297,6 @@ class TestCheckpointLog:
 
         assert size(program) > size(original.program)
 
-    def test_interval_is_configurable(self, builds):
-        backend = CheckpointLogBackend(interval=2)
-        result = _campaign(builds, backend, trials=8)
-        assert result.injected > 0
-        assert (
-            result.recovered_correctly + result.wrong_result
-            + result.crashed + result.undetected
-        ) == result.injected
-
 
 class TestPerRegionAttribution:
     @pytest.mark.parametrize("name", BACKEND_NAMES)

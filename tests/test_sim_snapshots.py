@@ -200,7 +200,7 @@ def test_roll_back_over_a_store_to_the_log_range():
     class Watched(CheckpointLogInjector):
         def roll_back(self, sim):
             unwound.extend(
-                addr for addr, _old in self._undo
+                addr for addr, _old in sim.undo_log
                 if sim.log_base <= addr < sim.log_base + sim.log_size
             )
             super().roll_back(sim)
