@@ -13,7 +13,7 @@ test:
 test-fast:
 	$(PYTHON) -m pytest tests/ --ignore=tests/test_workloads.py \
 	    --ignore=tests/test_experiments.py \
-	    --ignore=tests/test_workload_golden.py
+	    --deselect=tests/test_interp_engine.py::test_workload_matches_frozen
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

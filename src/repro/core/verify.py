@@ -4,7 +4,8 @@ Checks the defining property of the decomposition (paper §4.2.1): no
 region contains a memory antidependence — equivalently, every control-flow
 path from a memory read to a potentially-aliasing later write crosses a
 region boundary. Used as a post-condition by the construction pass and in
-tests; a dynamic re-execution check lives in :mod:`repro.interp`.
+tests; the dynamic re-execution check is the fuzz oracle's
+(:mod:`repro.fuzz.oracle`).
 
 Boundary-free reachability runs on a packed-bitset kernel
 (:func:`repro.analysis.bitset.closure_rows`): blocks containing a

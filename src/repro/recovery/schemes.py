@@ -22,12 +22,12 @@ cost the simulator models with issue-slot multipliers:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.codegen.machine import (
     CLASS_INT,
+    MachineBlock,
     MachineFunction,
     MachineInstr,
     MachineProgram,
@@ -65,16 +65,28 @@ def tmr_cost_model() -> CostModel:
 
 
 def instrument_checkpoint_log(program: MachineProgram) -> MachineProgram:
-    """Insert store-logging sequences into a (deep-copied) program.
+    """A copy of ``program`` with store-logging sequences inserted.
 
     Per store: ``ld old ← [addr]; stlog old, 0; stlog addr, 1; advlp 2`` —
     the paper's load-old-value / log-value / log-address / bump-pointer
     sequence. Frame-slot stores use ``ldslot`` for the old value.
+
+    The copy has its own functions, frames and blocks but shares every
+    instruction of ``program``: no instruction changes once a program
+    exists (the register allocator rewrites them before).
     """
-    instrumented = copy.deepcopy(program)
-    for mfunc in instrumented.functions.values():
+    instrumented = MachineProgram(program.name)
+    instrumented.globals = dict(program.globals)
+    for mfunc in program.functions.values():
+        logged = instrumented.add_function(MachineFunction(
+            mfunc.name, mfunc.int_args, mfunc.float_args,
+            mfunc.returns_float, mfunc.returns_value,
+        ))
+        logged.frame.slot_sizes = list(mfunc.frame.slot_sizes)
+        logged.frame.slot_names = list(mfunc.frame.slot_names)
         for block in mfunc.blocks:
-            new_instrs: List[MachineInstr] = []
+            logged.blocks.append(MachineBlock(block.name))
+            new_instrs = logged.blocks[-1].instructions
             for instr in block.instructions:
                 if instr.opcode == "st":
                     addr_reg = instr.srcs[1]
@@ -98,7 +110,6 @@ def instrument_checkpoint_log(program: MachineProgram) -> MachineProgram:
                     )
                     new_instrs.append(MachineInstr("advlp", imm=2))
                 new_instrs.append(instr)
-            block.instructions = new_instrs
     return instrumented
 
 

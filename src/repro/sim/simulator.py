@@ -852,7 +852,7 @@ class Simulator:
                         pc += 1
                     elif op == OP_FTOI:
                         _, sl, s, dl, d = record
-                        dl[d] = wrap64(int(sl[s]))
+                        dl[d] = _ftoi(sl[s])
                         pc += 1
                     elif op == OP_CSEL:
                         _, cl, c, al, a, bl, b, dl, d = record
@@ -1106,6 +1106,14 @@ class Simulator:
 
 
 _MATH_BUILTINS = {"sqrt": math.sqrt, "exp": math.exp, "log": math.log}
+
+
+# An infinite or NaN float has no integer: ftoi traps.
+def _ftoi(x):
+    try:
+        return wrap64(int(x))
+    except (OverflowError, ValueError) as exc:
+        raise SimulationError(f"ftoi({x!r}): {exc}") from None
 
 
 # Division by zero traps, as in the interpreter.

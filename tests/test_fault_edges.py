@@ -115,6 +115,23 @@ int main() {
 }
 """
 
+# A fault that lets ``n`` grow overflows ``f`` to infinity, which has no
+# integer for the cast.
+OVERFLOW_CAST = """
+float scale(float f, int n) {
+  int i = 0;
+  while (i < n) { f = f * 1.0e100; i = i + 1; }
+  return f;
+}
+int main() {
+  int n = 2;
+  float f = scale(1.0e100, n);
+  int y = (int) f;
+  print_int(y % 1000);
+  return 0;
+}
+"""
+
 
 def _partitioned(result):
     return (
@@ -173,6 +190,23 @@ class TestTrappingFaults:
             assert _partitioned(result), name
             if name == "idempotent":
                 assert result.crashed == 1
+
+    @pytest.mark.parametrize("name, kind, latency", [
+        ("idempotent", "value", 4),
+        ("checkpoint_log", "value", 4),
+        ("checkpoint_log", "control", 12),
+    ])
+    def test_infinite_float_to_int_crashes_the_trial(self, name, kind, latency):
+        original = compile_minic(OVERFLOW_CAST, idempotent=False).program
+        idempotent = compile_minic(OVERFLOW_CAST, idempotent=True).program
+        clean = Simulator(idempotent)
+        reference = clean.run("main")
+        result = get_backend(name).campaign(
+            original, idempotent, reference, list(clean.output), trials=300,
+            kind=kind, seed=3, detection_latency=latency,
+        )
+        assert result.crashed >= 1
+        assert _partitioned(result)
 
     def test_float_division_by_zero_traps_like_the_interpreter(self):
         build = compile_minic(FLOAT_DIVIDE, idempotent=True)

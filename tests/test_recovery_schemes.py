@@ -1,7 +1,10 @@
 """Recovery scheme configuration tests (Fig. 11/12 machinery)."""
 
+import copy
+
 import pytest
 
+from repro.codegen.machine import MachineInstr, format_machine_function
 from repro.compiler import compile_minic
 from repro.recovery import (
     SCHEME_CHECKPOINT_LOG,
@@ -15,7 +18,9 @@ from repro.recovery import (
     run_scheme,
     tmr_cost_model,
 )
+from repro.recovery.schemes import _LOG_SCRATCH
 from repro.sim import Simulator
+from repro.workloads import all_workloads
 from tests.helpers import MINIC_QUICK
 
 STORE_HEAVY = """
@@ -38,6 +43,47 @@ def programs():
     orig = compile_minic(STORE_HEAVY, idempotent=False).program
     idem = compile_minic(STORE_HEAVY, idempotent=True).program
     return orig, idem
+
+
+def _listing(program):
+    return program.name, program.globals, [
+        (func.int_args, func.float_args, func.returns_float, func.returns_value,
+         func.frame.slot_sizes, func.frame.slot_names, format_machine_function(func))
+        for func in program.functions.values()
+    ]
+
+
+def _deep_copy_instrument(program):
+    """``instrument_checkpoint_log`` before it shared instructions."""
+    instrumented = copy.deepcopy(program)
+    for mfunc in instrumented.functions.values():
+        for block in mfunc.blocks:
+            new_instrs = []
+            for instr in block.instructions:
+                if instr.opcode == "st":
+                    addr_reg = instr.srcs[1]
+                    new_instrs.append(
+                        MachineInstr("ld", dst=_LOG_SCRATCH, srcs=[addr_reg])
+                    )
+                    new_instrs.append(
+                        MachineInstr("stlog", srcs=[_LOG_SCRATCH], imm=0)
+                    )
+                    new_instrs.append(MachineInstr("stlog", srcs=[addr_reg], imm=1))
+                    new_instrs.append(MachineInstr("advlp", imm=2))
+                elif instr.opcode == "stslot":
+                    new_instrs.append(
+                        MachineInstr("ldslot", dst=_LOG_SCRATCH, imm=instr.imm)
+                    )
+                    new_instrs.append(
+                        MachineInstr("stlog", srcs=[_LOG_SCRATCH], imm=0)
+                    )
+                    new_instrs.append(
+                        MachineInstr("stlog", srcs=[_LOG_SCRATCH], imm=1)
+                    )
+                    new_instrs.append(MachineInstr("advlp", imm=2))
+                new_instrs.append(instr)
+            block.instructions = new_instrs
+    return instrumented
 
 
 class TestInstrumentation:
@@ -64,7 +110,17 @@ class TestInstrumentation:
         before = sum(f.instruction_count() for f in orig.functions.values())
         instrument_checkpoint_log(orig)
         after = sum(f.instruction_count() for f in orig.functions.values())
-        assert before == after  # deep copy, not mutation
+        assert before == after  # a copy, not mutation
+
+    def test_shared_instructions_list_as_a_deep_copy(self):
+        """Every workload instruments as the deep-copying version did, and
+        its original program lists the same afterwards."""
+        for workload in all_workloads():
+            orig = compile_minic(workload.source, idempotent=False).program
+            before = _listing(orig)
+            logged = instrument_checkpoint_log(orig)
+            assert _listing(orig) == before, workload.name
+            assert _listing(logged) == _listing(_deep_copy_instrument(orig))
 
     def test_logged_program_computes_same_result(self, programs):
         orig, _ = programs
