@@ -89,8 +89,9 @@ def _trial_count(text: str, minimum: int = 0) -> int:
 
 
 def _seconds(text: str) -> float:
-    """argparse type of ``--unit-timeout``: a positive, finite number of
-    seconds (``inf`` would overflow the pool's wait)."""
+    """argparse type of ``--unit-timeout`` and ``fuzz --time-budget``: a
+    positive, finite number of seconds (``inf`` would overflow the pool's
+    wait, and a NaN budget never runs out)."""
     try:
         value = float(text)
     except ValueError:
@@ -275,6 +276,7 @@ def cmd_faults(args) -> int:
 
 def cmd_fuzz(args) -> int:
     from repro.fuzz import GEN_VERSION, format_fuzz_report, run_fuzz_campaign
+    from repro.harness.cache import cache_root
     from repro.harness.report import Telemetry
 
     _setup_obs(args)
@@ -282,7 +284,7 @@ def cmd_fuzz(args) -> int:
     manifest_path = args.manifest
     if manifest_path is None and not args.no_manifest:
         tag = f"fuzz-g{GEN_VERSION}-seed{args.seed}-t{args.trials}"
-        manifest_path = os.path.join(".repro-cache", "campaigns", f"{tag}.jsonl")
+        manifest_path = os.path.join(cache_root(), "campaigns", f"{tag}.jsonl")
     if args.fresh and manifest_path and os.path.exists(manifest_path):
         os.unlink(manifest_path)
     telemetry = Telemetry(label="fuzz campaign")
@@ -347,7 +349,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_campaign(args) -> int:
     from repro.experiments.common import configure
-    from repro.harness.cache import default_cache
+    from repro.harness.cache import cache_root, default_cache
     from repro.harness.campaign import (
         format_campaign_report,
         format_section_accounting,
@@ -374,7 +376,7 @@ def cmd_campaign(args) -> int:
             tag += "-fl" + "+".join(flavours)
         if backends:
             tag += "-be" + "+".join(backends)
-        manifest_path = os.path.join(".repro-cache", "campaigns", f"{tag}.jsonl")
+        manifest_path = os.path.join(cache_root(), "campaigns", f"{tag}.jsonl")
     if args.fresh and manifest_path and os.path.exists(manifest_path):
         os.unlink(manifest_path)
     telemetry = Telemetry(label="fault campaign")
@@ -547,7 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run workload x label units over N processes")
     p.add_argument("--manifest", default=None,
                    help="JSON-lines run manifest (default: derived path "
-                        "under .repro-cache/campaigns/)")
+                        "under campaigns/ in the cache root, "
+                        "$REPRO_CACHE_DIR or .repro-cache)")
     p.add_argument("--no-manifest", action="store_true",
                    help="do not record or resume from a manifest")
     p.add_argument("--fresh", action="store_true",
@@ -609,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-shrink", dest="shrink", action="store_false",
                    help="write raw failing programs without the "
                         "delta-debugging reducer (default: minimize them)")
-    p.add_argument("--time-budget", type=float, default=None,
+    p.add_argument("--time-budget", type=_seconds, default=None,
                    metavar="SECONDS",
                    help="stop launching new trials once this much wall "
                         "clock has elapsed (completed trials stay in the "
@@ -625,7 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory for (minimized) reproducer sources")
     p.add_argument("--manifest", default=None,
                    help="JSON-lines run manifest (default: derived path "
-                        "under .repro-cache/campaigns/)")
+                        "under campaigns/ in the cache root, "
+                        "$REPRO_CACHE_DIR or .repro-cache)")
     p.add_argument("--no-manifest", action="store_true",
                    help="do not record or resume from a manifest")
     p.add_argument("--fresh", action="store_true",

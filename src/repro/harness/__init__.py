@@ -3,10 +3,14 @@
 The harness is the layer between "compile one program" and "regenerate
 the paper": it makes whole-evaluation runs cheap and restartable.
 
-- :mod:`repro.harness.cache` — a persistent content-addressed artifact
-  cache: :class:`ArtifactCache` keyed on SHA-256 of MiniC source,
+- :mod:`repro.harness.cache` — the one persistent content-addressed
+  store (``ContentStore``: root, atomic publish, corruption-is-a-miss,
+  counters) and the build cache on it: :class:`ArtifactCache` pickles
+  builds keyed on SHA-256 of MiniC source,
   :class:`~repro.core.ConstructionConfig` fields, and a pipeline version
-  stamp, so builds are shared across processes *and* across runs.
+  stamp, so builds are shared across processes *and* across runs.  The
+  campaign outcome store (:mod:`repro.harness.incremental`) is the same
+  store with a JSON codec.
 - :mod:`repro.harness.executor` — :class:`TaskExecutor`, a process-pool
   sharder with per-task timing and inline fallback, plus
   :func:`derive_seed`, the spawn-key-style deterministic seed derivation
@@ -15,8 +19,9 @@ the paper": it makes whole-evaluation runs cheap and restartable.
   work unit becomes a JSON-lines row in a :class:`RunManifest`, so a
   killed campaign picks up where it left off.  (Imported on demand as a
   submodule; it pulls in the simulator stack.)
-- :mod:`repro.harness.resilience` — :class:`RetryPolicy` (deterministic
-  backoff over a transient/permanent error taxonomy),
+- :mod:`repro.harness.resilience` — :class:`RetryPolicy` (an attempt
+  budget, with deterministic backoff, over a transient/permanent error
+  taxonomy),
   :class:`ChaosPolicy` (worker crash/hang/raise injection on named units,
   for tests, through ``TaskExecutor(chaos=...)``), and the category
   constants the executor and campaign use to classify, retry, and
@@ -38,7 +43,6 @@ from repro.harness.executor import TaskExecutor, TaskResult, derive_seed
 from repro.harness.report import Telemetry
 from repro.harness.resilience import (
     TIMEOUT,
-    TRANSIENT_ERROR,
     UNIT_ERROR,
     WORKER_LOST,
     ChaosError,
@@ -57,7 +61,6 @@ __all__ = [
     "PermanentUnitError",
     "RetryPolicy",
     "TIMEOUT",
-    "TRANSIENT_ERROR",
     "TaskExecutor",
     "TaskResult",
     "Telemetry",

@@ -1,22 +1,22 @@
-"""Persistent content-addressed cache for compilation artifacts.
+"""The content-addressed store of the harness, and the build cache on it.
+
+:class:`ContentStore` is the one persistent store: it owns the cache
+root (``REPRO_CACHE_DIR``, ``REPRO_CACHE_DISABLE``), the sharded
+``objects/<k[:2]>/<k><suffix>`` layout, the atomic publish, the rule
+that an unreadable entry is a miss, and the counters.  Two codecs use
+it: :class:`ArtifactCache` pickles builds under
+``.repro-cache/objects/<k[:2]>/<k>.pkl``, and
+:class:`repro.harness.incremental.OutcomeStore` keeps per-section
+campaign outcomes as JSON under ``.repro-cache/outcomes/``.
 
 Builds are pure functions of (MiniC source, build flavour,
 :class:`~repro.core.ConstructionConfig`, compiler pipeline version), so a
 :class:`CompileResult` can be cached under the SHA-256 of exactly those
-inputs and reused by any process, in this run or a later one.  Artifacts
-are pickled under ``.repro-cache/objects/<k[:2]>/<k>.pkl``.
-
-Safety properties:
-
-- *Concurrent writers* never expose a torn entry: artifacts are written
-  to a same-directory temp file and published with an atomic
-  ``os.replace``.
-- *Corrupted entries* (truncated file, stale pickle protocol, garbage)
-  are treated as misses, deleted, and recompiled — never an exception.
-- *Staleness* is impossible by construction: any change to the source,
-  the config, or :data:`PIPELINE_VERSION` changes the key.  Bump
-  :data:`PIPELINE_VERSION` whenever a compiler change alters build
-  output for identical inputs.
+inputs and reused by any process, in this run or a later one.
+*Staleness* is impossible by construction: any change to the source,
+the config, or :data:`PIPELINE_VERSION` changes the key.  Bump
+:data:`PIPELINE_VERSION` whenever a compiler change alters build
+output for identical inputs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import hashlib
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.compiler import CompileResult, compile_minic
@@ -40,6 +40,12 @@ PIPELINE_VERSION = "idem-pipeline-v2"  # v2: deterministic regalloc order
 
 #: Default on-disk location, overridable via ``REPRO_CACHE_DIR``.
 DEFAULT_CACHE_DIR = ".repro-cache"
+
+
+def cache_root() -> str:
+    """The root every store lives under: ``REPRO_CACHE_DIR``, by default
+    :data:`DEFAULT_CACHE_DIR` in the working directory."""
+    return os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
 
 
 def config_fingerprint(config: Optional[ConstructionConfig]) -> str:
@@ -77,23 +83,22 @@ def cache_key(
     return h.hexdigest()
 
 
-#: Metric names backing every cache counter (label: ``cache=<root>``).
-CACHE_METRICS = ("hits", "misses", "stores", "evictions", "corrupt")
+#: Events counted for every store (``<counters>.<event>``, labeled by root).
+CACHE_METRICS = ("hits", "misses", "stores", "corrupt")
 
 
 @dataclass
 class CacheStats:
-    """Point-in-time counter view of one cache (or a delta between two).
+    """Point-in-time counter view of one store (or a delta between two).
 
     The live counters themselves live on the :mod:`repro.obs` metrics
-    registry as ``cache.<name>{cache=<root>}``; this dataclass is the
+    registry (see :class:`ContentStore`); this dataclass is the
     read-side snapshot that reports and tests consume.
     """
 
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    evictions: int = 0
     corrupt: int = 0
 
     @property
@@ -108,14 +113,10 @@ class CacheStats:
         self.hits += other.hits
         self.misses += other.misses
         self.stores += other.stores
-        self.evictions += other.evictions
         self.corrupt += other.corrupt
 
     def summary(self) -> str:
-        text = (
-            f"{self.hits} hits, {self.misses} misses, "
-            f"{self.stores} stores, {self.evictions} evictions"
-        )
+        text = f"{self.hits} hits, {self.misses} misses, {self.stores} stores"
         if self.lookups:
             text += f" (hit rate {self.hit_rate:.0%})"
         if self.corrupt:
@@ -123,95 +124,100 @@ class CacheStats:
         return text
 
     @classmethod
-    def from_snapshot(
-        cls, snapshot: dict, cache_label: Optional[str] = None
-    ) -> "CacheStats":
-        """Sum ``cache.*`` counters out of a metrics snapshot (or delta).
-
-        ``cache_label`` restricts to one cache root; None sums them all.
-        """
+    def from_snapshot(cls, snapshot: dict, store: "ContentStore") -> "CacheStats":
+        """Sum one store's counters out of a metrics snapshot (or delta)."""
         from repro.obs.metrics import counter_values
 
         stats = cls()
         for name in CACHE_METRICS:
             total = sum(
                 value
-                for labels, value in counter_values(snapshot, f"cache.{name}")
-                if cache_label is None or labels.get("cache") == cache_label
+                for labels, value in counter_values(
+                    snapshot, f"{store.counters}.{name}"
+                )
+                if labels.get(store.counter_label) == store.root
             )
             setattr(stats, name, int(total))
         return stats
 
 
-class ArtifactCache:
-    """Content-addressed pickle store with hit/miss/evict accounting.
+class ContentStore:
+    """Content-addressed store of encoded values under one root.
 
-    ``max_entries`` bounds the object store: inserting past the bound
-    evicts least-recently-used entries (by file mtime, which ``get``
-    refreshes on every hit).
+    An entry lives at ``<root>/objects/<k[:2]>/<k><suffix>``.  A subclass
+    supplies the codec (:meth:`encode`, :meth:`decode`) and the names of
+    its counters, and the store owns the rest:
 
-    Accounting lives on the global :mod:`repro.obs` metrics registry
-    (``cache.hits`` etc., labeled ``cache=<root>``): every process — and
+    - the store lives in :attr:`subdir` of the cache root, which
+      defaults to :func:`cache_root`, and ``REPRO_CACHE_DISABLE`` turns
+      every store off: a disabled store never touches disk;
+    - :meth:`put` publishes through :meth:`_publish`, a same-directory
+      temp file and an atomic ``os.replace``, so concurrent writers and
+      killed processes never expose a torn entry;
+    - an entry that cannot be read or decoded is a miss, counted as
+      corrupt and unlinked, never an exception; one deleted between
+      lookup and read is a plain miss.
+
+    Accounting lives on the global :mod:`repro.obs` registry as
+    ``<counters>.<event>{<counter_label>=<root>}``: every process, and
     every :class:`~repro.harness.executor.TaskExecutor` worker, whose
-    deltas ship back to the parent — contributes to one set of counters,
-    and :attr:`stats` is a per-instance view over them.
+    deltas ship back to the parent, adds to one set of counters, and
+    :attr:`stats` is a per-store view over them.
     """
 
-    def __init__(
-        self,
-        root: Optional[str] = None,
-        enabled: bool = True,
-        max_entries: Optional[int] = None,
-    ) -> None:
+    #: Directory under the cache root that holds this store ("" = the root).
+    subdir = ""
+    #: File suffix of an entry.
+    suffix = ""
+    #: Counter family and the label that carries the store's root.
+    counters = ""
+    counter_label = ""
+
+    def __init__(self, root: Optional[str] = None, enabled: bool = True) -> None:
         if root is None:
-            root = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-        self.root = root
+            root = cache_root()
+        self.root = os.path.join(root, self.subdir) if self.subdir else root
         self.enabled = enabled and not os.environ.get("REPRO_CACHE_DISABLE")
-        self.max_entries = max_entries
 
-    @property
-    def obs_label(self) -> str:
-        """Label value distinguishing this cache's counters (its root)."""
-        return self.root
+    def encode(self, value: object) -> bytes:
+        """The bytes of an entry holding ``value``."""
+        raise NotImplementedError
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        get_observer().counter(f"cache.{name}").inc(amount, cache=self.root)
+    def decode(self, data: bytes) -> object:
+        """The value of an entry's bytes; raises on a bad entry."""
+        raise NotImplementedError
+
+    def _count(self, event: str) -> None:
+        get_observer().counter(f"{self.counters}.{event}").inc(
+            **{self.counter_label: self.root}
+        )
 
     @property
     def stats(self) -> CacheStats:
-        """Live counter view for this cache root (from the registry)."""
-        return CacheStats.from_snapshot(
-            get_observer().metrics.snapshot(), cache_label=self.root
-        )
+        """Live counter view for this store (from the registry)."""
+        return CacheStats.from_snapshot(get_observer().metrics.snapshot(), self)
 
-    # ------------------------------------------------------------------
-    # Paths
-    # ------------------------------------------------------------------
     @property
     def objects_dir(self) -> str:
         return os.path.join(self.root, "objects")
 
     def path_for(self, key: str) -> str:
-        return os.path.join(self.objects_dir, key[:2], f"{key}.pkl")
+        return os.path.join(self.objects_dir, key[:2], key + self.suffix)
 
-    # ------------------------------------------------------------------
-    # Store operations
-    # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[object]:
-        """Load an artifact, or None on miss; corruption is a miss."""
+        """The value stored under ``key``, or None on a miss."""
         if not self.enabled:
             return None
         path = self.path_for(key)
-        ensure_deep_pickle()
         try:
             with open(path, "rb") as handle:
-                artifact = pickle.load(handle)
+                value = self.decode(handle.read())
         except FileNotFoundError:
             self._count("misses")
             return None
         except Exception:
-            # Truncated write from a killed process, disk corruption,
-            # or an artifact from an incompatible interpreter: drop it.
+            # Truncated write from a killed process, disk corruption, or
+            # an entry in a format this code no longer reads: drop it.
             self._count("misses")
             self._count("corrupt")
             try:
@@ -220,24 +226,23 @@ class ArtifactCache:
                 pass
             return None
         self._count("hits")
-        try:
-            os.utime(path)  # refresh LRU clock
-        except OSError:
-            pass
-        return artifact
+        return value
 
-    def put(self, key: str, artifact: object) -> None:
-        """Publish an artifact atomically (write-to-temp + rename)."""
+    def put(self, key: str, value: object) -> None:
+        """Publish ``value`` under ``key`` atomically."""
         if not self.enabled:
             return
-        path = self.path_for(key)
-        ensure_deep_pickle()
+        self._publish(self.path_for(key), self.encode(value))
+        self._count("stores")
+
+    def _publish(self, path: str, data: bytes) -> None:
+        """Write ``path`` via a same-directory temp file and ``os.replace``."""
         directory = os.path.dirname(path)
         os.makedirs(directory, exist_ok=True)
         fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(artifact, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                handle.write(data)
             os.replace(temp_path, path)
         except BaseException:
             try:
@@ -245,74 +250,38 @@ class ArtifactCache:
             except OSError:
                 pass
             raise
-        self._count("stores")
-        if self.max_entries is not None:
-            self._evict_over(self.max_entries)
 
-    def contains(self, key: str) -> bool:
-        return self.enabled and os.path.exists(self.path_for(key))
-
-    # ------------------------------------------------------------------
-    # Maintenance
-    # ------------------------------------------------------------------
-    def _entries(self):
-        entries = []
+    def entry_count(self) -> int:
+        """How many entries the store holds on disk."""
+        count = 0
         try:
             shards = os.listdir(self.objects_dir)
         except FileNotFoundError:
-            return entries
+            return 0
         for shard in shards:
-            shard_dir = os.path.join(self.objects_dir, shard)
             try:
-                names = os.listdir(shard_dir)
+                names = os.listdir(os.path.join(self.objects_dir, shard))
             except NotADirectoryError:
                 continue
-            for filename in names:
-                if filename.endswith(".pkl"):
-                    entries.append(os.path.join(shard_dir, filename))
-        return entries
+            count += sum(1 for name in names if name.endswith(self.suffix))
+        return count
 
-    def entry_count(self) -> int:
-        return len(self._entries())
 
-    def size_bytes(self) -> int:
-        total = 0
-        for path in self._entries():
-            try:
-                total += os.path.getsize(path)
-            except OSError:
-                pass
-        return total
+class ArtifactCache(ContentStore):
+    """The build cache: pickled artifacts, counted as ``cache.<event>``
+    labeled ``cache=<root>``."""
 
-    def _evict_over(self, limit: int) -> None:
-        entries = self._entries()
-        if len(entries) <= limit:
-            return
+    suffix = ".pkl"
+    counters = "cache"
+    counter_label = "cache"
 
-        def mtime(path: str) -> float:
-            try:
-                return os.path.getmtime(path)
-            except OSError:
-                return 0.0
+    def encode(self, artifact: object) -> bytes:
+        ensure_deep_pickle()
+        return pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
 
-        entries.sort(key=mtime)
-        for path in entries[: len(entries) - limit]:
-            try:
-                os.unlink(path)
-                self._count("evictions")
-            except OSError:
-                pass
-
-    def clear(self) -> int:
-        """Drop every object; returns how many were removed."""
-        removed = 0
-        for path in self._entries():
-            try:
-                os.unlink(path)
-                removed += 1
-            except OSError:
-                pass
-        return removed
+    def decode(self, data: bytes) -> object:
+        ensure_deep_pickle()
+        return pickle.loads(data)
 
 
 # ----------------------------------------------------------------------

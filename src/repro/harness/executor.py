@@ -27,9 +27,8 @@ is an idempotent region, and recovery is re-execution from its entry.
   (``unit_timeout`` exceeded — the pool is killed and rebuilt) is a
   *transient* failure: the unit re-executes on a fresh worker, after a
   deterministic exponential backoff, up to its attempt budget.
-- A unit that raises is a *permanent* failure (modulo the policy's
-  ``transient_exceptions``): it fails immediately with its key,
-  category, and attempt count attached.
+- A unit that raises is a *permanent* failure: it fails immediately
+  with its key, category, and attempt count attached.
 - ``chaos`` (a :class:`~repro.harness.resilience.ChaosPolicy`) lets
   tests make workers crash / hang / raise on chosen units to prove all
   of this; the executor is the one place it is injected.
@@ -59,8 +58,9 @@ from typing import (
 
 from repro.harness.resilience import (
     DEFAULT_RETRY,
-    WORKER_LOST,
     TIMEOUT,
+    UNIT_ERROR,
+    WORKER_LOST,
     ChaosPolicy,
     RetryPolicy,
 )
@@ -224,21 +224,19 @@ class TaskExecutor:
         fn: Callable,
         items: Sequence[object],
         keys: Optional[Sequence[object]] = None,
-        reraise: bool = True,
     ) -> List[TaskResult]:
         """Execute every item; results come back in item order.
 
-        With ``reraise`` (default), the first failed unit raises after
-        all units finish; pass ``reraise=False`` to collect failures as
+        The first failed unit raises after all units finish;
+        ``imap(..., ordered=True)`` yields failures as
         ``TaskResult.error`` strings instead.
         """
         results = list(self.imap(fn, items, keys=keys, ordered=True))
-        if reraise:
-            for result in results:
-                if not result.ok:
-                    raise RuntimeError(
-                        f"work unit {result.key!r} failed: {result.error}"
-                    )
+        for result in results:
+            if not result.ok:
+                raise RuntimeError(
+                    f"work unit {result.key!r} failed: {result.error}"
+                )
         return results
 
     def imap(
@@ -329,7 +327,7 @@ class TaskExecutor:
             result = _run_unit(fn, task.key, task.item)
             result.attempts = task.attempt
             if result.error:
-                result.category = policy.classify_unit_error(result.error)
+                result.category = UNIT_ERROR
             finished.append((task.index, result))
 
         def submit(task: _UnitTask) -> None:
@@ -387,14 +385,8 @@ class TaskExecutor:
             self._absorb_obs(result)
             result.attempts = task.attempt
             if result.error:
-                category = policy.classify_unit_error(result.error)
-                result.category = category
-                if policy.should_retry(category, task.attempt):
-                    fail_or_retry(task, category, result.error, result.seconds)
-                else:
-                    finished.append((task.index, result))
-            else:
-                finished.append((task.index, result))
+                result.category = UNIT_ERROR  # the unit's own: never retried
+            finished.append((task.index, result))
 
         try:
             while pending or delayed or inflight:
@@ -481,9 +473,8 @@ class TaskExecutor:
     def _imap_inline(
         self, fn: Callable, items: Iterable[object], keys: Iterable[object]
     ) -> Iterator[TaskResult]:
-        policy = self._policy
         for key, item in zip(keys, items):
             result = _run_unit(fn, key, item)
             if result.error:
-                result.category = policy.classify_unit_error(result.error)
+                result.category = UNIT_ERROR
             yield result

@@ -48,10 +48,11 @@ the edited function (or read a value it computes) can go stale.
 ``REPRO_CACHE_DISABLE=1`` (``repro campaign --no-cache``) re-injects
 every section.
 
-Store safety mirrors :mod:`repro.harness.cache`: atomic
-write-temp-then-rename publication, corruption-is-a-miss (the entry is
-deleted and the section re-injected), and hit/miss/store counters on the
-``repro.obs`` registry (``campaign.store.*`` labeled ``store=<root>``).
+The outcome store is the build cache's store
+(:class:`repro.harness.cache.ContentStore`) with a JSON codec: atomic
+publication, corruption-is-a-miss (the entry is deleted and the section
+re-injected), and hit/miss/store counters on the ``repro.obs`` registry
+(``campaign.store.*`` labeled ``store=<root>``).
 """
 
 from __future__ import annotations
@@ -59,13 +60,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.codegen.machine import MachineProgram, format_machine_function
-from repro.harness.cache import DEFAULT_CACHE_DIR, PIPELINE_VERSION
+from repro.harness.cache import PIPELINE_VERSION, ContentStore
 from repro.harness.resilience import PermanentUnitError
 from repro.obs.context import get_observer
 from repro.sim import faults
@@ -246,100 +246,44 @@ def section_identity(
     return h.hexdigest()
 
 
-class OutcomeStore:
-    """Content-addressed JSON store of per-section campaign outcomes.
+class OutcomeStore(ContentStore):
+    """Per-section campaign outcomes: the build cache's store
+    (:class:`~repro.harness.cache.ContentStore`) with a JSON codec.
 
-    Mirrors :class:`~repro.harness.cache.ArtifactCache` safety: records
-    publish via same-directory temp file + atomic ``os.replace``, any
-    unreadable or schema-mismatched entry is a miss (deleted, then
-    re-injected), and accounting lives on the ``repro.obs`` registry as
-    ``campaign.store.<event>{store=<root>}`` — worker deltas ship back
-    to the parent, so counters aggregate across the pool.
+    Records live under ``<root>/outcomes/objects/`` and publish, miss
+    and count as every store's entries do; a record of another schema
+    is a corrupt entry too.  Counters are
+    ``campaign.store.<event>{store=<root>/outcomes}``, and the identity
+    index sits next to the objects.
     """
 
-    def __init__(self, root: Optional[str] = None, enabled: bool = True) -> None:
-        if root is None:
-            root = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-        self.root = os.path.join(root, "outcomes")
-        self.enabled = enabled and not os.environ.get("REPRO_CACHE_DISABLE")
+    subdir = "outcomes"
+    suffix = ".json"
+    counters = "campaign.store"
+    counter_label = "store"
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        get_observer().counter(f"campaign.store.{name}").inc(
-            amount, store=self.root
-        )
+    def encode(self, payload: dict) -> bytes:
+        return json.dumps(payload, sort_keys=True).encode("utf-8")
 
-    @property
-    def objects_dir(self) -> str:
-        return os.path.join(self.root, "objects")
-
-    def path_for(self, key: str) -> str:
-        return os.path.join(self.objects_dir, key[:2], f"{key}.json")
-
-    @property
-    def index_path(self) -> str:
-        return os.path.join(self.root, "index.json")
-
-    def get(self, key: str) -> Optional[dict]:
-        """Load a section record, or None on miss; corruption is a miss."""
-        if not self.enabled:
-            return None
-        path = self.path_for(key)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except FileNotFoundError:
-            self._count("misses")
-            return None
-        except (OSError, ValueError):
-            self._count("misses")
-            self._count("corrupt")
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return None
+    def decode(self, data: bytes) -> dict:
+        record = json.loads(data)
         if not isinstance(record, dict) or record.get("schema") != STORE_SCHEMA:
-            self._count("misses")
-            self._count("corrupt")
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-            return None
-        self._count("hits")
+            raise ValueError(f"not a {STORE_SCHEMA} record")
         return record
-
-    def put(self, key: str, record: dict) -> None:
-        """Publish a section record atomically."""
-        if not self.enabled:
-            return
-        self._write_json(self.path_for(key), record)
-        self._count("stores")
-
-    def _write_json(self, path: str, payload: dict) -> None:
-        directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, temp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(temp_path, path)
-        except BaseException:
-            try:
-                os.unlink(temp_path)
-            except OSError:
-                pass
-            raise
 
     # ------------------------------------------------------------------
     # Identity index (drives --explain-stale diagnosis)
     # ------------------------------------------------------------------
+    @property
+    def index_path(self) -> str:
+        return os.path.join(self.root, "index.json")
+
     def load_index(self) -> Dict[str, dict]:
         if not self.enabled:
             return {}
         try:
-            with open(self.index_path, "r", encoding="utf-8") as handle:
-                index = json.load(handle)
+            with open(self.index_path, "rb") as handle:
+                index = json.loads(handle.read())
         except (OSError, ValueError):
             return {}
         return index if isinstance(index, dict) else {}
@@ -356,22 +300,7 @@ class OutcomeStore:
                 index[identity] = row
                 changed = True
         if changed:
-            self._write_json(self.index_path, index)
-
-    def entry_count(self) -> int:
-        count = 0
-        try:
-            shards = os.listdir(self.objects_dir)
-        except FileNotFoundError:
-            return 0
-        for shard in shards:
-            shard_dir = os.path.join(self.objects_dir, shard)
-            try:
-                names = os.listdir(shard_dir)
-            except NotADirectoryError:
-                continue
-            count += sum(1 for name in names if name.endswith(".json"))
-        return count
+            self._publish(self.index_path, self.encode(index))
 
 
 _default_store: Optional[OutcomeStore] = None
@@ -396,30 +325,6 @@ def set_default_store(store: Optional[OutcomeStore]) -> Optional[OutcomeStore]:
 # ----------------------------------------------------------------------
 # Section records
 # ----------------------------------------------------------------------
-def detect_gap_histogram(rows: Sequence[Sequence[object]]) -> Dict[str, int]:
-    """Power-of-two histogram of injection-to-detection gaps.
-
-    Bucket ``"0"`` counts undetected trials and zero-gap detections;
-    bucket ``"2^k"`` counts gaps in ``[2^k, 2^(k+1))``.
-    """
-    histogram: Dict[str, int] = {}
-    for _index, _bucket, detected, gap in rows:
-        if not detected or gap <= 0:
-            label = "0"
-        else:
-            label = str(1 << (int(gap).bit_length() - 1))
-        histogram[label] = histogram.get(label, 0) + 1
-    return histogram
-
-
-def summarize_rows(rows: Sequence[Sequence[object]]) -> Dict[str, int]:
-    """Campaign-bucket totals of a section's trial rows."""
-    summary = CampaignResult()
-    for _index, bucket, detected, _gap in rows:
-        summary.count(bucket, detected)
-    return asdict(summary)
-
-
 def make_section_record(
     workload: str,
     entry: str,
@@ -435,8 +340,7 @@ def make_section_record(
     """Assemble a schema-complete store record from trial rows.
 
     Rows are ``[index, bucket, detected, detect_gap]`` with one row per
-    *injected* trial; the aggregates (bucket totals, detect-latency
-    histogram) are derived so they can never drift from the rows.
+    *injected* trial, sorted by index.
     """
     ordered = sorted(rows, key=lambda row: row[0])
     return {
@@ -453,8 +357,6 @@ def make_section_record(
         "region": region,
         "fingerprint": fingerprint,
         "trials": [list(row) for row in ordered],
-        "summary": summarize_rows(ordered),
-        "detect_gaps": detect_gap_histogram(ordered),
     }
 
 

@@ -21,7 +21,7 @@ import time
 from contextlib import contextmanager
 from typing import List, Optional, Tuple
 
-from repro.harness.cache import ArtifactCache, CacheStats
+from repro.harness.cache import CacheStats, ContentStore
 from repro.obs.context import Observer, get_observer
 from repro.obs.metrics import counter_values, diff_snapshots
 
@@ -33,7 +33,7 @@ class Telemetry:
         self.label = label
         self.observer = observer or get_observer()
         self.notes: List[str] = []
-        self._cache_labels: List[str] = []
+        self._caches: List[ContentStore] = []
         self._phase_order: List[str] = []
         self._baseline = self.observer.metrics.snapshot()
         self._started = time.perf_counter()
@@ -67,11 +67,10 @@ class Telemetry:
     def note(self, text: str) -> None:
         self.notes.append(text)
 
-    def attach_cache(self, cache: ArtifactCache) -> None:
+    def attach_cache(self, cache: ContentStore) -> None:
         """Include a cache's counters (since this run began) in the summary."""
-        label = getattr(cache, "obs_label", None)
-        if label is not None and label not in self._cache_labels:
-            self._cache_labels.append(label)
+        if all(cache.root != known.root for known in self._caches):
+            self._caches.append(cache)
 
     def finish(self) -> float:
         """Freeze total wall time; returns it in seconds."""
@@ -112,12 +111,12 @@ class Telemetry:
 
     def cache_stats(self) -> Optional[CacheStats]:
         """Summed counters of every attached cache since this run began."""
-        if not self._cache_labels:
+        if not self._caches:
             return None
         delta = self._delta()
         total = CacheStats()
-        for label in self._cache_labels:
-            total.merge(CacheStats.from_snapshot(delta, cache_label=label))
+        for cache in self._caches:
+            total.merge(CacheStats.from_snapshot(delta, cache))
         return total
 
     def format_summary(self) -> str:

@@ -12,13 +12,14 @@ campaign result is unchanged.
 Three pieces live here:
 
 - an **error taxonomy** separating *transient* failures (worker lost,
-  wall-clock timeout, corrupted cache entry) — where re-execution is
-  sound and likely to succeed — from *permanent* ones (the unit's own
-  code raised), where re-execution would deterministically fail again;
-- :class:`RetryPolicy` — how many attempts a unit gets and how long to
-  back off between them, with *deterministic* jitter (spawn-key style,
-  like :func:`repro.harness.executor.derive_seed`) so two runs of the
-  same campaign schedule identically;
+  wall-clock timeout) — where re-execution is sound and likely to
+  succeed — from *permanent* ones (the unit's own code raised), where
+  re-execution would deterministically fail again;
+- :class:`RetryPolicy` — how many attempts a unit gets, and how long to
+  back off between them (the ``BACKOFF_*`` constants), with
+  *deterministic* jitter (spawn-key style, like
+  :func:`repro.harness.executor.derive_seed`) so two runs of the same
+  campaign schedule identically;
 - :class:`ChaosPolicy` — a test hook that makes pool workers crash,
   hang, or raise on chosen units, so the recovery machinery is provable
   under test.  Tests hand it to :class:`repro.harness.executor.TaskExecutor`
@@ -36,7 +37,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import FrozenSet, Optional, Tuple
+from typing import Optional, Tuple
 
 # ----------------------------------------------------------------------
 # Error taxonomy
@@ -47,14 +48,11 @@ from typing import FrozenSet, Optional, Tuple
 WORKER_LOST = "worker-lost"
 #: The unit exceeded its wall-clock budget and its worker was killed.
 TIMEOUT = "timeout"
-#: The unit raised an exception whose type is known to be retryable
-#: (e.g. a corrupted cache entry that the next attempt rebuilds).
-TRANSIENT_ERROR = "transient-error"
 #: The unit's own code raised: deterministic, re-execution would fail
 #: again.  Never retried; quarantined when a retry policy is active.
 UNIT_ERROR = "unit-error"
 
-TRANSIENT_CATEGORIES = frozenset({WORKER_LOST, TIMEOUT, TRANSIENT_ERROR})
+TRANSIENT_CATEGORIES = frozenset({WORKER_LOST, TIMEOUT})
 
 
 def is_transient(category: Optional[str]) -> bool:
@@ -92,27 +90,27 @@ def _unit_interval(*path: object) -> float:
 # ----------------------------------------------------------------------
 # Retry policy
 # ----------------------------------------------------------------------
+#: Backoff for the retry after attempt ``n`` is
+#: ``min(BACKOFF_BASE * BACKOFF_FACTOR**(n-1), BACKOFF_MAX)`` seconds,
+#: scaled by ``1 + BACKOFF_JITTER * u`` where ``u`` is a deterministic
+#: uniform draw from ``(BACKOFF_SEED, key, n)`` — so a re-run of the same
+#: campaign backs off by the same amounts, yet distinct units never
+#: thundering-herd.
+BACKOFF_BASE = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX = 2.0
+BACKOFF_JITTER = 0.5
+BACKOFF_SEED = 0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Attempt budget and backoff schedule for transient unit failures.
+    """Attempt budget for transient unit failures.
 
     ``max_attempts`` counts *total* executions: 1 means no retries.
-    Backoff for the retry after attempt ``n`` is
-    ``min(backoff_base * backoff_factor**(n-1), backoff_max)`` scaled by
-    ``1 + jitter * u`` where ``u`` is a deterministic uniform draw from
-    ``(seed, key, n)`` — so a re-run of the same campaign backs off by
-    the same amounts, yet distinct units never thundering-herd.
     """
 
     max_attempts: int = 2
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
-    jitter: float = 0.5
-    seed: int = 0
-    #: Exception type names (the leading ``TypeName:`` of a unit error)
-    #: classified transient even though the unit itself raised them.
-    transient_exceptions: FrozenSet[str] = frozenset({"CacheCorruptionError"})
 
     def should_retry(self, category: Optional[str], attempt: int) -> bool:
         """Whether a unit failing this way on this attempt gets another."""
@@ -120,22 +118,11 @@ class RetryPolicy:
 
     def delay(self, key: object, attempt: int) -> float:
         """Seconds to back off before re-submitting after ``attempt``."""
-        base = min(
-            self.backoff_base * self.backoff_factor ** max(attempt - 1, 0),
-            self.backoff_max,
-        )
-        return base * (1.0 + self.jitter * _unit_interval(
-            self.seed, "retry", repr(key), attempt
+        base = min(BACKOFF_BASE * BACKOFF_FACTOR ** max(attempt - 1, 0),
+                   BACKOFF_MAX)
+        return base * (1.0 + BACKOFF_JITTER * _unit_interval(
+            BACKOFF_SEED, "retry", repr(key), attempt
         ))
-
-    def classify_unit_error(self, error: Optional[str]) -> str:
-        """Category of an exception a unit raised (``"TypeName: msg"``)."""
-        if not error:
-            return UNIT_ERROR
-        type_name = error.split(":", 1)[0].strip()
-        if type_name in self.transient_exceptions:
-            return TRANSIENT_ERROR
-        return UNIT_ERROR
 
 
 #: Executor default when no policy is given: one free re-execution for

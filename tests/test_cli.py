@@ -301,6 +301,17 @@ class TestTrialCounts:
         assert (f"--threshold: must be a number >= 0, got {value}"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("value", ["nan", "0", "-5", "inf"])
+    def test_time_budget_not_positive_finite_exit_2(self, value, capsys):
+        """A NaN budget never ran out, and 0 or -5 stopped the fuzz run
+        after its first finished trial."""
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--trials", "2", "--no-manifest",
+                  "--time-budget", value])
+        assert exc.value.code == 2
+        assert (f"--time-budget: must be > 0 and finite, got {value}"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("command", ["compile", "run", "regions", "faults"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_max_region_size_below_one_exit_2(self, command, value, capsys):
@@ -311,6 +322,36 @@ class TestTrialCounts:
         assert exc.value.code == 2
         assert (f"--max-region-size: must be >= 1, got {value}"
                 in capsys.readouterr().err)
+
+
+class TestDefaultManifest:
+    @pytest.mark.parametrize("argv, executed", [
+        (["campaign", "blackscholes", "--trials", "2",
+          "--flavours", "idempotent"],
+         "units: 1 executed, 0 resumed from manifest"),
+        (["fuzz", "--trials", "1", "--out", "repro"], "  resumed:     0"),
+    ], ids=["campaign", "fuzz"])
+    def test_each_cache_root_resumes_its_own_manifest(
+        self, argv, executed, tmp_path, monkeypatch, capsys
+    ):
+        """The default manifest lives under the cache root, so a run
+        under a fresh ``REPRO_CACHE_DIR`` executes its units instead of
+        resuming from the working directory's manifest."""
+        from repro.harness.cache import set_default_cache
+        from repro.harness.incremental import set_default_store
+
+        monkeypatch.chdir(tmp_path)
+        for root in ("c1", "c2"):
+            monkeypatch.setenv("REPRO_CACHE_DIR", root)
+            cache, store = set_default_cache(None), set_default_store(None)
+            try:
+                assert main(argv) == 0
+            finally:
+                set_default_cache(cache)
+                set_default_store(store)
+            assert executed in capsys.readouterr().out
+            assert len(list((tmp_path / root / "campaigns").iterdir())) == 1
+        assert not (tmp_path / ".repro-cache").exists()
 
 
 RESILIENT_COMMANDS = [

@@ -1,8 +1,9 @@
-"""Artifact cache: key invalidation, corruption handling, eviction."""
+"""The content-addressed store: build-cache keys, and the store's safety
+cases run over both record kinds it holds (pickled build artifacts and
+JSON campaign section records)."""
 
 import dataclasses
 import os
-import pickle
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.harness.cache import (
     config_fingerprint,
     set_default_cache,
 )
+from repro.harness.incremental import OutcomeStore, make_section_record
 from repro.sim import Simulator
 
 SOURCE = """
@@ -88,17 +90,105 @@ class TestCacheKey:
             assert field.name in text
 
 
-class TestStore:
-    def test_miss_then_hit_roundtrip(self, cache):
-        key = cache_key(SOURCE, idempotent=True)
-        assert cache.get(key) is None
-        result = cached_compile(SOURCE, idempotent=True, cache=cache)
-        again = cache.get(key)
-        assert isinstance(again, CompileResult)
-        assert Simulator(again.program).run("main") == Simulator(result.program).run("main")
-        assert cache.stats.hits == 1
-        assert cache.stats.misses >= 1
-        assert cache.stats.stores == 1
+def _artifact(version):
+    return {"entry": version, "blob": "x" * 512}
+
+
+def _section(version):
+    return make_section_record(
+        "wl", "main", "idempotent", "value", 0, 7, 500, "main@b.0", "f" * 64,
+        [[version, "crashed", 0, 0]],
+    )
+
+
+#: The two record kinds on the one store: (store class, record of a version).
+RECORD_KINDS = {
+    "artifact": (ArtifactCache, _artifact),
+    "section": (OutcomeStore, _section),
+}
+
+
+def _key(slot=0):
+    return cache_key(f"shared source {slot}", idempotent=True)
+
+
+@pytest.fixture
+def store(request, tmp_path):
+    """A fresh store of the record kind the test class names."""
+    store_class, _ = RECORD_KINDS[request.cls.kind]
+    return store_class(root=str(tmp_path / "store"))
+
+
+class _RecordKind:
+    """A test class of one record kind (``kind``, a RECORD_KINDS key)."""
+
+    kind = ""
+
+    def record(self, version=0):
+        return RECORD_KINDS[self.kind][1](version)
+
+
+class _StoreCases(_RecordKind):
+    """Lookup, corruption and publish cases every record kind passes."""
+
+    def test_miss_then_hit_roundtrip(self, store):
+        key = _key()
+        assert store.get(key) is None
+        store.put(key, self.record())
+        assert store.get(key) == self.record()
+        assert store.entry_count() == 1
+        stats = store.stats
+        assert (stats.hits, stats.misses, stats.stores, stats.corrupt) == (
+            1, 1, 1, 0)
+
+    def test_corrupted_entry_is_a_miss_not_a_crash(self, store):
+        key = _key()
+        store.put(key, self.record())
+        with open(store.path_for(key), "wb") as handle:
+            handle.write(b"\x00garbage, not a record")
+        assert store.get(key) is None
+        assert store.stats.corrupt == 1
+        assert not os.path.exists(store.path_for(key))  # the bad entry went
+        store.put(key, self.record())  # and a fresh write repopulates it
+        assert store.get(key) == self.record()
+
+    def test_truncated_entry_is_a_miss(self, store):
+        key = _key()
+        store.put(key, self.record())
+        path = store.path_for(key)
+        payload = open(path, "rb").read()
+        with open(path, "wb") as handle:
+            handle.write(payload[: len(payload) // 2])
+        assert store.get(key) is None
+        assert store.stats.corrupt == 1
+        assert not os.path.exists(path)
+
+    def test_no_temp_droppings(self, store):
+        for version in range(2):
+            store.put(_key(version), self.record(version))
+        leftovers = [
+            name
+            for _, _, files in os.walk(store.root)
+            for name in files
+            if name.endswith(".tmp")
+        ]
+        assert leftovers == []
+        assert store.entry_count() == 2
+
+    def test_disabled_cache_never_touches_disk(self, tmp_path, monkeypatch):
+        store_class, _ = RECORD_KINDS[self.kind]
+        off = store_class(root=str(tmp_path / "off"), enabled=False)
+        monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
+        env_off = store_class(root=str(tmp_path / "env-off"))
+        for disabled in (off, env_off):
+            disabled.put(_key(), self.record())
+            assert disabled.get(_key()) is None
+            assert disabled.entry_count() == 0
+        assert os.listdir(tmp_path) == []
+
+
+class TestStore(_StoreCases):
+    kind = "artifact"
 
     def test_cached_compile_skips_recompile(self, cache):
         cached_compile(SOURCE, idempotent=True, cache=cache)
@@ -112,67 +202,15 @@ class TestStore:
         cached_compile(SOURCE, idempotent=True, config=config, cache=cache)
         assert cache.stats.stores == 2  # second build was a genuine miss
 
-    def test_corrupted_entry_is_a_miss_not_a_crash(self, cache):
-        key = cache_key(SOURCE, idempotent=True)
-        cached_compile(SOURCE, idempotent=True, cache=cache)
-        with open(cache.path_for(key), "wb") as handle:
-            handle.write(b"\x00garbage, not a pickle")
-        assert cache.get(key) is None
-        assert cache.stats.corrupt == 1
-        # The bad entry was dropped; a fresh build repopulates it.
-        rebuilt = cached_compile(SOURCE, idempotent=True, cache=cache)
-        assert isinstance(cache.get(key), CompileResult)
-        assert isinstance(rebuilt, CompileResult)
-
-    def test_truncated_entry_is_a_miss(self, cache):
-        key = cache_key(SOURCE, idempotent=True)
-        cached_compile(SOURCE, idempotent=True, cache=cache)
-        path = cache.path_for(key)
-        payload = open(path, "rb").read()
-        with open(path, "wb") as handle:
-            handle.write(payload[: len(payload) // 2])
-        assert cache.get(key) is None
-
     def test_wrong_type_entry_is_ignored_by_cached_compile(self, cache):
         key = cache_key(SOURCE, idempotent=True)
         cache.put(key, {"not": "a CompileResult"})
         result = cached_compile(SOURCE, idempotent=True, cache=cache)
         assert isinstance(result, CompileResult)
 
-    def test_no_temp_droppings(self, cache):
-        cached_compile(SOURCE, idempotent=True, cache=cache)
-        cached_compile(SOURCE, idempotent=False, cache=cache)
-        leftovers = [
-            name
-            for _, _, files in os.walk(cache.root)
-            for name in files
-            if name.endswith(".tmp")
-        ]
-        assert leftovers == []
 
-    def test_disabled_cache_never_touches_disk(self, tmp_path):
-        cache = ArtifactCache(root=str(tmp_path / "off"), enabled=False)
-        key = cache_key(SOURCE, idempotent=True)
-        cache.put(key, object())
-        assert cache.get(key) is None
-        assert not os.path.exists(cache.root)
-
-
-class TestEviction:
-    def test_lru_eviction_over_bound(self, tmp_path):
-        cache = ArtifactCache(root=str(tmp_path / "cache"), max_entries=2)
-        keys = [cache_key(SOURCE + "\n" * i, idempotent=True) for i in range(3)]
-        for i, key in enumerate(keys):
-            cache.put(key, {"entry": i})
-            os.utime(cache.path_for(key), (i, i))  # deterministic LRU order
-        assert cache.entry_count() == 2
-        assert cache.stats.evictions == 1
-        assert cache.get(keys[0]) is None  # oldest entry was evicted
-
-    def test_clear(self, cache):
-        cache.put(cache_key(SOURCE, idempotent=True), {"x": 1})
-        assert cache.clear() == 1
-        assert cache.entry_count() == 0
+class TestSectionStore(_StoreCases):
+    kind = "section"
 
 
 class TestBuildPairIntegration:
@@ -198,62 +236,79 @@ class TestBuildPairIntegration:
 
 
 def _stress_worker(args):
-    """One process of the concurrency stress: hammer get/put/evict.
+    """One process of the concurrency stress: readers against writers.
 
-    Runs against a tiny ``max_entries`` bound so every ``put`` races
-    other processes' reads with evictions.  Returns (hits, misses,
-    failures); any exception escaping a cache call is a failure — the
-    contract is "eviction racing a read is a miss, never an error".
+    Every round reads one of eight shared keys.  A miss publishes the
+    entry; a hit republishes it on some rounds and unlinks it on others,
+    as dropping a corrupt entry does.  Returns (hits, misses, corrupt,
+    failures): a lookup that raises or returns another value is a
+    failure, and so is a corrupt read, since a publish or unlink racing
+    a read must leave it a hit or a clean miss.
     """
-    root, worker, rounds = args
-    cache = ArtifactCache(root=root, max_entries=4)
-    payload = {"worker": worker, "blob": "x" * 512}
+    kind, root, worker, rounds = args
+    store_class, make = RECORD_KINDS[kind]
+    store = store_class(root=root)
+    expected = [make(slot) for slot in range(8)]
     hits = misses = 0
     failures = []
     for i in range(rounds):
-        key = cache_key(f"shared source {i % 8}", idempotent=True)
+        slot = (i + worker) % 8
+        key = _key(slot)
         try:
-            artifact = cache.get(key)
-            if artifact is None:
+            value = store.get(key)
+            if value is None:
                 misses += 1
-                cache.put(key, dict(payload, i=i))
-            else:
-                hits += 1
-                if artifact["blob"] != payload["blob"]:
-                    failures.append(f"worker {worker}: torn read at {i}")
+                store.put(key, expected[slot])
+                continue
+            hits += 1
+            if value != expected[slot]:
+                failures.append(f"worker {worker}: wrong value at {i}")
+            if i % 3 == 0:
+                store.put(key, expected[slot])
+            elif i % 3 == 1:
+                try:
+                    os.unlink(store.path_for(key))
+                except FileNotFoundError:
+                    pass
         except Exception as exc:  # the contract under test: never raises
             failures.append(f"worker {worker} round {i}: "
                             f"{type(exc).__name__}: {exc}")
-    return hits, misses, failures
+    return hits, misses, store.stats.corrupt, failures
 
 
-class TestConcurrentMultiprocess:
-    def test_eviction_racing_reads_is_a_miss_never_an_error(self, tmp_path):
+class _ConcurrencyCases(_RecordKind):
+    """Races every record kind survives: other writers and droppers."""
+
+    def test_reads_racing_writers_are_hits_or_misses(self, tmp_path):
         from multiprocessing import get_context
 
-        root = str(tmp_path / "shared-cache")
-        jobs = [(root, worker, 60) for worker in range(4)]
-        ctx = get_context()
-        with ctx.Pool(4) as pool:
-            outcomes = pool.map(_stress_worker, jobs)
-        failures = [f for _, _, fs in outcomes for f in fs]
-        assert failures == []
+        root = str(tmp_path / "shared-store")
+        jobs = [(self.kind, root, worker, 60) for worker in range(4)]
+        with get_context("spawn").Pool(4) as pool:
+            outcomes = pool.map_async(_stress_worker, jobs).get(timeout=120)
+        assert [f for *_, fs in outcomes for f in fs] == []
+        assert sum(corrupt for _, _, corrupt, _ in outcomes) == 0
         # Both outcomes must actually occur for the race to be exercised.
-        assert sum(h for h, _, _ in outcomes) > 0
-        assert sum(m for _, m, _ in outcomes) > 0
-        # The store respects its bound (within one racing insertion).
-        cache = ArtifactCache(root=root, max_entries=4)
-        assert cache.entry_count() <= 8
+        assert sum(hits for hits, *_ in outcomes) > 0
+        assert sum(misses for _, misses, *_ in outcomes) > 0
 
-    def test_read_of_entry_deleted_mid_lookup_is_a_miss(self, cache):
-        key = cache_key(SOURCE, idempotent=True)
-        cache.put(key, {"x": 1})
-        os.unlink(cache.path_for(key))  # an evictor got there first
-        assert cache.get(key) is None
-        assert cache.stats.misses >= 1
+    def test_read_of_entry_deleted_mid_lookup_is_a_miss(self, store):
+        key = _key()
+        store.put(key, self.record())
+        os.unlink(store.path_for(key))  # another process dropped it
+        assert store.get(key) is None
+        assert (store.stats.misses, store.stats.corrupt) == (1, 0)
 
-    def test_concurrent_identical_puts_last_writer_wins_atomically(self, cache):
-        key = cache_key(SOURCE, idempotent=True)
-        cache.put(key, {"version": 1})
-        cache.put(key, {"version": 2})  # atomic replace, no torn state
-        assert cache.get(key) == {"version": 2}
+    def test_concurrent_identical_puts_last_writer_wins_atomically(self, store):
+        key = _key()
+        store.put(key, self.record(1))
+        store.put(key, self.record(2))  # atomic replace, no torn state
+        assert store.get(key) == self.record(2)
+
+
+class TestConcurrentMultiprocess(_ConcurrencyCases):
+    kind = "artifact"
+
+
+class TestSectionConcurrency(_ConcurrencyCases):
+    kind = "section"

@@ -64,7 +64,7 @@ class TestInline:
             TaskExecutor(1).map(square, [1, 2], keys=["only-one"])
 
     def test_error_capture(self):
-        results = TaskExecutor(1).map(boom, [1], reraise=False)
+        results = list(TaskExecutor(1).imap(boom, [1], ordered=True))
         assert not results[0].ok
         assert "bad unit 1" in results[0].error
 
@@ -91,7 +91,7 @@ class TestParallel:
         assert seen == set(range(6))
 
     def test_worker_errors_are_per_unit(self):
-        results = TaskExecutor(2).map(boom, [1, 2], reraise=False)
+        results = list(TaskExecutor(2).imap(boom, [1, 2], ordered=True))
         assert all(not r.ok for r in results)
         assert all("bad unit" in r.error for r in results)
 
@@ -110,7 +110,7 @@ class TestParallel:
         executor = TaskExecutor(
             2, retry=RetryPolicy(max_attempts=1)  # fail straight away
         )
-        results = executor.map(unpicklable, ["a", "b"], reraise=False)
+        results = list(executor.imap(unpicklable, ["a", "b"], ordered=True))
         assert {r.key for r in results} == {"a", "b"}
         assert all(not r.ok for r in results)
         assert all(r.category == WORKER_LOST for r in results)

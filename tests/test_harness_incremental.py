@@ -33,7 +33,6 @@ from repro.harness.incremental import (
     OutcomeStore,
     SectionStatus,
     compose_campaign,
-    detect_gap_histogram,
     function_fingerprint,
     incremental_campaign,
     make_section_record,
@@ -43,7 +42,6 @@ from repro.harness.incremental import (
     region_owner,
     section_identity,
     section_key,
-    summarize_rows,
     trace_eligibility,
 )
 from repro.recovery.backends import BACKEND_NAMES, get_backend
@@ -259,21 +257,6 @@ class TestOutcomeStore:
 
 
 class TestRowAggregates:
-    def test_summarize_rows(self):
-        rows = [[0, "recovered_correctly", 1, 1], [1, "wrong_result", 1, 4],
-                [2, "crashed", 0, 0]]
-        summary = summarize_rows(rows)
-        assert summary["trials"] == summary["injected"] == 3
-        assert summary["detected"] == 2
-        assert summary["recovered_correctly"] == 1
-        assert summary["crashed"] == 1
-
-    def test_detect_gap_histogram_buckets(self):
-        rows = [[0, "recovered_correctly", 1, 0], [1, "crashed", 0, 9],
-                [2, "recovered_correctly", 1, 5], [3, "recovered_correctly", 1, 17]]
-        histogram = detect_gap_histogram(rows)
-        assert histogram == {"0": 2, "4": 1, "16": 1}
-
     def test_merge_section_rows_unions_by_index(self):
         record = {"trials": [[0, "crashed", 0, 0], [2, "crashed", 0, 0]]}
         merged = merge_section_rows(
@@ -512,7 +495,7 @@ class TestExplainStale:
         index = store.load_index()
         for row in index.values():
             row["pipeline"] = "stale-pipeline/0"
-        store._write_json(store.index_path, index)
+        store.update_index(index)
         plans, _ = self._plans(store, idempotent.program)
         for plan in plans:
             os.unlink(store.path_for(plan.status.key))

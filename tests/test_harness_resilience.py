@@ -22,11 +22,11 @@ from repro.harness.campaign import (
     run_fault_campaign,
 )
 from repro.harness.cache import ArtifactCache, set_default_cache
+from repro.harness import resilience
 from repro.harness.executor import TaskExecutor
 from repro.harness.incremental import OutcomeStore, set_default_store
 from repro.harness.resilience import (
     TIMEOUT,
-    TRANSIENT_ERROR,
     UNIT_ERROR,
     WORKER_LOST,
     ChaosError,
@@ -55,6 +55,12 @@ def isolated_cache(tmp_path):
     set_default_store(previous_store)
 
 
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """Back off 0.01 s before a first retry, so recovery tests stay fast."""
+    monkeypatch.setattr(resilience, "BACKOFF_BASE", 0.01)
+
+
 def _counter_total(observer, name):
     return sum(
         value for _, value in
@@ -69,7 +75,6 @@ class TestRetryPolicy:
     def test_transient_taxonomy(self):
         assert is_transient(WORKER_LOST)
         assert is_transient(TIMEOUT)
-        assert is_transient(TRANSIENT_ERROR)
         assert not is_transient(UNIT_ERROR)
         assert not is_transient(None)
 
@@ -81,33 +86,18 @@ class TestRetryPolicy:
         assert not policy.should_retry(UNIT_ERROR, 1)   # permanent
 
     def test_backoff_is_exponential_and_deterministic(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0,
-                             backoff_max=10.0, jitter=0.5, seed=7)
+        policy = RetryPolicy()
         first = policy.delay("unit", 1)
         again = policy.delay("unit", 1)
         assert first == again  # deterministic jitter
-        assert 0.1 <= first <= 0.15
-        assert 0.2 <= policy.delay("unit", 2) <= 0.3
+        assert 0.05 <= first <= 0.075
+        assert 0.1 <= policy.delay("unit", 2) <= 0.15
         # Distinct units draw distinct jitter from the same schedule.
         assert policy.delay("unit", 1) != policy.delay("other", 1)
 
-    def test_backoff_is_capped(self):
-        policy = RetryPolicy(backoff_base=1.0, backoff_factor=10.0,
-                             backoff_max=2.0, jitter=0.0)
-        assert policy.delay("u", 9) == 2.0
-
-    def test_classify_unit_error(self):
-        policy = RetryPolicy()
-        assert policy.classify_unit_error("ValueError: nope") == UNIT_ERROR
-        assert policy.classify_unit_error(None) == UNIT_ERROR
-        assert policy.classify_unit_error(
-            "CacheCorruptionError: torn entry"
-        ) == TRANSIENT_ERROR
-
-    def test_custom_transient_exceptions(self):
-        policy = RetryPolicy(transient_exceptions=frozenset({"FlakyError"}))
-        assert policy.classify_unit_error("FlakyError: x") == TRANSIENT_ERROR
-        assert policy.classify_unit_error("ValueError: x") == UNIT_ERROR
+    def test_backoff_is_capped(self, monkeypatch):
+        monkeypatch.setattr(resilience, "BACKOFF_JITTER", 0.0)
+        assert RetryPolicy().delay("u", 9) == resilience.BACKOFF_MAX == 2.0
 
 
 class TestChaosPolicy:
@@ -154,11 +144,12 @@ def _raise_flaky(x):
     raise RuntimeError("deterministic unit failure")
 
 
+@pytest.mark.usefixtures("fast_backoff")
 class TestExecutorRecovery:
     def test_chaos_crash_recovers_on_rebuilt_pool(self, fresh_observer):
         executor = TaskExecutor(
             2,
-            retry=RetryPolicy(max_attempts=4, backoff_base=0.01),
+            retry=RetryPolicy(max_attempts=4),
             chaos=ChaosPolicy(crash_units=("k1",)),
         )
         results = executor.map(_ident, ["a", "b", "c", "d"],
@@ -170,11 +161,9 @@ class TestExecutorRecovery:
         assert _counter_total(fresh_observer, "harness.retries") >= 1
 
     def test_exhausted_crasher_fails_with_key_and_category(self):
-        executor = TaskExecutor(
-            2, retry=RetryPolicy(max_attempts=2, backoff_base=0.01)
-        )
-        results = executor.map(_crash_if_die, ["ok", "die"],
-                               reraise=False)
+        executor = TaskExecutor(2, retry=RetryPolicy(max_attempts=2))
+        results = list(executor.imap(_crash_if_die, ["ok", "die"],
+                                     ordered=True))
         by_key = {r.key: r for r in results}
         assert None not in by_key  # pool breakage never loses the key
         assert by_key["ok"].ok
@@ -191,8 +180,8 @@ class TestExecutorRecovery:
             retry=RetryPolicy(max_attempts=1),  # no retry: fail on timeout
             unit_timeout=1.0,
         )
-        results = executor.map(_sleep_if_hang, ["hang", "b", "c"],
-                               reraise=False)
+        results = list(executor.imap(_sleep_if_hang, ["hang", "b", "c"],
+                                     ordered=True))
         by_key = {r.key: r for r in results}
         hung = by_key["hang"]
         assert not hung.ok
@@ -204,7 +193,7 @@ class TestExecutorRecovery:
     def test_chaos_hang_recovers_after_timeout(self, fresh_observer):
         executor = TaskExecutor(
             2,
-            retry=RetryPolicy(max_attempts=2, backoff_base=0.01),
+            retry=RetryPolicy(max_attempts=2),
             unit_timeout=1.0,
             chaos=ChaosPolicy(hang_units=("h",), hang_seconds=60),
         )
@@ -218,11 +207,11 @@ class TestExecutorRecovery:
     def test_chaos_raise_is_permanent(self):
         executor = TaskExecutor(
             2,
-            retry=RetryPolicy(max_attempts=5, backoff_base=0.01),
+            retry=RetryPolicy(max_attempts=5),
             chaos=ChaosPolicy(raise_units=("r",)),
         )
-        results = executor.map(_ident, ["x", "y"], keys=["r", "k"],
-                               reraise=False)
+        results = list(executor.imap(_ident, ["x", "y"], keys=["r", "k"],
+                                     ordered=True))
         by_key = {r.key: r for r in results}
         failed = by_key["r"]
         assert not failed.ok
@@ -231,23 +220,22 @@ class TestExecutorRecovery:
         assert "ChaosError" in failed.error
 
     def test_unit_exceptions_never_retried(self):
-        executor = TaskExecutor(
-            2, retry=RetryPolicy(max_attempts=5, backoff_base=0.01)
-        )
-        results = executor.map(_raise_flaky, ["a", "b"], reraise=False)
+        executor = TaskExecutor(2, retry=RetryPolicy(max_attempts=5))
+        results = list(executor.imap(_raise_flaky, ["a", "b"], ordered=True))
         assert all(not r.ok for r in results)
         assert all(r.attempts == 1 for r in results)
         assert all(r.category == UNIT_ERROR for r in results)
 
     def test_inline_failures_are_classified(self):
-        results = TaskExecutor(1).map(_raise_flaky, ["a"], reraise=False)
+        results = list(TaskExecutor(1).imap(_raise_flaky, ["a"],
+                                            ordered=True))
         assert results[0].category == UNIT_ERROR
         assert results[0].attempts == 1
 
     def test_ordered_map_preserves_item_order_under_chaos(self):
         executor = TaskExecutor(
             2,
-            retry=RetryPolicy(max_attempts=4, backoff_base=0.01),
+            retry=RetryPolicy(max_attempts=4),
             chaos=ChaosPolicy(crash_units=("k2",)),
         )
         results = executor.map(_ident, list("abcdef"),
@@ -322,6 +310,7 @@ class TestQuarantine:
 WORKLOAD = "blackscholes"  # fastest simulator run in the suite
 
 
+@pytest.mark.usefixtures("fast_backoff")
 class TestChaosCampaign:
     def test_chaos_campaign_matches_undisturbed_serial(
         self, tmp_path, isolated_cache, fresh_observer, campaign_chaos
@@ -348,7 +337,7 @@ class TestChaosCampaign:
             names=[WORKLOAD], trials=2, seed=11, jobs=2, **labels,
             store=OutcomeStore(root=str(tmp_path / "chaos-store")),
             manifest_path=manifest_path,
-            retry=RetryPolicy(max_attempts=4, backoff_base=0.01),
+            retry=RetryPolicy(max_attempts=4),
             unit_timeout=20.0,
         )
         assert chaotic.failed_units == 0 and chaotic.quarantined_units == 0
@@ -376,7 +365,7 @@ class TestChaosCampaign:
         summary = run_fault_campaign(
             names=[WORKLOAD], trials=1, seed=5, jobs=2,
             manifest_path=str(tmp_path / "poison.jsonl"),
-            retry=RetryPolicy(max_attempts=2, backoff_base=0.01),
+            retry=RetryPolicy(max_attempts=2),
         )
         assert summary.quarantined_units == 1
         assert any("quarantined after" in e for e in summary.errors)

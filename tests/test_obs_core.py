@@ -268,8 +268,8 @@ class TestObserver:
         assert len(names) == 4
 
     def test_worker_exception_still_ships_metrics(self, observer):
-        results = TaskExecutor(2).map(_sometimes_boom, [0, 1, 2, 3],
-                                      reraise=False)
+        results = list(TaskExecutor(2).imap(_sometimes_boom, [0, 1, 2, 3],
+                                            ordered=True))
         assert [r.error is not None for r in results] == \
             [False, True, False, True]
         # Counters from both successful and failing units arrive.
