@@ -30,10 +30,7 @@ Commands:
 The ``experiment`` and ``campaign`` commands print a telemetry summary
 (wall time, per-phase breakdown, cache effectiveness) to stderr, so
 stdout stays byte-identical across serial, parallel, and warm-cache
-invocations.  They also take resilience flags — ``--retries N``
-(re-execute transiently failed units with deterministic backoff) and
-``--unit-timeout SECONDS`` (kill hung units and rebuild the pool; see
-``docs/harness.md``) — and the observability flags ``--profile
+invocations.  They also take the observability flags ``--profile
 out.trace.json`` (Chrome ``trace_event`` profile of the whole pipeline —
 open in chrome://tracing or Perfetto), ``--metrics out.metrics.json``
 (flat dump of every counter/gauge/histogram), and ``--stats`` (human
@@ -75,9 +72,9 @@ def _config_from_args(args) -> ConstructionConfig:
 
 
 def _trial_count(text: str, minimum: int = 0) -> int:
-    """argparse type of every ``--trials``, ``--latency`` and
-    ``--retries``: a non-negative integer (``--max-forced``, ``--hunt``
-    and ``--max-region-size`` bind ``minimum=1``)."""
+    """argparse type of every ``--trials`` and ``--latency``: a
+    non-negative integer (``--max-forced``, ``--hunt`` and
+    ``--max-region-size`` bind ``minimum=1``)."""
     try:
         value = int(text)
     except ValueError:
@@ -89,9 +86,8 @@ def _trial_count(text: str, minimum: int = 0) -> int:
 
 
 def _seconds(text: str) -> float:
-    """argparse type of ``--unit-timeout`` and ``fuzz --time-budget``: a
-    positive, finite number of seconds (``inf`` would overflow the pool's
-    wait, and a NaN budget never runs out)."""
+    """argparse type of ``fuzz --time-budget``: a positive, finite number
+    of seconds (an infinite or NaN budget never runs out)."""
     try:
         value = float(text)
     except ValueError:
@@ -131,29 +127,6 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
                         help="write a JSON dump of every recorded metric")
     parser.add_argument("--stats", action="store_true",
                         help="print the metrics table to stderr at exit")
-
-
-def _add_resilience_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--retries", type=_trial_count, default=None,
-                        metavar="N",
-                        help="re-execute transiently failed work units "
-                             "(worker killed, timeout) up to N extra times "
-                             "with deterministic exponential backoff; "
-                             "exhausted units are quarantined in the manifest")
-    parser.add_argument("--unit-timeout", type=_seconds, default=None,
-                        metavar="SECONDS",
-                        help="kill work units running longer than this; the "
-                             "pool is rebuilt and surviving units resubmitted")
-
-
-def _resilience_from_args(args):
-    """(retry, unit_timeout) from the CLI flags (both may be None)."""
-    from repro.harness.resilience import RetryPolicy
-
-    retry = None
-    if args.retries is not None:
-        retry = RetryPolicy(max_attempts=args.retries + 1)
-    return retry, args.unit_timeout
 
 
 def _setup_obs(args) -> None:
@@ -280,7 +253,6 @@ def cmd_fuzz(args) -> int:
     from repro.harness.report import Telemetry
 
     _setup_obs(args)
-    retry, unit_timeout = _resilience_from_args(args)
     manifest_path = args.manifest
     if manifest_path is None and not args.no_manifest:
         tag = f"fuzz-g{GEN_VERSION}-seed{args.seed}-t{args.trials}"
@@ -298,8 +270,6 @@ def cmd_fuzz(args) -> int:
         out_dir=args.out,
         multi_fault=not args.no_multi_fault,
         max_forced=args.max_forced,
-        retry=retry,
-        unit_timeout=unit_timeout,
         telemetry=telemetry,
     )
     print(format_fuzz_report(summary))
@@ -318,9 +288,7 @@ def cmd_experiment(args) -> int:
     from repro.harness.report import Telemetry
 
     _setup_obs(args)
-    retry, unit_timeout = _resilience_from_args(args)
-    configure(jobs=args.jobs, use_cache=not args.no_cache,
-              retry=retry, unit_timeout=unit_timeout)
+    configure(jobs=args.jobs, use_cache=not args.no_cache)
     telemetry = Telemetry(label=f"experiment {args.name}")
     names = args.workloads or None
     if args.name == "all":
@@ -360,9 +328,7 @@ def cmd_campaign(args) -> int:
     from repro.harness.report import Telemetry
 
     _setup_obs(args)
-    retry, unit_timeout = _resilience_from_args(args)
-    configure(jobs=args.jobs, use_cache=not args.no_cache,
-              retry=retry, unit_timeout=unit_timeout)
+    configure(jobs=args.jobs, use_cache=not args.no_cache)
     flavours = _split_names(args.flavours)
     backends = _split_names(args.backends)
     manifest_path = args.manifest
@@ -390,8 +356,6 @@ def cmd_campaign(args) -> int:
             jobs=args.jobs,
             manifest_path=manifest_path,
             telemetry=telemetry,
-            retry=retry,
-            unit_timeout=unit_timeout,
             flavours=flavours,
             backends=backends,
             # --no-cache is a from-scratch run: inject every section.
@@ -411,7 +375,7 @@ def cmd_campaign(args) -> int:
         telemetry.note(f"manifest: {manifest_path}")
     print(telemetry.format_summary(), file=sys.stderr)
     _finalize_obs(args)
-    return 1 if summary.failed_units or summary.quarantined_units else 0
+    return 1 if summary.failed_units else 0
 
 
 def cmd_recovery(args) -> int:
@@ -522,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shard builds and measurements over N processes")
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the persistent artifact cache")
-    _add_resilience_flags(p)
     _add_obs_flags(p)
     p.set_defaults(func=cmd_experiment)
 
@@ -559,11 +522,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report on stderr which sections re-injected "
                         "instead of composing from the outcome store, and "
                         "why (new-section, code-changed, pipeline-changed, "
-                        "fault-model-changed, span-changed, evicted, top-up)")
+                        "fault-model-changed, span-changed, record-missing, "
+                        "top-up)")
     p.add_argument("--no-cache", action="store_true",
                    help="bypass the persistent artifact cache and the "
                         "outcome store (inject every section)")
-    _add_resilience_flags(p)
     _add_obs_flags(p)
     p.set_defaults(func=cmd_campaign)
 
@@ -634,7 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="do not record or resume from a manifest")
     p.add_argument("--fresh", action="store_true",
                    help="discard any existing manifest before running")
-    _add_resilience_flags(p)
     _add_obs_flags(p)
     p.set_defaults(func=cmd_fuzz)
 

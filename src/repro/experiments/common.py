@@ -24,7 +24,6 @@ from repro.compiler import CompileResult, compile_minic
 from repro.harness.cache import cache_key, cached_compile, default_cache
 from repro.harness.executor import TaskExecutor
 from repro.harness.report import Telemetry
-from repro.harness.resilience import RetryPolicy
 from repro.workloads import SUITES, Workload, all_workloads, get_workload
 
 
@@ -45,8 +44,6 @@ class HarnessOptions:
 
     jobs: int = 1
     use_cache: bool = True
-    retry: Optional[RetryPolicy] = None
-    unit_timeout: Optional[float] = None
 
 
 _options = HarnessOptions()
@@ -54,41 +51,21 @@ _options = HarnessOptions()
 #: name -> (original, idempotent); preserves object identity per process.
 _pair_memo: Dict[str, Tuple[CompileResult, CompileResult]] = {}
 
-_UNSET = object()
-
 
 def configure(
     jobs: Optional[int] = None,
     use_cache: Optional[bool] = None,
-    retry: object = _UNSET,
-    unit_timeout: object = _UNSET,
 ) -> HarnessOptions:
-    """Set the default parallelism / caching / resilience for driver runs.
-
-    ``retry`` / ``unit_timeout`` accept ``None`` to clear an earlier
-    setting; omit them to leave the current value unchanged.
-    """
+    """Set the default parallelism / caching for driver runs."""
     if jobs is not None:
         _options.jobs = max(1, int(jobs))
     if use_cache is not None:
         _options.use_cache = bool(use_cache)
-    if retry is not _UNSET:
-        _options.retry = retry
-    if unit_timeout is not _UNSET:
-        _options.unit_timeout = unit_timeout
     return _options
 
 
 def current_options() -> HarnessOptions:
     return _options
-
-
-def make_executor(jobs: Optional[int] = None) -> TaskExecutor:
-    """A :class:`TaskExecutor` honouring the configured resilience options."""
-    jobs = _options.jobs if jobs is None else max(1, int(jobs))
-    return TaskExecutor(
-        jobs, retry=_options.retry, unit_timeout=_options.unit_timeout
-    )
 
 
 def clear_build_memo() -> None:
@@ -117,12 +94,11 @@ def build_pair(name: str) -> Tuple[CompileResult, CompileResult]:
     return pair
 
 
-def _compile_pair_unit(name: str) -> Tuple[CompileResult, CompileResult]:
-    """Worker-side pure compile of both flavours (no cache I/O)."""
-    workload = get_workload(name)
-    return (
-        compile_minic(workload.source, idempotent=False, name=name),
-        compile_minic(workload.source, idempotent=True, name=name),
+def _compile_unit(build: Tuple[str, bool]) -> CompileResult:
+    """Worker-side pure compile of one flavour (no cache I/O)."""
+    name, idempotent = build
+    return compile_minic(
+        get_workload(name).source, idempotent=idempotent, name=name
     )
 
 
@@ -135,50 +111,43 @@ def prebuild_pairs(
 
     Cache lookups and stores happen in the parent process — workers only
     run the pure compile — so hit/miss counters are accurate and workers
-    never contend on the object store.  Compiles of cache misses are
-    sharded ``jobs``-wide.
+    never contend on the object store.  Only the flavours whose cache
+    entry missed compile, sharded ``jobs``-wide.
     """
     workloads = resolve_workloads(names)
     jobs = _options.jobs if jobs is None else max(1, int(jobs))
     cache = default_cache()
-    missing: List[Workload] = []
-    compiled = 0
+    builds: Dict[str, Dict[bool, CompileResult]] = {}
+    missing: List[Tuple[str, bool]] = []
+    keys: List[str] = []
     telemetry = telemetry or Telemetry()
     with telemetry.phase("build", units=len(workloads)):
         for workload in workloads:
             if workload.name in _pair_memo:
                 continue
-            if _options.use_cache:
-                original = cache.get(
-                    cache_key(workload.source, idempotent=False, name=workload.name)
+            found = builds[workload.name] = {}
+            for idempotent in (False, True):
+                key = cache_key(
+                    workload.source, idempotent=idempotent, name=workload.name
                 )
-                idempotent = cache.get(
-                    cache_key(workload.source, idempotent=True, name=workload.name)
-                )
-                if isinstance(original, CompileResult) and isinstance(
-                    idempotent, CompileResult
-                ):
-                    _pair_memo[workload.name] = (original, idempotent)
-                    continue
-            missing.append(workload)
+                build = cache.get(key) if _options.use_cache else None
+                if isinstance(build, CompileResult):
+                    found[idempotent] = build
+                else:
+                    missing.append((workload.name, idempotent))
+                    keys.append(key)
         if missing:
-            executor = make_executor(jobs)
-            results = executor.map(_compile_pair_unit, [w.name for w in missing])
-            for workload, result in zip(missing, results):
-                pair = result.value
-                _pair_memo[workload.name] = pair
-                compiled += 1
-                obs.counter("harness.builds").inc(workload=workload.name)
+            results = TaskExecutor(jobs).map(_compile_unit, missing)
+            for (name, idempotent), key, result in zip(missing, keys, results):
+                builds[name][idempotent] = result.value
                 if _options.use_cache:
-                    cache.put(
-                        cache_key(workload.source, idempotent=False, name=workload.name),
-                        pair[0],
-                    )
-                    cache.put(
-                        cache_key(workload.source, idempotent=True, name=workload.name),
-                        pair[1],
-                    )
-    return compiled
+                    cache.put(key, result.value)
+        for name, found in builds.items():
+            _pair_memo[name] = (found[False], found[True])
+    compiled = {name for name, _ in missing}
+    for name in compiled:
+        obs.counter("harness.builds").inc(workload=name)
+    return len(compiled)
 
 
 def map_workloads(
@@ -206,7 +175,7 @@ def map_workloads(
         if jobs <= 1 or len(ordered) <= 1:
             values = [fn(name) for name in ordered]
         else:
-            executor = make_executor(jobs)
+            executor = TaskExecutor(jobs)
             values = [result.value for result in executor.map(fn, ordered)]
     return list(zip(workloads, values))
 

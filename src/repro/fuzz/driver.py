@@ -2,9 +2,9 @@
 
 A fuzz campaign is a set of independent trials — one generator seed
 each — run through :class:`~repro.harness.executor.TaskExecutor`
-(parallel, retried) and recorded in the same JSON-lines
-:class:`~repro.harness.campaign.RunManifest` fault campaigns use, so
-fuzz runs are resumable and torn manifests self-heal.
+(parallel, each trial once per invocation) and recorded in the same
+JSON-lines :class:`~repro.harness.campaign.RunManifest` fault campaigns
+use, so fuzz runs are resumable and torn manifests self-heal.
 
 Statuses follow the campaign taxonomy:
 
@@ -13,8 +13,8 @@ Statuses follow the campaign taxonomy:
   recorded with the failing oracle set, skipped on resume (a failing
   seed stays failing), surfaced in the report, minimized into a
   reproducer.
-- ``failed`` — infrastructure failure (worker lost, timeout after
-  retries, an oracle run that raised); re-run on resume.  The report
+- ``failed`` — infrastructure failure (``worker-lost``, or an oracle
+  run that raised: ``unit-error``); re-run on resume.  The report
   names each one's category and error, so the reason survives a run
   without a manifest.
 
@@ -44,12 +44,14 @@ from repro.harness.campaign import (
     RunManifest,
     STATUS_DONE,
     STATUS_FAILED,
-    STATUS_QUARANTINED,
     UnitRecord,
 )
-from repro.harness.executor import TaskExecutor
+from repro.harness.executor import UNIT_ERROR, TaskExecutor
 from repro.harness.report import Telemetry
-from repro.harness.resilience import UNIT_ERROR, RetryPolicy
+
+#: Manifest status of an oracle failure: a verdict on the program, so
+#: resume keeps the witness instead of re-running the trial.
+STATUS_QUARANTINED = "quarantined"
 
 
 @dataclass
@@ -68,7 +70,7 @@ class FuzzInfraFailure:
     """One trial the harness could not check: why, as recorded."""
 
     index: int
-    category: str                  # repro.harness.resilience taxonomy
+    category: str                  # unit-error | worker-lost
     error: str                     # "TypeName: message"
 
 
@@ -104,8 +106,8 @@ def fuzz_unit(payload: dict) -> dict:
     """Worker: generate trial ``index``'s program and run every oracle.
 
     Returns a JSON-serializable row; oracle failures are *data*, not
-    exceptions — the parent decides quarantine, so the executor's retry
-    machinery stays reserved for genuine infrastructure faults.
+    exceptions — the parent quarantines them, and a failed unit stays
+    reserved for genuine infrastructure faults.
     """
     gen_seed = payload["trial_seed"]
     program = generate(gen_seed, GenConfig(**payload.get("gen", {})))
@@ -165,8 +167,6 @@ def run_fuzz_campaign(
     multi_fault: bool = True,
     max_forced: Optional[int] = None,
     max_reproducers: int = 5,
-    retry: Optional[RetryPolicy] = None,
-    unit_timeout: Optional[float] = None,
     telemetry: Optional[Telemetry] = None,
 ) -> FuzzSummary:
     """Run a differential fuzzing campaign; returns the summary.
@@ -200,11 +200,12 @@ def run_fuzz_campaign(
     todo: List[Tuple[str, dict]] = []
     for uid, payload in units:
         record = records.get(uid)
-        if record is not None and record.ok:
-            summary.skipped += 1
-        elif record is not None and record.quarantined:
-            # A recorded oracle failure stays failing: keep its witness
-            # without re-running the trial.
+        if record is not None and (record.ok or (
+            record.status == STATUS_QUARANTINED
+            and not (record.data or {}).get("infra")
+        )):
+            # Done, or a recorded oracle failure, which stays failing:
+            # keep its witness without re-running the trial.
             summary.skipped += 1
         else:
             todo.append((uid, payload))
@@ -214,10 +215,8 @@ def run_fuzz_campaign(
             f"in manifest, {len(todo)} to run"
         )
 
-    resilient = retry is not None or unit_timeout is not None
-    executor = TaskExecutor(jobs, retry=retry, unit_timeout=unit_timeout)
     with telemetry.phase("fuzz", units=len(todo)):
-        stream = executor.imap(
+        stream = TaskExecutor(jobs).imap(
             fuzz_unit,
             [payload for _, payload in todo],
             keys=[uid for uid, _ in todo],
@@ -227,7 +226,6 @@ def run_fuzz_campaign(
                 record = UnitRecord(
                     unit_id=str(result.key), status=STATUS_DONE,
                     seconds=result.seconds, data=result.value,
-                    attempts=result.attempts,
                 )
                 summary.executed += 1
                 observer.counter("fuzz.units").inc(status="passed")
@@ -237,18 +235,15 @@ def run_fuzz_campaign(
                 record = UnitRecord(
                     unit_id=str(result.key), status=STATUS_QUARANTINED,
                     seconds=result.seconds, data=result.value,
-                    attempts=result.attempts,
                 )
                 summary.executed += 1
                 observer.counter("fuzz.units").inc(status="quarantined")
             else:
-                status = STATUS_QUARANTINED if resilient else STATUS_FAILED
                 record = UnitRecord(
-                    unit_id=str(result.key), status=status,
+                    unit_id=str(result.key), status=STATUS_FAILED,
                     seconds=result.seconds,
                     data={"error": result.error, "infra": True,
-                          "category": result.category or UNIT_ERROR},
-                    attempts=result.attempts,
+                          "category": result.category},
                 )
                 observer.counter("fuzz.units").inc(status="infra_failed")
             records[record.unit_id] = record

@@ -12,20 +12,15 @@ the paper": it makes whole-evaluation runs cheap and restartable.
   campaign outcome store (:mod:`repro.harness.incremental`) is the same
   store with a JSON codec.
 - :mod:`repro.harness.executor` — :class:`TaskExecutor`, a process-pool
-  sharder with per-task timing and inline fallback, plus
-  :func:`derive_seed`, the spawn-key-style deterministic seed derivation
-  that keeps sharded campaigns bit-identical to serial ones.
-- :mod:`repro.harness.campaign` — resumable campaigns: every completed
-  work unit becomes a JSON-lines row in a :class:`RunManifest`, so a
-  killed campaign picks up where it left off.  (Imported on demand as a
-  submodule; it pulls in the simulator stack.)
-- :mod:`repro.harness.resilience` — :class:`RetryPolicy` (an attempt
-  budget, with deterministic backoff, over a transient/permanent error
-  taxonomy),
-  :class:`ChaosPolicy` (worker crash/hang/raise injection on named units,
-  for tests, through ``TaskExecutor(chaos=...)``), and the category
-  constants the executor and campaign use to classify, retry, and
-  quarantine failing units.
+  sharder with per-task timing and inline fallback that runs each unit
+  once (a failed unit comes back as ``unit-error`` or ``worker-lost``),
+  plus :func:`derive_seed`, the spawn-key-style deterministic seed
+  derivation that keeps sharded campaigns bit-identical to serial ones.
+- :mod:`repro.harness.campaign` — resumable campaigns: every finished
+  work unit becomes a JSON-lines row in a :class:`RunManifest`, so
+  re-running a killed or failed campaign executes only the units that
+  are not done — the harness's one recovery path.  (Imported on demand
+  as a submodule; it pulls in the simulator stack.)
 - :mod:`repro.harness.report` — :class:`Telemetry`, the wall-time /
   per-phase / cache-effectiveness summary every entry point prints.
 """
@@ -39,28 +34,21 @@ from repro.harness.cache import (
     default_cache,
     set_default_cache,
 )
-from repro.harness.executor import TaskExecutor, TaskResult, derive_seed
-from repro.harness.report import Telemetry
-from repro.harness.resilience import (
-    TIMEOUT,
+from repro.harness.executor import (
     UNIT_ERROR,
     WORKER_LOST,
-    ChaosError,
-    ChaosPolicy,
     PermanentUnitError,
-    RetryPolicy,
-    is_transient,
+    TaskExecutor,
+    TaskResult,
+    derive_seed,
 )
+from repro.harness.report import Telemetry
 
 __all__ = [
     "PIPELINE_VERSION",
     "ArtifactCache",
     "CacheStats",
-    "ChaosError",
-    "ChaosPolicy",
     "PermanentUnitError",
-    "RetryPolicy",
-    "TIMEOUT",
     "TaskExecutor",
     "TaskResult",
     "Telemetry",
@@ -70,6 +58,5 @@ __all__ = [
     "cached_compile",
     "default_cache",
     "derive_seed",
-    "is_transient",
     "set_default_cache",
 ]

@@ -7,7 +7,9 @@ workload × label of a fault-injection study).
 unit as one JSON line in a :class:`RunManifest`.  Because rows are
 appended the moment a unit finishes, killing a campaign loses at most
 the in-flight units: re-invoking it with the same manifest skips every
-recorded unit and executes only the remainder.
+unit recorded as done and executes only the remainder, failed units
+included.  That re-run is the harness's one recovery path; nothing
+runs twice within one invocation.
 
 The concrete campaign shipped here is the paper's fault-injection study
 (§6.3) scaled to the whole benchmark suite: :func:`run_fault_campaign`
@@ -44,7 +46,6 @@ from repro.harness.incremental import (
     program_fingerprint,
 )
 from repro.harness.report import Telemetry
-from repro.harness.resilience import UNIT_ERROR, RetryPolicy
 from repro.obs.context import get_observer
 from repro.sim.faults import FAULT_VALUE, CampaignResult, format_rate
 
@@ -72,12 +73,10 @@ def parse_label_subset(
         )
     return tuple(names)
 
-#: Manifest row statuses.  ``done`` resumes as complete, ``failed`` is
-#: retried on resume, ``quarantined`` (retry budget exhausted under a
-#: resilience policy) is *skipped* on resume with a visible warning.
+#: Manifest row statuses.  ``done`` resumes as complete; any other row
+#: (``failed`` here) re-runs on resume.
 STATUS_DONE = "done"
 STATUS_FAILED = "failed"
-STATUS_QUARANTINED = "quarantined"
 
 
 # ----------------------------------------------------------------------
@@ -88,12 +87,9 @@ class UnitRecord:
     """One manifest row: a completed (or failed) work unit."""
 
     unit_id: str
-    status: str  # "done" | "failed" | "quarantined"
+    status: str  # "done" | "failed" (fuzz adds "quarantined")
     seconds: float = 0.0
     data: dict = field(default_factory=dict)
-    #: Executions this unit took (retries included); old manifests
-    #: without the field load as 1.
-    attempts: int = 1
     #: Compiler/scheme provenance stamped when the unit ran (pipeline
     #: version, flavour/backend, cfg checksum of the campaigned code).
     #: Old manifests load as ``{}`` and resume unconditionally; rows
@@ -106,18 +102,14 @@ class UnitRecord:
     def ok(self) -> bool:
         return self.status == STATUS_DONE
 
-    @property
-    def quarantined(self) -> bool:
-        return self.status == STATUS_QUARANTINED
-
 
 class RunManifest:
     """Append-only JSON-lines record of completed campaign units.
 
     Rows are flushed and fsync'd per unit; a torn final line (killed
     mid-write, power loss) is skipped on load, so the unit simply
-    re-executes on resume.  The last row for a unit id wins, letting a
-    failed unit be retried and its later success supersede the failure.
+    re-executes on resume.  The last row for a unit id wins, so a failed
+    unit's later success supersedes the failure.
     """
 
     def __init__(self, path: str) -> None:
@@ -141,7 +133,6 @@ class RunManifest:
                         status=row["status"],
                         seconds=float(row.get("seconds", 0.0)),
                         data=row.get("data", {}),
-                        attempts=int(row.get("attempts", 1)),
                         provenance=row.get("provenance", {}),
                     )
                 except (ValueError, KeyError, TypeError):
@@ -165,12 +156,9 @@ class RunManifest:
 class CampaignRunner:
     """Executes (unit_id, payload) units with skip-completed semantics.
 
-    With a resilience policy active (``retry`` or ``unit_timeout``), a
-    unit that still fails after the executor's retry machinery is
-    *quarantined*: recorded with its attempt count and error category,
-    skipped on resume with a visible warning, and surfaced in the
-    campaign report.  Without one, failures keep the
-    legacy ``failed`` status and are retried on the next invocation.
+    Each unit runs once per invocation.  A unit that fails is recorded
+    as ``failed`` with its error category (``unit-error`` or
+    ``worker-lost``) and runs again on the next invocation.
     """
 
     def __init__(
@@ -178,25 +166,15 @@ class CampaignRunner:
         manifest: Optional[RunManifest] = None,
         jobs: int = 1,
         telemetry: Optional[Telemetry] = None,
-        retry: Optional[RetryPolicy] = None,
-        unit_timeout: Optional[float] = None,
     ) -> None:
         self.manifest = manifest
         self.jobs = jobs
         self.telemetry = telemetry or Telemetry(label="campaign")
-        self.retry = retry
-        self.unit_timeout = unit_timeout
         self.executed = 0
         self.skipped = 0
         #: ids of the units the last :meth:`run` resumed from the manifest
         self.resumed: set = set()
         self.failed = 0
-        self.quarantined = 0
-        self.quarantine_skipped = 0
-
-    @property
-    def _resilient(self) -> bool:
-        return self.retry is not None or self.unit_timeout is not None
 
     def run(
         self,
@@ -238,24 +216,9 @@ class CampaignRunner:
             uid for uid, record in records.items()
             if record.ok and uid not in stale
         }
-        poisoned = {uid for uid, record in records.items() if record.quarantined}
-        todo = [
-            (uid, payload) for uid, payload in units
-            if uid not in done and uid not in poisoned
-        ]
+        todo = [(uid, payload) for uid, payload in units if uid not in done]
         self.resumed = {uid for uid, _ in units if uid in done}
         self.skipped = len(self.resumed)
-        for uid, _ in units:
-            if uid not in poisoned:
-                continue
-            self.quarantine_skipped += 1
-            record = records[uid]
-            observer.log(
-                f"quarantined unit skipped: {uid} "
-                f"({record.data.get('category', UNIT_ERROR)} after "
-                f"{record.attempts} attempts) — pass --fresh to retry it"
-            )
-            observer.counter("harness.quarantined").inc(event="skipped")
         if self.manifest is not None:
             observer.log(
                 f"campaign resume: {self.skipped} of {len(units)} units "
@@ -264,11 +227,8 @@ class CampaignRunner:
         observer.counter("campaign.units").inc(self.skipped, status="skipped")
         if not todo:
             return records
-        executor = TaskExecutor(
-            self.jobs, retry=self.retry, unit_timeout=self.unit_timeout
-        )
         with self.telemetry.phase(phase, units=len(todo)):
-            for result in executor.imap(
+            for result in TaskExecutor(self.jobs).imap(
                 worker, [payload for _, payload in todo],
                 keys=[uid for uid, _ in todo],
             ):
@@ -276,31 +236,16 @@ class CampaignRunner:
                     record = UnitRecord(
                         unit_id=str(result.key), status=STATUS_DONE,
                         seconds=result.seconds, data=result.value,
-                        attempts=result.attempts,
                         provenance=provenance.get(str(result.key), {}),
                     )
                     self.executed += 1
                     observer.counter("campaign.units").inc(status="executed")
-                elif self._resilient:
-                    category = result.category or UNIT_ERROR
-                    record = UnitRecord(
-                        unit_id=str(result.key), status=STATUS_QUARANTINED,
-                        seconds=result.seconds,
-                        data={"error": result.error, "category": category},
-                        attempts=result.attempts,
-                    )
-                    self.quarantined += 1
-                    observer.counter("harness.quarantined").inc(
-                        event="new", category=category
-                    )
-                    observer.counter("campaign.units").inc(status="quarantined")
                 else:
                     record = UnitRecord(
                         unit_id=str(result.key), status=STATUS_FAILED,
                         seconds=result.seconds,
                         data={"error": result.error,
-                              "category": result.category or UNIT_ERROR},
-                        attempts=result.attempts,
+                              "category": result.category},
                     )
                     self.failed += 1
                     observer.counter("campaign.units").inc(status="failed")
@@ -334,11 +279,7 @@ class FaultCampaignSummary(SectionAccounting):
     executed_units: int = 0
     skipped_units: int = 0
     failed_units: int = 0
-    quarantined_units: int = 0
     errors: List[str] = field(default_factory=list)
-    #: (unit_id, error category) for every quarantined unit, so reports
-    #: can list *which* units are poisoned, not just how many.
-    quarantined: List[Tuple[str, str]] = field(default_factory=list)
     telemetry: Optional[Telemetry] = None
     #: every section the units executed by this invocation planned
     #: (a unit resumed from the manifest plans none)
@@ -482,8 +423,6 @@ def run_fault_campaign(
     jobs: int = 1,
     manifest_path: Optional[str] = None,
     telemetry: Optional[Telemetry] = None,
-    retry: Optional[RetryPolicy] = None,
-    unit_timeout: Optional[float] = None,
     flavours: Optional[Sequence[str]] = None,
     backends: Optional[Sequence[str]] = None,
     store: Optional[OutcomeStore] = None,
@@ -528,10 +467,7 @@ def run_fault_campaign(
         }
         payload["store"] = store
     manifest = RunManifest(manifest_path) if manifest_path else None
-    runner = CampaignRunner(
-        manifest=manifest, jobs=jobs, telemetry=telemetry,
-        retry=retry, unit_timeout=unit_timeout,
-    )
+    runner = CampaignRunner(manifest=manifest, jobs=jobs, telemetry=telemetry)
     records = runner.run(
         _campaign_unit, units, phase="inject", provenance=provenance
     )
@@ -542,22 +478,12 @@ def run_fault_campaign(
         executed_units=runner.executed,
         skipped_units=runner.skipped,
         failed_units=runner.failed,
-        quarantined_units=runner.quarantined + runner.quarantine_skipped,
         telemetry=telemetry,
         store_root=store.root,
     )
     for unit_id, _ in units:
         record = records.get(unit_id)
         if record is None:
-            continue
-        if record.quarantined:
-            category = record.data.get("category", UNIT_ERROR)
-            summary.quarantined.append((unit_id, category))
-            summary.errors.append(
-                f"{unit_id}: quarantined after {record.attempts} attempts "
-                f"[{category}]: "
-                f"{record.data.get('error')}"
-            )
             continue
         if not record.ok:
             summary.errors.append(f"{unit_id}: {record.data.get('error')}")
@@ -603,18 +529,11 @@ def format_campaign_report(summary: FaultCampaignSummary) -> str:
             f"{undetected} "
             f"({format_rate(total)} recovery)"
         )
-    units_line = (
+    lines.append(
         f"units: {summary.executed_units} executed, "
         f"{summary.skipped_units} resumed from manifest, "
         f"{summary.failed_units} failed"
     )
-    if summary.quarantined_units:
-        units_line += f", {summary.quarantined_units} quarantined"
-    lines.append(units_line)
-    if summary.quarantined:
-        lines.append("quarantined units (pass --fresh to retry):")
-        for unit_id, category in summary.quarantined:
-            lines.append(f"  - {unit_id} [{category}]")
     for error in summary.errors:
         lines.append(f"  ! {error}")
     return "\n".join(lines)

@@ -39,8 +39,10 @@ that keeps the span changes only the edited function's keys, so a
 re-campaign re-injects only that function's sections; everything else
 composes from the store.  A ``--explain-stale`` report classifies every
 re-injected section (new-section, code-changed, pipeline-changed,
-fault-model-changed, span-changed, evicted, top-up) from a small
-identity index kept next to the objects.
+fault-model-changed, span-changed, record-missing, top-up) from a small
+identity index kept next to the objects.  ``record-missing`` is a
+section whose index row matches but whose record was deleted or could
+not be read (the store drops an unreadable record as a corrupt miss).
 
 The key pins the code a fault lands in, not the code its corruption
 flows into: after a span-preserving edit, a cached fault that reached
@@ -66,7 +68,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.codegen.machine import MachineProgram, format_machine_function
 from repro.harness.cache import PIPELINE_VERSION, ContentStore
-from repro.harness.resilience import PermanentUnitError
+from repro.harness.executor import PermanentUnitError
 from repro.obs.context import get_observer
 from repro.sim import faults
 from repro.sim.faults import (
@@ -444,7 +446,7 @@ def _classify_miss(
                 f"{FAULT_MODEL_VERSION})")
     if row.get("span") != span:
         return f"span-changed ({row.get('span')} -> {span})"
-    return "evicted (record missing from store)"
+    return "record-missing (deleted or unreadable)"
 
 
 def plan_sections(

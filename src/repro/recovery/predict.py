@@ -48,7 +48,6 @@ class RegionProfile:
     eligible: int = 0      # value-fault sites (faults.value_site)
     branches: int = 0      # control-fault sites (faults.control_site)
     checks: int = 0        # dynamic check points (detection opportunities)
-    stores: int = 0        # memory writes (st/stslot)
 
     @property
     def mean_length(self) -> float:
@@ -99,8 +98,6 @@ def profile_regions(
             profile.branches += 1
         if instr.opcode in Simulator.CHECK_POINTS:
             profile.checks += 1
-        if instr.opcode in ("st", "stslot"):
-            profile.stores += 1
 
     sim.pre_hook = pre
     result = sim.run(func, args)

@@ -1,13 +1,9 @@
 """Fixtures shared across test modules."""
 
-import functools
-
 import pytest
 
 import repro.compiler as compiler
 import repro.core.construction as construction
-import repro.harness.campaign as campaign
-from repro.harness.executor import TaskExecutor
 
 
 @pytest.fixture
@@ -40,19 +36,3 @@ def broken_construction(dropped_cut, monkeypatch):
     )
     monkeypatch.setattr(compiler, "verify_machine_program", lambda program: [])
 
-
-@pytest.fixture
-def campaign_chaos(monkeypatch):
-    """Call with a :class:`~repro.harness.resilience.ChaosPolicy` to make
-    every campaign executor inject it into its pool workers.
-    ``TaskExecutor(chaos=...)`` is the one injection seam, and
-    :class:`~repro.harness.campaign.CampaignRunner` builds its executor
-    from the name in :mod:`repro.harness.campaign`."""
-
-    def install(chaos):
-        monkeypatch.setattr(
-            campaign, "TaskExecutor",
-            functools.partial(TaskExecutor, chaos=chaos),
-        )
-
-    return install

@@ -213,15 +213,6 @@ class TestCampaign:
         assert "0 executed, 2 resumed from manifest" in second
         assert first.splitlines()[:6] == second.splitlines()[:6]
 
-    def test_resilience_flags_do_not_change_stdout(self, capsys):
-        """With no failures, --retries/--unit-timeout are invisible:
-        the campaign report is byte-identical to a plain run."""
-        base = ["campaign", "bzip2", "--trials", "2", "--no-manifest"]
-        assert main(base) == 0
-        plain = capsys.readouterr().out
-        assert main(base + ["--retries", "2", "--unit-timeout", "60"]) == 0
-        assert capsys.readouterr().out == plain
-
     def test_flavour_and_backend_selection(self, capsys):
         argv = ["campaign", "bzip2", "--trials", "2", "--no-manifest",
                 "--flavours", "idempotent", "--backends", "tmr"]
@@ -354,33 +345,6 @@ class TestDefaultManifest:
         assert not (tmp_path / ".repro-cache").exists()
 
 
-RESILIENT_COMMANDS = [
-    ["experiment", "table2", "mcf"],
-    ["campaign", "bzip2", "--no-manifest"],
-    ["fuzz", "--no-manifest"],
-]
-
-
-class TestResilienceFlags:
-    @pytest.mark.parametrize("argv", RESILIENT_COMMANDS)
-    @pytest.mark.parametrize("value", ["0", "-1", "inf"])
-    def test_unit_timeout_not_positive_finite_exit_2(self, argv, value, capsys):
-        """0 used to mean no limit, -1 timed out every pool unit and inf
-        overflows the pool's wait."""
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--unit-timeout", value])
-        assert exc.value.code == 2
-        assert (f"--unit-timeout: must be > 0 and finite, got {value}"
-                in capsys.readouterr().err)
-
-    @pytest.mark.parametrize("argv", RESILIENT_COMMANDS)
-    def test_negative_retries_exit_2(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--retries", "-1"])
-        assert exc.value.code == 2
-        assert "--retries: must be >= 0, got -1" in capsys.readouterr().err
-
-
 @pytest.mark.usefixtures("isolated_store")
 class TestRecovery:
     def test_compare_reports_all_backends(self, capsys):
@@ -417,22 +381,12 @@ class TestRecovery:
         assert not (tmp_path / "examples").exists()
 
 
-def _raise_in_every_bzip2_unit(trials, seed):
-    """A chaos policy that raises ``ChaosError`` in every unit of a
-    ``campaign bzip2 --trials T --seed S`` run (pool path only)."""
-    from repro.harness.campaign import fault_campaign_units
-    from repro.harness.resilience import ChaosPolicy
-
-    units = fault_campaign_units(["bzip2"], trials, seed)
-    return ChaosPolicy(raise_units=tuple(uid for uid, _ in units))
-
-
 class TestCampaignIncremental:
     @pytest.fixture(autouse=True)
     def restore_harness_options(self):
-        """main() threads --jobs/--retries into the process-global
-        HarnessOptions; restore every field so the jobs>1 pool path the
-        chaos tests need never leaks into later test files."""
+        """main() threads --jobs and --no-cache into the process-global
+        HarnessOptions; restore every field so neither leaks into later
+        test files."""
         import dataclasses
 
         from repro.experiments.common import current_options
@@ -508,28 +462,6 @@ class TestCampaignIncremental:
             ["original", "0"], ["idempotent", "0"],
         ]
         assert all(row.endswith("n/a") for row in rows)
-
-    def test_chaos_quarantine_is_exit_1(
-        self, isolated_store, capsys, campaign_chaos
-    ):
-        campaign_chaos(_raise_in_every_bzip2_unit(trials=2, seed=99))
-        argv = ["campaign", "bzip2", "--trials", "2", "--seed", "99",
-                "--no-manifest", "-j", "2", "--retries", "0"]
-        assert main(argv) == 1
-        captured = capsys.readouterr()
-        assert "quarantined after" in captured.out
-
-    def test_monolithic_chaos_lists_quarantined_units(
-        self, isolated_store, capsys, campaign_chaos
-    ):
-        _store_off()
-        campaign_chaos(_raise_in_every_bzip2_unit(trials=2, seed=99))
-        argv = ["campaign", "bzip2", "--trials", "2", "--seed", "99",
-                "--no-manifest", "-j", "2", "--retries", "0"]
-        assert main(argv) == 1
-        out = capsys.readouterr().out
-        assert "quarantined units (pass --fresh to retry):" in out
-        assert "bzip2:" in out.split("quarantined units", 1)[1]
 
     def test_trapping_fault_free_run_is_exit_1(
         self, isolated_store, capsys, monkeypatch

@@ -37,7 +37,7 @@ from repro.harness.incremental import (
     campaign_sections,
     campaign_target,
 )
-from repro.harness.resilience import PermanentUnitError
+from repro.harness.executor import PermanentUnitError
 from repro.recovery.backends import IdempotentBackend, get_backend
 from repro.sim import SimLimitExceeded, SimulationError, faults
 from repro.sim.faults import (

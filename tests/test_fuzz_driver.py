@@ -1,6 +1,7 @@
 """Fuzz campaign orchestration: manifests, resume, quarantine,
 parallel determinism, the CLI surface."""
 
+import json
 import os
 
 import pytest
@@ -14,7 +15,7 @@ from repro.fuzz.driver import (
 )
 from repro.fuzz.generator import GEN_VERSION
 from repro.fuzz.oracle import OracleFailure, OracleReport
-from repro.harness.resilience import UNIT_ERROR
+from repro.harness.executor import UNIT_ERROR
 
 # Cheap oracle settings for orchestration tests: the oracle stack
 # itself is exercised exhaustively in test_fuzz_oracle.py.
@@ -164,10 +165,29 @@ class TestInfraFailure:
 
     def test_long_error_is_cut_like_oracle_details(self):
         summary = FuzzSummary(trials=1, infra_failures=[
-            FuzzInfraFailure(index=4, category="timeout", error="x" * 500)
+            FuzzInfraFailure(index=4, category="worker-lost", error="x" * 500)
         ])
         line = format_fuzz_report(summary).splitlines()[-1]
-        assert line == "  ! trial 4 infra fail [timeout]: " + "x" * 160
+        assert line == "  ! trial 4 infra fail [worker-lost]: " + "x" * 160
+
+    def test_quarantined_infra_row_reruns(self, tmp_path):
+        """An infra failure quarantined under the retired retry policy is
+        no verdict on the program: resume runs the trial again."""
+        manifest = str(tmp_path / "fuzz.jsonl")
+        run = dict(trials=1, seed=0, manifest_path=manifest,
+                   out_dir=str(tmp_path), **FAST)
+        assert run_fuzz_campaign(**run).executed == 1
+        with open(manifest) as handle:
+            uid = json.loads(handle.readline())["unit_id"]
+        with open(manifest, "a") as handle:
+            handle.write(json.dumps({
+                "unit_id": uid, "status": "quarantined", "attempts": 2,
+                "data": {"error": "BrokenProcessPool: lost", "infra": True,
+                         "category": "worker-lost"},
+            }) + "\n")
+        summary = run_fuzz_campaign(**run)
+        assert (summary.executed, summary.skipped) == (1, 0)
+        assert summary.ok and summary.passed == 1
 
 
 class TestFuzzCLI:

@@ -12,6 +12,7 @@ from repro.core import ConstructionConfig
 from repro.harness.cache import (
     PIPELINE_VERSION,
     ArtifactCache,
+    CacheStats,
     cache_key,
     cached_compile,
     config_fingerprint,
@@ -231,6 +232,36 @@ class TestBuildPairIntegration:
             assert Simulator(rebuilt[1].program).run("main") == Simulator(
                 first[1].program
             ).run("main")
+        finally:
+            clear_build_memo()
+
+    def test_prebuild_recompiles_only_the_missed_flavour(
+        self, isolated_default
+    ):
+        """One truncated artifact: that flavour compiles and is stored
+        again, and the flavour that hit is neither."""
+        from repro.experiments.common import clear_build_memo, prebuild_pairs
+
+        clear_build_memo()
+        try:
+            assert prebuild_pairs(["bzip2"], jobs=1) == 1
+            victim = sorted(
+                os.path.join(directory, name)
+                for directory, _, names in os.walk(isolated_default.objects_dir)
+                for name in names
+            )[0]
+            with open(victim, "r+b") as handle:
+                handle.truncate(os.path.getsize(victim) // 2)
+            clear_build_memo()
+            before = isolated_default.stats
+            assert prebuild_pairs(["bzip2"], jobs=1) == 1
+            after = isolated_default.stats
+            delta = CacheStats(**{
+                name: getattr(after, name) - getattr(before, name)
+                for name in ("hits", "misses", "stores", "corrupt")
+            })
+            assert delta.summary().startswith("1 hits, 1 misses, 1 stores")
+            assert delta.corrupt == 1
         finally:
             clear_build_memo()
 

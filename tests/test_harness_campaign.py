@@ -24,7 +24,7 @@ from repro.harness.incremental import (
     program_fingerprint,
     set_default_store,
 )
-from repro.harness.resilience import UNIT_ERROR
+from repro.harness.executor import UNIT_ERROR
 from repro.sim import Simulator
 from repro.sim.faults import (
     CampaignResult,
@@ -142,17 +142,21 @@ class TestRunManifest:
         records = manifest.load()
         assert records["u1"].ok and records["u1"].data["x"] == 42
 
-    def test_attempts_roundtrip_and_legacy_rows_default_to_one(self, tmp_path):
+    def test_rows_with_retired_attempts_field_load(self, tmp_path):
+        """Rows that counted retries (``attempts``) still load; new rows
+        no longer write the field, since each unit runs once."""
         path = tmp_path / "run.jsonl"
         manifest = RunManifest(str(path))
-        manifest.append(UnitRecord("u1", "done", 1.0, {}, attempts=3))
-        with open(path, "a") as handle:  # a pre-`attempts` manifest row
+        with open(path, "a") as handle:
             handle.write(json.dumps({
-                "unit_id": "old", "status": "done", "seconds": 0.2, "data": {},
+                "unit_id": "old", "status": "done", "seconds": 0.2,
+                "data": {"x": 1}, "attempts": 3,
             }) + "\n")
+        manifest.append(UnitRecord("new", "done", 1.0, {}))
         records = manifest.load()
-        assert records["u1"].attempts == 3
-        assert records["old"].attempts == 1
+        assert records["old"].ok and records["old"].data == {"x": 1}
+        assert records["new"].ok
+        assert "attempts" not in open(path).read().splitlines()[1]
 
 
 def _record_call(payload):

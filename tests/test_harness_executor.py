@@ -72,14 +72,6 @@ class TestInline:
         with pytest.raises(RuntimeError, match="bad unit"):
             TaskExecutor(1).map(boom, [1])
 
-    @pytest.mark.parametrize("unit_timeout", [0, 0.0, -1.0, float("inf")])
-    def test_unit_timeout_must_be_positive_and_finite(self, unit_timeout):
-        # 0 used to mean "no limit", a negative value timed out every
-        # pool unit and inf overflows the pool's wait: all are
-        # configuration errors.
-        with pytest.raises(ValueError, match="unit_timeout must be > 0"):
-            TaskExecutor(2, unit_timeout=unit_timeout)
-
 
 class TestParallel:
     def test_map_preserves_item_order(self):
@@ -101,16 +93,26 @@ class TestParallel:
         assert results[0].value == 9
         assert not executor.degraded
 
+    def test_pool_that_cannot_start_runs_inline(self, monkeypatch):
+        import repro.harness.executor as executor_module
+
+        def no_pool(*args, **kwargs):
+            raise OSError("no /dev/shm")
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", no_pool)
+        executor = TaskExecutor(2)
+        results = executor.map(square, [1, 2, 3])
+        assert [r.value for r in results] == [1, 4, 9]
+        assert executor.degraded
+
     def test_pool_level_failure_keeps_unit_keys(self):
         """Result transport failing (unpicklable return value) is a
         pool-level error, yet every failure stays attributed to its
         submitted key — never a `None` key row."""
-        from repro.harness.resilience import WORKER_LOST, RetryPolicy
+        from repro.harness.executor import WORKER_LOST
 
-        executor = TaskExecutor(
-            2, retry=RetryPolicy(max_attempts=1)  # fail straight away
-        )
-        results = list(executor.imap(unpicklable, ["a", "b"], ordered=True))
+        results = list(TaskExecutor(2).imap(unpicklable, ["a", "b"],
+                                            ordered=True))
         assert {r.key for r in results} == {"a", "b"}
         assert all(not r.ok for r in results)
         assert all(r.category == WORKER_LOST for r in results)

@@ -487,7 +487,26 @@ class TestExplainStale:
         victim = plans[0].status
         os.unlink(store.path_for(victim.key))
         replanned, _ = self._plans(store, idempotent.program)
-        assert replanned[0].status.reason.startswith("evicted")
+        assert replanned[0].status.reason == (
+            "record-missing (deleted or unreadable)"
+        )
+
+    def test_truncated_record_is_diagnosed(self, kernel_pair, store):
+        """An unreadable record is a corrupt miss, not a new section."""
+        _, idempotent, _, _ = kernel_pair
+        _inline(kernel_pair, store, trials=10, seed=7)
+        plans, _ = self._plans(store, idempotent.program)
+        path = store.path_for(plans[0].status.key)
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) // 2)
+        corrupt = store.stats.corrupt
+        replanned, _ = self._plans(store, idempotent.program)
+        assert replanned[0].status.status == SECTION_NEW
+        assert replanned[0].status.reason == (
+            "record-missing (deleted or unreadable)"
+        )
+        assert store.stats.corrupt == corrupt + 1
+        assert all(plan.status.status != SECTION_NEW for plan in replanned[1:])
 
     def test_pipeline_change_is_diagnosed(self, kernel_pair, store):
         _, idempotent, _, _ = kernel_pair
@@ -747,19 +766,3 @@ class TestReports:
         report = format_stale_report(summary)
         assert "stale sections:" in report
         assert "wl:idempotent f@b.0 [3 trials]: code-changed (aaa -> bbb)" in report
-
-    def test_campaign_report_lists_quarantined_units(self):
-        summary = FaultCampaignSummary(
-            trials=2, seed=1, labels=("idempotent",), quarantined_units=1,
-        )
-        summary.results[("wl", "idempotent")] = CampaignResult(trials=2)
-        summary.quarantined.append(("wl:idempotent:value:seed1:lat0:t0+2",
-                                    "chaos"))
-        report = format_campaign_report(summary)
-        assert "quarantined units (pass --fresh to retry):" in report
-        assert "  - wl:idempotent:value:seed1:lat0:t0+2 [chaos]" in report
-
-    def test_campaign_report_without_quarantine_omits_listing(self):
-        summary = FaultCampaignSummary(trials=2, seed=1, labels=("idempotent",))
-        summary.results[("wl", "idempotent")] = CampaignResult(trials=2)
-        assert "quarantined units" not in format_campaign_report(summary)
