@@ -285,29 +285,35 @@ def cmd_experiment(args) -> int:
     from repro import experiments
     from repro.experiments.common import configure
     from repro.harness.cache import default_cache
+    from repro.harness.executor import UnitsFailed
     from repro.harness.report import Telemetry
 
     _setup_obs(args)
     configure(jobs=args.jobs, use_cache=not args.no_cache)
     telemetry = Telemetry(label=f"experiment {args.name}")
     names = args.workloads or None
-    if args.name == "all":
-        from repro.experiments.all_figures import run_all
+    try:
+        if args.name == "all":
+            from repro.experiments.all_figures import run_all
 
-        run_all(names, jobs=args.jobs, telemetry=telemetry)
-    else:
-        drivers = {
-            "table2": experiments.table2_classification,
-            "fig4": experiments.fig4_limit_study,
-            "fig8": experiments.fig8_path_cdf,
-            "fig9": experiments.fig9_avg_paths,
-            "fig10": experiments.fig10_overheads,
-            "fig12": experiments.fig12_recovery,
-        }
-        driver = drivers[args.name]
-        print(driver.format_report(
-            driver.run(names, jobs=args.jobs, telemetry=telemetry)
-        ))
+            run_all(names, jobs=args.jobs, telemetry=telemetry)
+        else:
+            drivers = {
+                "table2": experiments.table2_classification,
+                "fig4": experiments.fig4_limit_study,
+                "fig8": experiments.fig8_path_cdf,
+                "fig9": experiments.fig9_avg_paths,
+                "fig10": experiments.fig10_overheads,
+                "fig12": experiments.fig12_recovery,
+            }
+            driver = drivers[args.name]
+            print(driver.format_report(
+                driver.run(names, jobs=args.jobs, telemetry=telemetry)
+            ))
+    except UnitsFailed as exc:
+        # Re-running the command runs the figure again.
+        print(f"repro experiment {args.name}: {exc}", file=sys.stderr)
+        return 1
     telemetry.finish()
     telemetry.attach_cache(default_cache())
     print(telemetry.format_summary(), file=sys.stderr)

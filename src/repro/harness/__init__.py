@@ -40,6 +40,7 @@ from repro.harness.executor import (
     PermanentUnitError,
     TaskExecutor,
     TaskResult,
+    UnitsFailed,
     derive_seed,
 )
 from repro.harness.report import Telemetry
@@ -53,6 +54,7 @@ __all__ = [
     "TaskResult",
     "Telemetry",
     "UNIT_ERROR",
+    "UnitsFailed",
     "WORKER_LOST",
     "cache_key",
     "cached_compile",

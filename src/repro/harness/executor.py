@@ -175,6 +175,20 @@ def _settle(future: Future, key: object) -> TaskResult:
     return result
 
 
+class UnitsFailed(RuntimeError):
+    """Work units of one :meth:`TaskExecutor.map` failed: the message
+    names every one, in item order, with its category and error, on one
+    line."""
+
+    def __init__(self, failed: List[TaskResult]) -> None:
+        self.failed = failed
+        units = "; ".join(
+            f"{result.key!r} {result.category} ({' '.join(result.error.split())})"
+            for result in failed
+        )
+        super().__init__(f"{len(failed)} work unit(s) failed: {units}")
+
+
 class TaskExecutor:
     """Runs ``fn(item)`` over items, inline or across worker processes."""
 
@@ -191,16 +205,15 @@ class TaskExecutor:
     ) -> List[TaskResult]:
         """Execute every item; results come back in item order.
 
-        The first failed unit raises after all units finish;
+        Once all units finish, any that failed raise one
+        :class:`UnitsFailed` naming each of them;
         ``imap(..., ordered=True)`` yields failures as
         ``TaskResult.error`` strings instead.
         """
         results = list(self.imap(fn, items, keys=keys, ordered=True))
-        for result in results:
-            if not result.ok:
-                raise RuntimeError(
-                    f"work unit {result.key!r} failed: {result.error}"
-                )
+        failed = [result for result in results if not result.ok]
+        if failed:
+            raise UnitsFailed(failed)
         return results
 
     def imap(

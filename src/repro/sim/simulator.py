@@ -32,7 +32,9 @@ fell-off-block sentinel after each block; one loop over locals runs them.
 Decoding never raises: a record that cannot run raises the error it
 would have raised when, and only when, it executes. The timing model runs
 only when the simulator is ``timed``; hooks run only while one is
-installed (see ``docs/simulator.md``).
+installed (see ``docs/simulator.md``). Hot straight-line runs of records
+execute as translated Python functions (:mod:`repro.sim.translate`)
+while no hook is installed and the simulator is not ``checkpointing``.
 
 A run can pause at a given instruction count (:meth:`Simulator.resume`),
 and its complete state can be saved, restored and compared exactly
@@ -227,8 +229,8 @@ class _Code:
     """One function decoded: parallel per-pc lists."""
 
     __slots__ = (
-        "name", "records", "locs", "instrs", "timing", "columns", "starts",
-        "frame_words",
+        "name", "records", "locs", "instrs", "timing", "runs", "heat",
+        "columns", "starts", "frame_words",
     )
 
     def __init__(self, func: MachineFunction) -> None:
@@ -239,8 +241,16 @@ class _Code:
         #: the MachineInstr of every pc (None for a sentinel)
         self.instrs: List[Optional[MachineInstr]] = []
         self.timing: List[tuple] = []
-        #: the four lists above, as the loop loads them
-        self.columns = (self.records, self.locs, self.instrs, self.timing)
+        #: the translated run that starts at each pc, once it is hot
+        self.runs: List[Optional[Callable]] = []
+        #: visits left before a leader pc's next batch of visits is
+        #: counted (:func:`repro.sim.translate.heated`); other pcs never
+        #: reach 0
+        self.heat: List[int] = []
+        #: the six lists above, as the loop loads them
+        self.columns = (
+            self.records, self.locs, self.instrs, self.timing, self.runs, self.heat,
+        )
         #: pc of each block's first record; the last entry ends the code
         self.starts: List[int] = []
         self.frame_words = max(func.frame.size, 1)
@@ -314,6 +324,8 @@ class Simulator:
         self.boundaries_crossed = 0
         #: instructions this simulator retired with a hook installed
         self.hooked_instructions = 0
+        #: instructions this simulator retired in translated runs
+        self.translated_instructions = 0
 
         # Timing state (half-cycle granularity for dual issue): ready
         # times in slots numbered like _NO_SLOT's comment says; registers
@@ -423,6 +435,15 @@ class Simulator:
             record, timing = self._decode_instr(instr, pc, code, labels)
             code.records.append(record)
             code.timing.append(timing)
+        # Runs start at leaders: block starts (every branch target is
+        # one) and the pcs a call or builtin call returns to.
+        code.runs.extend([None] * len(code.records))
+        code.heat.extend([0] * len(code.records))
+        for pc in code.starts[:-1]:
+            code.heat[pc] = HEAT_BATCH
+        for pc, record in enumerate(code.records):
+            if record[0] in (OP_CALL, OP_CALLB):
+                code.heat[pc + 1] = HEAT_BATCH
         return code
 
     def _decode_instr(self, instr: MachineInstr, pc: int, code: _Code, labels):
@@ -600,7 +621,7 @@ class Simulator:
         """
         counts = (
             self.instructions, self.cycles, self.boundaries_crossed,
-            self.hooked_instructions,
+            self.hooked_instructions, self.translated_instructions,
         )
         try:
             with obs.span("sim.run", func=self.entry.name, program=self.program.name):
@@ -617,7 +638,8 @@ class Simulator:
         return self.int_regs[0]
 
     def _publish_run_metrics(
-        self, instructions: int, cycles: int, boundaries: int, hooked: int
+        self, instructions: int, cycles: int, boundaries: int, hooked: int,
+        translated: int,
     ) -> None:
         """What this stretch of a run simulated, onto the metrics registry
         (crashes included); a run counts once, however often it paused."""
@@ -628,6 +650,9 @@ class Simulator:
         observer.counter("sim.instructions").inc(self.instructions - instructions)
         observer.counter("sim.hooked_instructions").inc(
             self.hooked_instructions - hooked
+        )
+        observer.counter("sim.translated_instructions").inc(
+            self.translated_instructions - translated
         )
         observer.counter("sim.cycles").inc(self.cycles - cycles)
         observer.counter("sim.boundaries").inc(self.boundaries_crossed - boundaries)
@@ -670,11 +695,17 @@ class Simulator:
         mem_ready = self.mem_ready
         checkpointing = self.checkpointing
         hooked_retired = 0
+        translated = 0
+        # What a translated run reads besides its frame: no run keeps it.
+        env = (
+            self.int_regs, self.float_regs, ready, sbuf, load, memory.store, self,
+            stop,
+        )
         instr = None
         try:
             while True:  # fetch from ``loc``: at entry, and where a hook moved it
                 frame = frames[-1]
-                records, locs, instrs, timing = frame.code.columns
+                records, locs, instrs, timing, runs, heat = frame.code.columns
                 base = frame.base
                 pc = frame.code.pc(self.loc)
                 hooked = self.pre_hook is not None or self.post_hook is not None
@@ -682,239 +713,295 @@ class Simulator:
                 # checkpoint log: while a hook is installed the hooks keep
                 # the log (checkpoint_before/after), otherwise the loop does.
                 slow = hooked or checkpointing
-                while True:
-                    record = records[pc]
-                    op = record[0]
-                    if slow:
-                        if hooked:
-                            if op == OP_FELL:
-                                raise SimulationError(record[1])
-                            if count == pause_at:  # before the pre hook runs
-                                self.loc = locs[pc]
-                                return False
-                            instr = instrs[pc]
-                            pre = self.pre_hook
-                            if pre is not None:
-                                self.instructions = count
-                                self.loc = locs[pc]
-                                pre(self, instr)
-                                if self._redirected:
-                                    self._redirected = False
-                                    break  # fetch from the new location
-                        elif op in _CHECK_OPS and count < stop:  # it will run
-                            self.check_points_since += 1
-                            if sbuf or self.check_points_since >= CHECKPOINT_INTERVAL:
-                                self._log_check_point(count, locs[pc])
-                    count += 1
-                    if count > stop and op != OP_FELL:
-                        if stop != pause_at:
-                            raise SimLimitExceeded(
-                                f"exceeded {limit} simulated instructions"
-                            )
-                        count -= 1
-                        self.loc = locs[pc]
-                        return False
-                    if timed:
-                        (srcs, memory_op, dst, latency, issue_slots,
-                         ends_group) = timing[pc]
-                        issue = half
-                        for src in srcs:
-                            if ready[src] > issue:
-                                issue = ready[src]
-                        if memory_op:
-                            if mem_ready > issue:
-                                issue = mem_ready
-                            mem_ready = issue + 2  # one memory op per cycle
-                        ready[dst] = issue + latency
-                        half = issue + issue_slots
-                        if ends_group:
-                            # A taken control transfer ends the issue group.
-                            half += half % 2
-
-                    # Check points (ld, st, ldslot, stslot, b, bnz, rcb, call,
-                    # callb, ret) first commit the verified stores.
-                    if op == OP_MOVI:
-                        _, dl, d, value = record
-                        dl[d] = value
-                        pc += 1
-                    elif op == OP_MOV:
-                        _, sl, s, dl, d = record
-                        dl[d] = sl[s]
-                        pc += 1
-                    elif op == OP_ADD:
-                        _, al, a, bl, b, dl, d = record
-                        value = al[a] + bl[b]
-                        value &= _MASK64
-                        if value >= _SIGN64:
-                            value -= _WRAP64
-                        dl[d] = value
-                        pc += 1
-                    elif op == OP_LDSLOT:
-                        if sbuf:
-                            self.flush_store_buffer()
-                        _, dl, d, offset = record
-                        dl[d] = load(base + offset)
-                        pc += 1
-                    elif op == OP_B:
-                        if sbuf:
-                            self.flush_store_buffer()
-                        pc = record[1]
-                    elif op == OP_STSLOT:
-                        if sbuf:
-                            self.flush_store_buffer()
-                        _, vl, v, offset = record
-                        sbuf.append((base + offset, vl[v]))
-                        pc += 1
-                    elif op == OP_LD:
-                        if sbuf:
-                            self.flush_store_buffer()
-                        _, al, a, dl, d = record
-                        dl[d] = load(al[a])
-                        pc += 1
-                    elif op == OP_BINOP:
-                        _, function, al, a, bl, b, dl, d = record
-                        dl[d] = function(al[a], bl[b])
-                        pc += 1
-                    elif op == OP_CMPNE:
-                        _, al, a, bl, b, dl, d = record
-                        dl[d] = 1 if al[a] != bl[b] else 0
-                        pc += 1
-                    elif op == OP_BNZ:
-                        if sbuf:
-                            self.flush_store_buffer()
-                        _, cl, c, target = record
-                        pc = target if cl[c] else pc + 1
-                    elif op == OP_CMPLT:
-                        _, al, a, bl, b, dl, d = record
-                        dl[d] = 1 if al[a] < bl[b] else 0
-                        pc += 1
-                    elif op == OP_RCB:
-                        if sbuf:
-                            self.flush_store_buffer()
-                        self.boundaries_crossed += 1
-                        self.rp = (len(frames), record[1])
-                        self.rp_count = count
-                        pc += 1
-                    elif op == OP_SUB:
-                        _, al, a, bl, b, dl, d = record
-                        value = al[a] - bl[b]
-                        value &= _MASK64
-                        if value >= _SIGN64:
-                            value -= _WRAP64
-                        dl[d] = value
-                        pc += 1
-                    elif op == OP_RET:
-                        if sbuf:
-                            self.flush_store_buffer()
-                        done = frames.pop()
-                        memory.free_stack(done.base)
-                        if done.return_loc is None:
-                            self.loc = None
+                while True:  # at a leader: translated runs, while there are
+                    if not slow:
+                        while True:
+                            run = runs[pc]
+                            if run is None:
+                                heat[pc] -= 1
+                                if heat[pc] or (run := self._translate(pc)) is None:
+                                    break
+                            try:
+                                out = run(env, locs, base, count, half, mem_ready)
+                            except Exception as exc:
+                                unwound = unwind(run, exc)
+                                if unwound is not None:
+                                    retired, half, mem_ready = unwound
+                                    count += retired
+                                    translated += retired
+                                raise
+                            if out is None:  # it does not fit before ``stop``
+                                break
+                            pc, after, half, mem_ready = out
+                            translated += after - count
+                            count = after
+                    while True:
+                        record = records[pc]
+                        op = record[0]
+                        if slow:
                             if hooked:
-                                hooked_retired += 1
-                                if self.post_hook is not None:
+                                if op == OP_FELL:
+                                    raise SimulationError(record[1])
+                                if count == pause_at:  # before the pre hook runs
+                                    self.loc = locs[pc]
+                                    return False
+                                instr = instrs[pc]
+                                pre = self.pre_hook
+                                if pre is not None:
                                     self.instructions = count
-                                    self.post_hook(self, instr)
-                            return True
-                        frame = frames[-1]
-                        records, locs, instrs, timing = frame.code.columns
-                        base = frame.base
-                        pc = done.return_pc
-                        # Return is an implicit verification + restart point.
-                        self.rp = (len(frames), done.return_loc)
-                        self.rp_count = count
-                        if checkpointing and self.post_hook is None:
-                            self._take_checkpoint(count, done.return_loc)
-                    elif op == OP_CALL:
-                        if sbuf:
-                            self.flush_store_buffer()
-                        _, callee, return_loc, return_pc = record
-                        frame = self._enter_function(callee, return_loc, return_pc)
-                        self.rp_count = count
-                        records, locs, instrs, timing = frame.code.columns
-                        base = frame.base
-                        pc = 0
-                        if checkpointing and self.post_hook is None:
-                            self._take_checkpoint(count, self.loc)
-                    elif op == OP_ST:
-                        if sbuf:
-                            self.flush_store_buffer()
-                        _, vl, v, al, a = record
-                        sbuf.append((al[a], vl[v]))
-                        pc += 1
-                    elif op == OP_LEA:
-                        _, dl, d, offset = record
-                        dl[d] = base + offset
-                        pc += 1
-                    elif op == OP_ITOF:
-                        _, sl, s, dl, d = record
-                        dl[d] = float(sl[s])
-                        pc += 1
-                    elif op == OP_FTOI:
-                        _, sl, s, dl, d = record
-                        dl[d] = _ftoi(sl[s])
-                        pc += 1
-                    elif op == OP_CSEL:
-                        _, cl, c, al, a, bl, b, dl, d = record
-                        dl[d] = al[a] if cl[c] else bl[b]
-                        pc += 1
-                    elif op == OP_CALLB:
-                        if sbuf:
-                            self.flush_store_buffer()
-                        self._builtin(record[1])
-                        # Builtins (I/O, allocation) are not safely re-executable:
-                        # they are single-instruction regions — advance the restart
-                        # point past them (§2.3, "non-idempotent instructions").
-                        self.rp = (len(frames), record[2])
-                        self.rp_count = count
-                        pc += 1
-                        if checkpointing and self.post_hook is None:
-                            self._take_checkpoint(count, record[2])
-                    elif op == OP_STLOG:
-                        # Checkpoint-and-log: write into the wrap-around log
-                        # region at [lp + imm]. Log traffic is not
-                        # program-visible state, so it bypasses the store
-                        # buffer (it writes through the L1 in the paper's
-                        # setup); cost is accounted as a normal store.
-                        _, vl, v, offset = record
-                        self._log_write(offset, vl[v])
-                        pc += 1
-                    elif op == OP_ADVLP:
-                        self.int_regs[15] = wrap64(self.int_regs[15] + record[1])
-                        pc += 1
-                    elif op == OP_NOP:
-                        pc += 1
-                    elif op == OP_TRAP:
-                        if record[2] and sbuf:
-                            self.flush_store_buffer()
-                        raise record[1]
-                    elif op == OP_BNZ_TRAP:
-                        if sbuf:
-                            self.flush_store_buffer()
-                        _, cl, c, missing = record
-                        if cl[c]:
-                            raise missing
-                        pc += 1
-                    else:  # OP_FELL: the sentinel is fetched, never retired
-                        count -= 1
-                        raise SimulationError(record[1])
+                                    self.loc = locs[pc]
+                                    pre(self, instr)
+                                    if self._redirected:
+                                        self._redirected = False
+                                        break  # fetch from the new location
+                            elif op in _CHECK_OPS and count < stop:  # it will run
+                                self.check_points_since += 1
+                                if sbuf or self.check_points_since >= CHECKPOINT_INTERVAL:
+                                    self._log_check_point(count, locs[pc])
+                        count += 1
+                        if count > stop and op != OP_FELL:
+                            if stop != pause_at:
+                                raise SimLimitExceeded(
+                                    f"exceeded {limit} simulated instructions"
+                                )
+                            count -= 1
+                            self.loc = locs[pc]
+                            return False
+                        if timed:
+                            (srcs, memory_op, dst, latency, issue_slots,
+                             ends_group) = timing[pc]
+                            issue = half
+                            for src in srcs:
+                                if ready[src] > issue:
+                                    issue = ready[src]
+                            if memory_op:
+                                if mem_ready > issue:
+                                    issue = mem_ready
+                                mem_ready = issue + 2  # one memory op per cycle
+                            ready[dst] = issue + latency
+                            half = issue + issue_slots
+                            if ends_group:
+                                # A taken control transfer ends the issue group.
+                                half += half % 2
 
-                    if hooked:
-                        hooked_retired += 1
-                        post = self.post_hook
-                        if post is not None:
-                            self.instructions = count
-                            self.loc = next_loc = locs[pc]
-                            post(self, instr)
-                            if self.loc is not next_loc:
-                                break  # fetch from where the hook moved it
-                        hooked = self.pre_hook is not None or self.post_hook is not None
-                        slow = hooked or checkpointing
+                        # Check points (ld, st, ldslot, stslot, b, bnz, rcb, call,
+                        # callb, ret) first commit the verified stores.
+                        if op == OP_MOVI:
+                            _, dl, d, value = record
+                            dl[d] = value
+                            pc += 1
+                        elif op == OP_MOV:
+                            _, sl, s, dl, d = record
+                            dl[d] = sl[s]
+                            pc += 1
+                        elif op == OP_ADD:
+                            _, al, a, bl, b, dl, d = record
+                            value = al[a] + bl[b]
+                            value &= _MASK64
+                            if value >= _SIGN64:
+                                value -= _WRAP64
+                            dl[d] = value
+                            pc += 1
+                        elif op == OP_LDSLOT:
+                            if sbuf:
+                                self.flush_store_buffer()
+                            _, dl, d, offset = record
+                            dl[d] = load(base + offset)
+                            pc += 1
+                        elif op == OP_B:
+                            if sbuf:
+                                self.flush_store_buffer()
+                            pc = record[1]
+                            if not slow:
+                                break  # to a leader
+                        elif op == OP_STSLOT:
+                            if sbuf:
+                                self.flush_store_buffer()
+                            _, vl, v, offset = record
+                            sbuf.append((base + offset, vl[v]))
+                            pc += 1
+                        elif op == OP_LD:
+                            if sbuf:
+                                self.flush_store_buffer()
+                            _, al, a, dl, d = record
+                            dl[d] = load(al[a])
+                            pc += 1
+                        elif op == OP_BINOP:
+                            _, function, al, a, bl, b, dl, d = record
+                            dl[d] = function(al[a], bl[b])
+                            pc += 1
+                        elif op == OP_CMPNE:
+                            _, al, a, bl, b, dl, d = record
+                            dl[d] = 1 if al[a] != bl[b] else 0
+                            pc += 1
+                        elif op == OP_BNZ:
+                            if sbuf:
+                                self.flush_store_buffer()
+                            _, cl, c, target = record
+                            if not cl[c]:
+                                pc += 1
+                            else:
+                                pc = target
+                                if not slow:
+                                    break  # to a leader
+                        elif op == OP_CMPLT:
+                            _, al, a, bl, b, dl, d = record
+                            dl[d] = 1 if al[a] < bl[b] else 0
+                            pc += 1
+                        elif op == OP_RCB:
+                            if sbuf:
+                                self.flush_store_buffer()
+                            self.boundaries_crossed += 1
+                            self.rp = (len(frames), record[1])
+                            self.rp_count = count
+                            pc += 1
+                        elif op == OP_SUB:
+                            _, al, a, bl, b, dl, d = record
+                            value = al[a] - bl[b]
+                            value &= _MASK64
+                            if value >= _SIGN64:
+                                value -= _WRAP64
+                            dl[d] = value
+                            pc += 1
+                        elif op == OP_RET:
+                            if sbuf:
+                                self.flush_store_buffer()
+                            done = frames.pop()
+                            memory.free_stack(done.base)
+                            if done.return_loc is None:
+                                self.loc = None
+                                if hooked:
+                                    hooked_retired += 1
+                                    if self.post_hook is not None:
+                                        self.instructions = count
+                                        self.post_hook(self, instr)
+                                return True
+                            frame = frames[-1]
+                            records, locs, instrs, timing, runs, heat = frame.code.columns
+                            base = frame.base
+                            pc = done.return_pc
+                            # Return is an implicit verification + restart point.
+                            self.rp = (len(frames), done.return_loc)
+                            self.rp_count = count
+                            if checkpointing and self.post_hook is None:
+                                self._take_checkpoint(count, done.return_loc)
+                            if not slow:
+                                break  # to a leader
+                        elif op == OP_CALL:
+                            if sbuf:
+                                self.flush_store_buffer()
+                            _, callee, return_loc, return_pc = record
+                            frame = self._enter_function(callee, return_loc, return_pc)
+                            self.rp_count = count
+                            records, locs, instrs, timing, runs, heat = frame.code.columns
+                            base = frame.base
+                            pc = 0
+                            if checkpointing and self.post_hook is None:
+                                self._take_checkpoint(count, self.loc)
+                            if not slow:
+                                break  # to a leader
+                        elif op == OP_ST:
+                            if sbuf:
+                                self.flush_store_buffer()
+                            _, vl, v, al, a = record
+                            sbuf.append((al[a], vl[v]))
+                            pc += 1
+                        elif op == OP_LEA:
+                            _, dl, d, offset = record
+                            dl[d] = base + offset
+                            pc += 1
+                        elif op == OP_ITOF:
+                            _, sl, s, dl, d = record
+                            dl[d] = float(sl[s])
+                            pc += 1
+                        elif op == OP_FTOI:
+                            _, sl, s, dl, d = record
+                            dl[d] = _ftoi(sl[s])
+                            pc += 1
+                        elif op == OP_CSEL:
+                            _, cl, c, al, a, bl, b, dl, d = record
+                            dl[d] = al[a] if cl[c] else bl[b]
+                            pc += 1
+                        elif op == OP_CALLB:
+                            if sbuf:
+                                self.flush_store_buffer()
+                            self._builtin(record[1])
+                            # Builtins (I/O, allocation) are not safely re-executable:
+                            # they are single-instruction regions — advance the restart
+                            # point past them (§2.3, "non-idempotent instructions").
+                            self.rp = (len(frames), record[2])
+                            self.rp_count = count
+                            pc += 1
+                            if checkpointing and self.post_hook is None:
+                                self._take_checkpoint(count, record[2])
+                            if not slow:
+                                break  # to a leader
+                        elif op == OP_STLOG:
+                            # Checkpoint-and-log: write into the wrap-around log
+                            # region at [lp + imm]. Log traffic is not
+                            # program-visible state, so it bypasses the store
+                            # buffer (it writes through the L1 in the paper's
+                            # setup); cost is accounted as a normal store.
+                            _, vl, v, offset = record
+                            self._log_write(offset, vl[v])
+                            pc += 1
+                        elif op == OP_ADVLP:
+                            self.int_regs[15] = wrap64(self.int_regs[15] + record[1])
+                            pc += 1
+                        elif op == OP_NOP:
+                            pc += 1
+                        elif op == OP_TRAP:
+                            if record[2] and sbuf:
+                                self.flush_store_buffer()
+                            raise record[1]
+                        elif op == OP_BNZ_TRAP:
+                            if sbuf:
+                                self.flush_store_buffer()
+                            _, cl, c, missing = record
+                            if cl[c]:
+                                raise missing
+                            pc += 1
+                        else:  # OP_FELL: the sentinel is fetched, never retired
+                            count -= 1
+                            raise SimulationError(record[1])
+
+                        if hooked:
+                            hooked_retired += 1
+                            post = self.post_hook
+                            if post is not None:
+                                self.instructions = count
+                                self.loc = next_loc = locs[pc]
+                                post(self, instr)
+                                if self.loc is not next_loc:
+                                    break  # fetch from where the hook moved it
+                            hooked = self.pre_hook is not None or self.post_hook is not None
+                            slow = hooked or checkpointing
+                    if slow:
+                        break  # a hook moved ``loc``: fetch from there
         finally:
             self.instructions = count
             self.half_slots = half
             self.mem_ready = mem_ready
             self.hooked_instructions += hooked_retired
+            self.translated_instructions += translated
+
+    def _translate(self, pc: int) -> Optional[Callable]:
+        """The run at the leader ``pc`` of the current function, translated
+        once the program has reached it often enough; None before that,
+        and for good if it cannot be translated."""
+        code = self.frames[-1].code
+        if not heated(self.program, code.name, pc):
+            code.heat[pc] = HEAT_BATCH
+            return None
+        run = translate(
+            self.program, code.records, code.timing, pc, self.int_regs,
+            self.float_regs, self.timed,
+        )
+        if run is None:
+            code.heat[pc] = -1
+        else:
+            code.runs[pc] = run
+        return run
 
     # ------------------------------------------------------------------
     # Recovery (used by the fault harness)
@@ -1172,3 +1259,7 @@ _FLOAT_BINOPS = {
 
 #: binops the loop runs inline rather than through the tables above
 _INLINE_BINOPS = {"add": OP_ADD, "sub": OP_SUB, "cmpne": OP_CMPNE, "cmplt": OP_CMPLT}
+
+
+# Imported last: the translator reads this module's record format.
+from repro.sim.translate import HEAT_BATCH, heated, translate, unwind  # noqa: E402

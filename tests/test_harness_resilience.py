@@ -14,7 +14,9 @@ import time
 
 import pytest
 
+import repro.experiments.fig9_avg_paths as fig9_avg_paths
 import repro.harness.campaign as campaign
+from repro.cli import main
 from repro.harness.cache import ArtifactCache, set_default_cache
 from repro.harness.campaign import (
     CampaignRunner,
@@ -23,7 +25,12 @@ from repro.harness.campaign import (
     format_campaign_report,
     run_fault_campaign,
 )
-from repro.harness.executor import UNIT_ERROR, WORKER_LOST, TaskExecutor
+from repro.harness.executor import (
+    UNIT_ERROR,
+    WORKER_LOST,
+    TaskExecutor,
+    UnitsFailed,
+)
 from repro.harness.incremental import OutcomeStore, set_default_store
 
 
@@ -120,6 +127,52 @@ class TestExecutorRecovery:
                                             ordered=True))
         assert results[0].category == UNIT_ERROR
         assert "deterministic unit failure" in results[0].error
+
+    def test_map_names_every_failed_unit(self, tmp_path):
+        """``map`` raises once, naming each failed unit and its category,
+        not just the first in item order."""
+        log = str(tmp_path / "calls.log")
+        with pytest.raises(UnitsFailed) as raised:
+            TaskExecutor(2).map(_log_and_raise, [(log, "a"), (log, "b")],
+                                keys=["a", "b"])
+        message = str(raised.value)
+        assert [r.key for r in raised.value.failed] == ["a", "b"]
+        assert "'a' unit-error (RuntimeError: unit a failed)" in message
+        assert "'b' unit-error (RuntimeError: unit b failed)" in message
+        assert "\n" not in message
+
+    def test_map_names_the_lost_worker(self):
+        with pytest.raises(UnitsFailed) as raised:
+            TaskExecutor(2).map(_crash_if_die, ["ok", "die"])
+        failed = {r.key: r.category for r in raised.value.failed}
+        assert failed["die"] == WORKER_LOST
+        assert "'die' worker-lost (BrokenProcessPool" in str(raised.value)
+
+
+# ----------------------------------------------------------------------
+# Experiments: a lost worker is named, in one line
+# ----------------------------------------------------------------------
+_fig9_measure = fig9_avg_paths.measure
+
+
+def _die_measuring_mcf(name):
+    if name == "mcf":
+        os._exit(9)  # simulate a worker killed by a signal
+    return _fig9_measure(name)
+
+
+class TestDyingWorkerExperiment:
+    def test_lost_worker_is_one_line_naming_it(
+        self, isolated_cache, monkeypatch, capfd
+    ):
+        monkeypatch.setattr(fig9_avg_paths, "measure", _die_measuring_mcf)
+        assert main(["experiment", "fig9", "bzip2", "mcf", "--jobs", "2"]) == 1
+        captured = capfd.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        errors = [line for line in captured.err.splitlines() if "failed" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith("repro experiment fig9: ")
+        assert "'mcf' worker-lost (BrokenProcessPool" in errors[0]
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,9 @@ Over ``repro.fuzz.generator.sources(12)`` plus the campaign-cache kernel:
   binaries give the same result, output, instruction and boundary
   counts, cycles under the default, DMR and TMR cost models, and the
   same restart pointer before every instruction; untimed runs agree on
-  everything but ``cycles``, which stays 0.
+  everything but ``cycles``, which stays 0.  A program's later runs
+  execute its hot loops as translated runs
+  (``tests/test_sim_translate.py`` covers those over the 19 workloads).
 - **Faults.** Every ``FaultOutcome`` field and every campaign bucket of
   the ``original``, ``idempotent``, ``tmr`` and ``checkpoint_log``
   labels, for both fault kinds at latency 0, 4 and 12, equals the frozen
@@ -107,6 +109,22 @@ def test_fault_free_runs_match_frozen(program_index):
         assert _rp_trace(Simulator, program, timed=False) == _rp_trace(
             frozen_simulator.Simulator, program
         )
+
+
+def test_corpus_runs_translated():
+    """The fault-free comparisons above cover translated runs too: a
+    program's simulators share their leaders' visit counts, so its runs
+    under the later cost models translate what the earlier ones heated."""
+    retired = translated = 0
+    for source in CORPUS:
+        original, idempotent = _pair(source)
+        for program in (original, idempotent, instrument_checkpoint_log(original)):
+            for cost in (None, dmr_cost_model(), tmr_cost_model()):
+                sim = Simulator(program, cost_model=cost)
+                sim.run("main")
+                retired += sim.instructions
+                translated += sim.translated_instructions
+    assert translated > retired // 10
 
 
 @pytest.mark.parametrize("program_index", range(len(CORPUS)))
