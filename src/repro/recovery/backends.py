@@ -81,7 +81,9 @@ class CheckpointLogInjector(FaultInjector):
     :mod:`repro.recovery.checkpoint`. Detection restores the checkpoint
     and unwinds the log in reverse. The simulator keeps both while this
     policy drives it (:attr:`~FaultInjector.checkpoints`), so the policy
-    hooks no instruction outside a fault's window.
+    hooks no instruction outside a fault's window: there the golden run
+    and the trials run their hot code translated, and the translated
+    runs keep the checkpoint and the log (:mod:`repro.sim.translate`).
 
     A fresh checkpoint is also forced after every ``callb``: externally
     visible effects (``print`` output, ``malloc``'s heap bump) cannot be
@@ -210,6 +212,8 @@ class CheckpointLogBackend(RecoveryBackend):
     seed_key = "checkpoint_log"
 
     def campaign_program(self, original_program, idempotent_program):
+        """The one instrumented copy of ``original_program``, which
+        ``run_scheme`` prices too."""
         return instrument_checkpoint_log(original_program)
 
     def make_injector(self, sim, plan, recover=True):

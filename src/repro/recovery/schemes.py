@@ -22,6 +22,7 @@ cost the simulator models with issue-slot multipliers:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -64,6 +65,13 @@ def tmr_cost_model() -> CostModel:
     )
 
 
+#: original program -> its instrumented copy, which lives as long as the
+#: original does
+_INSTRUMENTED: "weakref.WeakKeyDictionary[MachineProgram, MachineProgram]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
 def instrument_checkpoint_log(program: MachineProgram) -> MachineProgram:
     """A copy of ``program`` with store-logging sequences inserted.
 
@@ -73,8 +81,17 @@ def instrument_checkpoint_log(program: MachineProgram) -> MachineProgram:
 
     The copy has its own functions, frames and blocks but shares every
     instruction of ``program``: no instruction changes once a program
-    exists (the register allocator rewrites them before).
+    exists (the register allocator rewrites them before).  So every call
+    with one ``program`` returns the one copy, and its simulators share
+    their translated runs (:mod:`repro.sim.translate`).
     """
+    instrumented = _INSTRUMENTED.get(program)
+    if instrumented is None:
+        instrumented = _INSTRUMENTED[program] = _instrumented(program)
+    return instrumented
+
+
+def _instrumented(program: MachineProgram) -> MachineProgram:
     instrumented = MachineProgram(program.name)
     instrumented.globals = dict(program.globals)
     for mfunc in program.functions.values():

@@ -34,7 +34,7 @@ would have raised when, and only when, it executes. The timing model runs
 only when the simulator is ``timed``; hooks run only while one is
 installed (see ``docs/simulator.md``). Hot straight-line runs of records
 execute as translated Python functions (:mod:`repro.sim.translate`)
-while no hook is installed and the simulator is not ``checkpointing``.
+while no hook is installed.
 
 A run can pause at a given instruction count (:meth:`Simulator.resume`),
 and its complete state can be saved, restored and compared exactly
@@ -241,7 +241,8 @@ class _Code:
         #: the MachineInstr of every pc (None for a sentinel)
         self.instrs: List[Optional[MachineInstr]] = []
         self.timing: List[tuple] = []
-        #: the translated run that starts at each pc, once it is hot
+        #: the translated run that starts at each pc, once it is hot, for
+        #: the simulator's current ``checkpointing``
         self.runs: List[Optional[Callable]] = []
         #: visits left before a leader pc's next batch of visits is
         #: counted (:func:`repro.sim.translate.heated`); other pcs never
@@ -260,6 +261,15 @@ class _Code:
         ``loc`` lies past the block's end)."""
         sentinel = self.starts[loc.block + 1] - 1
         return min(self.starts[loc.block] + loc.index, sentinel)
+
+    def drop_runs(self) -> None:
+        """Forget the translated runs: each of their leaders looks its
+        run up again on its next visit."""
+        runs, heat = self.runs, self.heat
+        for pc, run in enumerate(runs):
+            if run is not None:
+                runs[pc] = None
+                heat[pc] = 1
 
 
 class Simulator:
@@ -309,8 +319,8 @@ class Simulator:
         # Store buffer: list of (addr, value) since the last verification.
         self.store_buffer: List[Tuple[int, object]] = []
 
-        #: keep the checkpoint-and-log state below (see docs/simulator.md)
-        self.checkpointing = False
+        #: :attr:`checkpointing`: keep the checkpoint-and-log state below
+        self._checkpointing = False
         #: (frame depth, int registers, float registers, location)
         self.checkpoint: Optional[tuple] = None
         #: ``instructions`` when ``checkpoint`` was taken
@@ -365,6 +375,20 @@ class Simulator:
     @property
     def cycles(self) -> int:
         return (self.half_slots + 1) // 2
+
+    @property
+    def checkpointing(self) -> bool:
+        """Does the simulator keep the checkpoint-and-log state
+        (``checkpoint``, ``undo_log``; see docs/simulator.md)?"""
+        return self._checkpointing
+
+    @checkpointing.setter
+    def checkpointing(self, on: bool) -> None:
+        if on != self._checkpointing:
+            self._checkpointing = on
+            # A translated run keeps the bookkeeping of one setting only.
+            for code in self._code.values():
+                code.drop_runs()
 
     # ------------------------------------------------------------------
     # Register access
@@ -711,10 +735,11 @@ class Simulator:
                 hooked = self.pre_hook is not None or self.post_hook is not None
                 # One test per instruction serves the hooks and the
                 # checkpoint log: while a hook is installed the hooks keep
-                # the log (checkpoint_before/after), otherwise the loop does.
+                # the log (checkpoint_before/after), otherwise the loop or
+                # its translated runs do.
                 slow = hooked or checkpointing
                 while True:  # at a leader: translated runs, while there are
-                    if not slow:
+                    if not hooked:
                         while True:
                             run = runs[pc]
                             if run is None:
@@ -812,7 +837,7 @@ class Simulator:
                             if sbuf:
                                 self.flush_store_buffer()
                             pc = record[1]
-                            if not slow:
+                            if not hooked:
                                 break  # to a leader
                         elif op == OP_STSLOT:
                             if sbuf:
@@ -842,7 +867,7 @@ class Simulator:
                                 pc += 1
                             else:
                                 pc = target
-                                if not slow:
+                                if not hooked:
                                     break  # to a leader
                         elif op == OP_CMPLT:
                             _, al, a, bl, b, dl, d = record
@@ -885,7 +910,7 @@ class Simulator:
                             self.rp_count = count
                             if checkpointing and self.post_hook is None:
                                 self._take_checkpoint(count, done.return_loc)
-                            if not slow:
+                            if not hooked:
                                 break  # to a leader
                         elif op == OP_CALL:
                             if sbuf:
@@ -898,7 +923,7 @@ class Simulator:
                             pc = 0
                             if checkpointing and self.post_hook is None:
                                 self._take_checkpoint(count, self.loc)
-                            if not slow:
+                            if not hooked:
                                 break  # to a leader
                         elif op == OP_ST:
                             if sbuf:
@@ -934,7 +959,7 @@ class Simulator:
                             pc += 1
                             if checkpointing and self.post_hook is None:
                                 self._take_checkpoint(count, record[2])
-                            if not slow:
+                            if not hooked:
                                 break  # to a leader
                         elif op == OP_STLOG:
                             # Checkpoint-and-log: write into the wrap-around log
@@ -976,7 +1001,7 @@ class Simulator:
                                     break  # fetch from where the hook moved it
                             hooked = self.pre_hook is not None or self.post_hook is not None
                             slow = hooked or checkpointing
-                    if slow:
+                    if hooked:
                         break  # a hook moved ``loc``: fetch from there
         finally:
             self.instructions = count
@@ -994,8 +1019,8 @@ class Simulator:
             code.heat[pc] = HEAT_BATCH
             return None
         run = translate(
-            self.program, code.records, code.timing, pc, self.int_regs,
-            self.float_regs, self.timed,
+            self.program, code.name, code.records, code.timing, pc,
+            self.int_regs, self.float_regs, self.timed, self._checkpointing,
         )
         if run is None:
             code.heat[pc] = -1

@@ -13,6 +13,13 @@ once the program's simulators have reached the leader
 :data:`HOT_THRESHOLD` times (see ``docs/simulator.md``, "Translated
 runs").
 
+For a ``checkpointing`` simulator a run also keeps the checkpoint-and-log
+bookkeeping, in the record loop's order: before each check point it
+counts the check point and, where the store buffer, as far as the writer
+knows it, or the count can require it, calls the simulator's own
+``_log_check_point``, which takes the periodic checkpoint and logs the
+pre-images, before the buffer commits.
+
 A translated run leaves exactly the state the record loop leaves, also
 when one of its instructions raises: the function's traceback frame and
 the table ``UNWIND`` in its source give the count, ``half_slots`` and
@@ -21,9 +28,10 @@ the table ``UNWIND`` in its source give the count, ``half_slots`` and
 Simulators of one program share their leaders' visit counts and the
 compiled code: each program has a cache, held weakly so that it dies
 with the program and never enters a pickle, whose functions are keyed by
-the generated source, so that two simulators share a function only if
-they would have generated the same one.  A function takes every
-per-simulator object as an argument and keeps none.
+everything the source is written from that can differ between two
+simulators of the program.  So a run's source is written once per
+program, not once per simulator.  A function takes every per-simulator
+object as an argument and keeps none.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ from repro.sim.simulator import (
     OP_STLOG,
     OP_STSLOT,
     OP_SUB,
+    CHECKPOINT_INTERVAL,
     _CHECK_OPS,
     _fdiv,
     _ftoi,
@@ -139,8 +148,10 @@ class _Shared:
     def __init__(self) -> None:
         #: (function name, leader pc) -> visits counted so far
         self.visits: Dict[Tuple[str, int], int] = {}
-        #: generated source -> compiled run
-        self.compiled: Dict[str, Callable] = {}
+        #: (function name, leader pc, timed, checkpointing, the run's
+        #: timing tuples when timed) -> compiled run.  The records are no
+        #: part of the key: no instruction changes once a program exists.
+        self.compiled: Dict[tuple, Callable] = {}
 
 
 _SHARED: "weakref.WeakKeyDictionary[MachineProgram, _Shared]" = (
@@ -167,25 +178,37 @@ def heated(program: MachineProgram, function: str, pc: int) -> bool:
 
 def translate(
     program: MachineProgram,
+    function: str,
     records: List[tuple],
     timing: List[tuple],
     pc: int,
     int_regs: list,
     float_regs: list,
     timed: bool,
+    checkpointing: bool,
 ) -> Optional[Callable]:
-    """The compiled run that starts at ``pc`` of one decoded function
-    (its ``records`` and ``timing``), or None if no record there can run
-    translated."""
-    source = _Writer(records, timing, int_regs, float_regs, timed).source(pc)
-    if source is None:
+    """The compiled run that starts at ``pc`` of ``function``, decoded
+    into ``records`` and ``timing``, or None if no record there can run
+    translated.  Its source is written only the first time a simulator
+    of ``program`` asks for it with these settings.  The cost model and
+    the slots of registers outside the 48 differ between simulators, so
+    a ``timed`` run is keyed by its timing tuples too."""
+    end = _extent(records, pc)
+    if end == pc:
         return None
+    key = (
+        function, pc, timed, checkpointing,
+        tuple(timing[pc:end]) if timed else None,
+    )
     compiled = _shared(program).compiled
-    run = compiled.get(source)
+    run = compiled.get(key)
     if run is None:
+        source = _Writer(
+            records, timing, int_regs, float_regs, timed, checkpointing
+        ).source(pc, end)
         namespace = dict(_NAMESPACE)
         exec(compile(source, "<translated run>", "exec"), namespace)
-        run = compiled[source] = namespace["run"]
+        run = compiled[key] = namespace["run"]
     return run
 
 
@@ -213,6 +236,30 @@ def unwind(run: Callable, exc: BaseException) -> Optional[Tuple[int, int, int]]:
     )
 
 
+def _extent(records: List[tuple], pc: int) -> int:
+    """The pc just past the run that starts at ``pc``."""
+    end = pc
+    while records[end][0] in _RUN_OPS and _runnable(records[end]):
+        op = records[end][0]
+        end += 1
+        if op == OP_B:
+            break
+        if op == OP_BNZ:
+            if records[end][0] == OP_B:
+                end += 1
+            break
+    return end
+
+
+def _runnable(record: tuple) -> bool:
+    op = record[0]
+    if op == OP_MOVI:
+        return type(record[3]) in (int, float, bool)
+    if op == OP_BINOP:
+        return record[1] in _BINOP_TEMPLATES
+    return True
+
+
 class _Writer:
     """Writes the source of one run.
 
@@ -226,11 +273,14 @@ class _Writer:
     issue.
     """
 
-    def __init__(self, records, timing, int_regs, float_regs, timed) -> None:
+    def __init__(
+        self, records, timing, int_regs, float_regs, timed, checkpointing
+    ) -> None:
         self.records = records
         self.timing = timing
         self.names = {id(int_regs): "X", id(float_regs): "F"}
         self.timed = timed
+        self.checkpointing = checkpointing
         self.lines: List[str] = []
         #: "line,retired,half local,offset,mem_ready local,offset" from
         #: each line on which the state an exception leaves changes
@@ -250,33 +300,8 @@ class _Writer:
         self.sbuf: Optional[tuple] = None
 
     # ------------------------------------------------------------------
-    def _extent(self, pc: int) -> int:
-        """The pc just past the run that starts at ``pc``."""
-        records = self.records
-        end = pc
-        while records[end][0] in _RUN_OPS and self._runnable(records[end]):
-            op = records[end][0]
-            end += 1
-            if op == OP_B:
-                break
-            if op == OP_BNZ:
-                if records[end][0] == OP_B:
-                    end += 1
-                break
-        return end
-
-    def _runnable(self, record: tuple) -> bool:
-        op = record[0]
-        if op == OP_MOVI:
-            return type(record[3]) in (int, float, bool)
-        if op == OP_BINOP:
-            return record[1] in _BINOP_TEMPLATES
-        return True
-
-    def source(self, pc: int) -> Optional[str]:
-        end = self._extent(pc)
-        if end == pc:
-            return None
+    def source(self, pc: int, end: int) -> str:
+        """The source of the run from ``pc`` to ``end``."""
         self.lines = [
             "def run(E, L, base, c, h, m):",
             "    X, F, R, sbuf, load, store, S, stop = E",
@@ -326,9 +351,25 @@ class _Writer:
             self._emit("sbuf.clear()")
         self.sbuf = ()
 
+    def _check_point(self, k: int, pc: int) -> None:
+        """The checkpoint-and-log bookkeeping of the check point at
+        ``pc``, instruction ``k`` of the run.  The record loop keeps it
+        before it counts the instruction, so it comes before the
+        instruction's timing and its line of ``UNWIND``."""
+        self._emit("S.check_points_since += 1")
+        log = f"S._log_check_point(c + {k}, L[{pc}])"
+        if self.sbuf:  # a store is pending: its pre-image is logged
+            self._emit(log)
+            return
+        due = f"S.check_points_since >= {CHECKPOINT_INTERVAL}"
+        self._emit(f"if {due}:" if self.sbuf == () else f"if sbuf or {due}:")
+        self._emit(f"    {log}")
+
     def _instruction(self, k: int, pc: int, end: int) -> None:
         record = self.records[pc]
         op = record[0]
+        if self.checkpointing and op in _CHECK_OPS:
+            self._check_point(k, pc)
         if self.timed:
             self._account(self.timing[pc])
         # Only the instruction's own lines raise, after its timing.

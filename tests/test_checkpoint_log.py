@@ -17,8 +17,15 @@ hooks on the frozen simulator:
 - a trial forked from a snapshot taken between a ``call`` or ``ret`` and
   the next instruction.
 
-Two bounds: a golden run installs no hook, and a campaign on the
-campaign-cache kernel simulates under 1% of its instructions hooked.
+Each program is warmed by two golden runs first, so that the stretches
+of a trial outside its hooked window run translated
+(``repro.sim.translate``), keeping the bookkeeping in their own code.
+
+Bounds: a golden run installs no hook, a second golden run of
+blackscholes retires at least three quarters of its instructions
+translated, and a campaign on the campaign-cache kernel simulates under
+1% of its instructions hooked.  Every call instruments an original
+program into the one copy, so that its campaigns share translated runs.
 """
 
 import dataclasses
@@ -31,6 +38,7 @@ from repro.bench.campaign_cache import BASE_SOURCE
 from repro.codegen.machine import MachineInstr
 from repro.compiler import compile_minic
 from repro.recovery.backends import CheckpointLogBackend
+from repro.recovery.schemes import instrument_checkpoint_log
 from repro.sim import faults
 from repro.sim.faults import (
     FAULT_CONTROL,
@@ -43,6 +51,7 @@ from repro.sim.faults import (
     value_site,
 )
 from repro.sim.simulator import CHECKPOINT_INTERVAL, Simulator
+from repro.workloads import get_workload
 from tests import frozen_injectors as frozen
 from tests import frozen_simulator
 
@@ -105,6 +114,14 @@ def _program(source: str = SOURCE):
     )
 
 
+def _warmed(program):
+    """``program`` after two golden runs: its hot leaders are translated
+    on their first visits in any later simulator."""
+    for _ in range(2):
+        record_golden_run(program, injector_factory=BACKEND.make_injector)
+    return program
+
+
 def _issued(program) -> List[Issued]:
     """Every instruction of the frozen injector's fault-free run."""
     sim = frozen_simulator.Simulator(program)
@@ -135,8 +152,10 @@ def _same_as_frozen(program, plan):
 
 
 @pytest.mark.parametrize("latency", (0, 4))
-def test_a_control_fault_on_the_check_point_that_checkpoints(latency):
-    program = _program()
+def test_a_control_fault_on_the_check_point_that_checkpoints(latency, observer):
+    program = _warmed(_program())
+    translated = observer.counter("sim.translated_instructions")
+    warm = translated.total()
     sites = [
         row.count for row in _issued(program)
         if row.instr.opcode == "bnz" and row.same_depth
@@ -147,13 +166,14 @@ def test_a_control_fault_on_the_check_point_that_checkpoints(latency):
         plan = FaultPlan(count + 1, kind=FAULT_CONTROL, detection_latency=latency)
         outcome = _same_as_frozen(program, plan)
         assert outcome.injected and outcome.detected, plan
+    assert translated.total() > warm
 
 
 @pytest.mark.parametrize("after", ("call", "ret"))
 def test_detection_at_the_first_instruction_after_a_depth_change(after):
     """A value fault at the last site before the depth change, with the
     latency that makes it surface at the next instruction."""
-    program = _program()
+    program = _warmed(_program())
     rows = _issued(program)
     surfaced = 0
     for i in range(1, len(rows)):
@@ -175,7 +195,7 @@ def test_detection_at_the_first_instruction_after_a_depth_change(after):
 def test_a_trial_forked_between_a_depth_change_and_the_next_instruction(
     monkeypatch, after
 ):
-    program = _program()
+    program = _warmed(_program())
     rows = _issued(program)
     # Past a twelfth of the run, so that the golden run keeps every
     # snapshot at a multiple of the pause.
@@ -200,6 +220,7 @@ def test_a_trial_forked_between_a_depth_change_and_the_next_instruction(
                 if pause < plan.strike_count <= pause + 16
             )
             assert golden.fork_for(plan) == 1
+            before = golden.sim.translated_instructions
             forked = run_planned_trial(
                 program, SEED, index, golden.span, kind=kind,
                 detection_latency=latency,
@@ -210,6 +231,7 @@ def test_a_trial_forked_between_a_depth_change_and_the_next_instruction(
             )
             assert forked.injected
             assert dataclasses.asdict(forked) == dataclasses.asdict(old), plan
+            assert golden.sim.translated_instructions > before
 
 
 def test_a_golden_run_installs_no_hook(observer):
@@ -219,6 +241,31 @@ def test_a_golden_run_installs_no_hook(observer):
     assert golden.sim.hooked_instructions == 0
     assert observer.counter("sim.hooked_instructions").total() == 0
     assert observer.counter("sim.instructions").total() == golden.instructions
+
+
+def test_a_second_golden_run_runs_translated():
+    """Blackscholes' second checkpoint-and-log golden run hooks nothing
+    and retires at least three quarters of its instructions translated."""
+    source = get_workload("blackscholes").source
+    program = _program(source)
+    first = record_golden_run(program, injector_factory=BACKEND.make_injector)
+    second = record_golden_run(program, injector_factory=BACKEND.make_injector)
+    assert second.instructions == first.instructions
+    assert second.sim.hooked_instructions == 0
+    assert second.sim.translated_instructions > first.sim.translated_instructions
+    assert 4 * second.sim.translated_instructions >= 3 * second.instructions
+
+
+def test_one_instrumented_program_per_original():
+    """``run_scheme``, ``campaign_target`` and a backend's campaigns all
+    run the one instrumented copy of an original program."""
+    original = compile_minic(SOURCE, idempotent=False).program
+    idempotent = compile_minic(SOURCE, idempotent=True).program
+    program = instrument_checkpoint_log(original)
+    assert instrument_checkpoint_log(original) is program
+    assert CheckpointLogBackend().campaign_program(original, idempotent) is program
+    other = compile_minic(SOURCE, idempotent=False).program
+    assert instrument_checkpoint_log(other) is not program
 
 
 def test_a_campaign_hooks_under_one_percent_of_its_instructions(observer):

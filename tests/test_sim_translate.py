@@ -5,10 +5,14 @@ Python function (``repro.sim.translate``).  Every value a run leaves
 behind must equal the record loop's, which these tests get by patching
 the hot threshold out of reach: result and output, ``instructions``,
 ``boundaries_crossed``, ``rp`` and ``rp_count``, the store buffer, the
-memory's ``load_count`` and ``store_count``, and ``cycles``,
-``half_slots``, ``mem_ready`` and ``reg_ready``.  That holds when an
-instruction inside a translated run raises, when a run pauses, and when
-it hits its instruction limit at any count inside a translated run.
+memory's ``load_count`` and ``store_count``, ``cycles``, ``half_slots``,
+``mem_ready`` and ``reg_ready``, and on a ``checkpointing`` simulator
+the checkpoint, its count, the undo log and the check points since.
+That holds when an instruction inside a translated run raises, when a
+run pauses, when it hits its instruction limit at any count inside a
+translated run, and when ``checkpointing`` changes between runs.  The
+frozen simulator keeps no checkpoint, so for that state the record loop
+is the only reference.
 """
 
 import math
@@ -33,6 +37,7 @@ from repro.recovery.schemes import (
     tmr_cost_model,
 )
 from repro.sim import SimLimitExceeded, Simulator
+from repro.sim.simulator import _UNMAPPED
 from repro.workloads import all_workloads
 from tests import frozen_simulator
 
@@ -71,6 +76,20 @@ def _rp(rp):
     return depth, loc.func, loc.block, loc.index
 
 
+def _checkpoint(checkpoint):
+    if checkpoint is None:
+        return None
+    depth, int_regs, float_regs, loc = checkpoint
+    return depth, _bits(int_regs), _bits(float_regs), loc
+
+
+def _undo(log):
+    """Pre-images by bits, the unmapped sentinel by identity."""
+    return [
+        (a, "unmapped" if v is _UNMAPPED else _bits([v])) for a, v in log
+    ]
+
+
 def _state(sim):
     """Everything a run leaves behind."""
     memory = sim.memory
@@ -91,6 +110,10 @@ def _state(sim):
         "float_regs": _bits(sim.float_regs),
         "cells": sorted((a, _bits([v])) for a, v in memory.cells.items()),
         "loc": sim.loc,
+        "checkpoint": _checkpoint(sim.checkpoint),
+        "checkpoint_count": sim.checkpoint_count,
+        "undo_log": _undo(sim.undo_log),
+        "check_points_since": sim.check_points_since,
     }
 
 
@@ -103,9 +126,11 @@ def _finish(sim):
     return outcome, _state(sim)
 
 
-def _simulator(program, config):
+def _simulator(program, config, checkpointing=False, **kwargs):
     cost, timed = CONFIGS[config]
-    return Simulator(program, cost_model=cost and cost(), timed=timed)
+    sim = Simulator(program, cost_model=cost and cost(), timed=timed, **kwargs)
+    sim.checkpointing = checkpointing
+    return sim
 
 
 def _binaries(source):
@@ -121,13 +146,15 @@ def _binaries(source):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("index", range(len(WORKLOADS)))
 def test_workload_matches_record_loop(index, record_loop):
-    """Each workload's binary and cost model, in rotation."""
+    """Each workload's binary and cost model, in rotation; the
+    checkpoint-and-log binary on a ``checkpointing`` simulator."""
     program = _binaries(SOURCES[WORKLOADS[index]])[index % 3]
     config = list(CONFIGS)[index % len(CONFIGS)]
-    translated = _simulator(program, config)
+    checkpointing = index % 3 == 2
+    translated = _simulator(program, config, checkpointing)
     new = _finish(translated)
     record_loop()
-    assert new == _finish(_simulator(program, config))
+    assert new == _finish(_simulator(program, config, checkpointing))
     assert translated.translated_instructions > translated.instructions // 2
 
 
@@ -167,9 +194,64 @@ def test_programs_share_heat_and_compiled_runs():
     second.run("main")
     assert second.translated_instructions > first.translated_instructions
     shared = translate._SHARED[program].compiled
-    assert all(shared[source] is run for source, run in compiled.items())
+    assert all(shared[key] is run for key, run in compiled.items())
     runs = {run for code in second._code.values() for run in code.runs if run}
     assert runs <= set(shared.values())
+
+
+@pytest.fixture
+def writes(monkeypatch):
+    """The leader pcs of the runs whose source is written from now on."""
+    written = []
+    source = translate._Writer.source
+
+    def counted(self, pc, end):
+        written.append(pc)
+        return source(self, pc, end)
+
+    monkeypatch.setattr(translate._Writer, "source", counted)
+    return written
+
+
+def test_a_run_is_written_once_per_program(writes):
+    """The loop body's source is written once for each setting a
+    simulator runs it with (``timed``, ``checkpointing``); a second
+    simulator with the same settings finds it compiled."""
+    program = _loop(_TRIGGER_FLAG + FILLERS)
+    settings = [(True, False), (False, False), (False, True), (True, True)]
+    for n, (timed, checkpointing) in enumerate(settings, 1):
+        for _ in range(2):
+            sim = Simulator(program, timed=timed)
+            sim.checkpointing = checkpointing
+            sim.run("main")
+            assert sim.translated_instructions > 0
+            assert len(writes) == n
+    assert len(set(writes)) == 1
+    assert len(translate._SHARED[program].compiled) == len(settings)
+
+
+def test_cost_models_get_their_own_runs(record_loop):
+    """DMR and TMR simulators of one binary share a run exactly where its
+    timing tuples are equal under both, and each leaves the record
+    loop's state."""
+    program = compile_minic(BASE_SOURCE, idempotent=False).program
+    sims = {config: _simulator(program, config) for config in ("dmr", "tmr")}
+    new = {config: _finish(sim) for config, sim in sims.items()}
+    dmr, tmr = (sims[config]._code for config in ("dmr", "tmr"))
+    own = 0
+    for name, code in dmr.items():
+        for pc, run in enumerate(code.runs):
+            other = tmr[name].runs[pc]
+            if run is None or other is None:
+                continue
+            end = translate._extent(code.records, pc)
+            same_timing = code.timing[pc:end] == tmr[name].timing[pc:end]
+            assert (run is other) == same_timing, (name, pc)
+            own += not same_timing
+    assert own > 0
+    record_loop()
+    for config in sims:
+        assert new[config] == _finish(_simulator(program, config)), config
 
 
 # ----------------------------------------------------------------------
@@ -238,19 +320,34 @@ FILLERS = [
 ]
 
 
+#: the simulators the hand-built loops run on: (configuration,
+#: ``checkpointing``), so that a store is logged and a periodic
+#: checkpoint taken inside a translated run
+LOOPS = {
+    "default": ("default", False),
+    "untimed": ("untimed", False),
+    "checkpointing": ("default", True),
+    "checkpointing-untimed": ("untimed", True),
+}
+
+
+def _loop_simulator(program, loop, **kwargs):
+    return _simulator(program, *LOOPS[loop], **kwargs)
+
+
 @pytest.mark.parametrize("position", range(len(FILLERS) + 1))
 @pytest.mark.parametrize("name", sorted(RAISES))
-@pytest.mark.parametrize("config", ["default", "untimed"])
-def test_raise_inside_a_translated_run(name, position, config, record_loop):
+@pytest.mark.parametrize("loop", list(LOOPS))
+def test_raise_inside_a_translated_run(name, position, loop, record_loop):
     setup, raising, message = RAISES[name]
     body = _TRIGGER_FLAG + setup + FILLERS[:position] + [raising] + FILLERS[position:]
     program = _loop(body)
-    sim = _simulator(program, config)
+    sim = _loop_simulator(program, loop)
     new = _finish(sim)
     assert new[0][0] == "raised" and message in new[0][2]
     assert sim.translated_instructions > 0
     record_loop()
-    assert new == _finish(_simulator(program, config))
+    assert new == _finish(_loop_simulator(program, loop))
     # The frozen simulator raised ftoi's error as OverflowError or
     # ValueError; everything else is as it left it.
     frozen = frozen_simulator.Simulator(program)
@@ -263,7 +360,7 @@ def test_raise_inside_a_translated_run(name, position, config, record_loop):
     assert (new[1]["load_count"], new[1]["store_count"]) == (
         frozen.memory.load_count, frozen.memory.store_count,
     )
-    if config == "default":
+    if LOOPS[loop][0] == "default":
         assert new[1]["cycles"] == frozen.cycles
 
 
@@ -294,21 +391,33 @@ def _window():
     return program, range(first, first + 2 * per_iteration + 1)
 
 
-@pytest.mark.parametrize("config", ["default", "untimed"])
-def test_pause_at_every_count(config, record_loop):
+def _checkpointed_inside(states, counts):
+    """Do ``states``, left at ``counts``, show a store logged and a
+    periodic checkpoint taken in the translated iterations?  (The loop
+    body's ``stslot`` is logged at the ``ldslot`` after it, and every
+    other iteration reaches the ``CHECKPOINT_INTERVAL``-th check point.)"""
+    return any(state["undo_log"] for state in states) and any(
+        state["checkpoint_count"] in counts for state in states
+    )
+
+
+@pytest.mark.parametrize("loop", list(LOOPS))
+def test_pause_at_every_count(loop, record_loop):
     program, counts = _window()
     paused = []
     for pause_at in counts:
-        sim = _simulator(program, config)
+        sim = _loop_simulator(program, loop)
         sim.start("main")
         assert sim.resume(pause_at) is False
         before = _state(sim)
         assert sim.resume() is True
         paused.append((before, _state(sim), sim.translated_instructions))
     assert all(translated > 0 for _b, _a, translated in paused)
+    if LOOPS[loop][1]:
+        assert _checkpointed_inside([b for b, _a, _t in paused], counts)
     record_loop()
     for pause_at, (before, after, _t) in zip(counts, paused):
-        sim = _simulator(program, config)
+        sim = _loop_simulator(program, loop)
         sim.start("main")
         sim.resume(pause_at)
         assert before == _state(sim), pause_at
@@ -317,20 +426,60 @@ def test_pause_at_every_count(config, record_loop):
         assert after == _state(sim), pause_at
 
 
-@pytest.mark.parametrize("config", ["default", "untimed"])
-def test_limit_at_every_count(config, record_loop):
+@pytest.mark.parametrize("loop", list(LOOPS))
+def test_limit_at_every_count(loop, record_loop):
     program, counts = _window()
-    cost, timed = CONFIGS[config]
 
     def limited(limit):
-        sim = Simulator(program, max_instructions=limit, timed=timed)
+        sim = _loop_simulator(program, loop, max_instructions=limit)
         with pytest.raises(SimLimitExceeded):
             sim.run("main")
         return _state(sim), sim.translated_instructions
 
     new = [limited(limit) for limit in counts]
     assert all(translated > 0 for _s, translated in new)
+    if LOOPS[loop][1]:
+        assert _checkpointed_inside([state for state, _t in new], counts)
     record_loop()
     for limit, (state, _t) in zip(counts, new):
         assert state == limited(limit)[0], limit
         assert state["instructions"] == limit + 1
+
+
+# ----------------------------------------------------------------------
+# ``checkpointing`` changing between runs
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("config", ["default", "untimed"])
+def test_checkpointing_off_on_off_between_runs(config, record_loop):
+    """One simulator runs the program from its start with
+    ``checkpointing`` off, on, then off again, as a golden run walked by
+    ``landings`` is: every phase leaves the record loop's state, runs
+    translated, and calls only runs written for its own setting."""
+    program, _counts = _window()
+
+    def phases():
+        """(outcome and state, whether it ran translated, the
+        ``checkpointing`` settings of the runs it holds) per phase."""
+        sim = _simulator(program, config)
+        start = sim.snapshot()
+        done = []
+        for on in (False, True, False):
+            sim.restore(start)
+            sim.checkpointing = on
+            before = sim.translated_instructions
+            finished = _finish(sim)
+            compiled = translate._SHARED[program].compiled
+            setting = {id(run): key[3] for key, run in compiled.items()}
+            settings = {
+                setting[id(run)] for code in sim._code.values()
+                for run in code.runs if run
+            }
+            done.append((finished, sim.translated_instructions > before, settings))
+        return done
+
+    new = phases()
+    assert [(t, s) for _f, t, s in new] == [
+        (True, {False}), (True, {True}), (True, {False}),
+    ]
+    record_loop()
+    assert [f for f, _t, _s in new] == [f for f, _t, _s in phases()]
