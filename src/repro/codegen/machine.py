@@ -25,7 +25,7 @@ allocation everywhere.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Union
 
 # ----------------------------------------------------------------------
 # Registers
@@ -34,26 +34,16 @@ CLASS_INT = "i"
 CLASS_FLOAT = "f"
 
 
-class Reg:
-    """A register operand: virtual (``%i7``) or physical (``r3`` / ``f12``)."""
+class Reg(NamedTuple):
+    """A register operand: virtual (``%i7``) or physical (``r3`` / ``f12``).
 
-    __slots__ = ("rclass", "index", "is_physical")
+    A tuple, so that the allocator's many dict and set operations on
+    registers hash and compare them at C speed.
+    """
 
-    def __init__(self, rclass: str, index: int, is_physical: bool) -> None:
-        self.rclass = rclass
-        self.index = index
-        self.is_physical = is_physical
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Reg)
-            and other.rclass == self.rclass
-            and other.index == self.index
-            and other.is_physical == self.is_physical
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rclass, self.index, self.is_physical))
+    rclass: str
+    index: int
+    is_physical: bool
 
     def __repr__(self) -> str:
         if self.is_physical:
@@ -67,11 +57,19 @@ def vreg(rclass: str, index: int) -> Reg:
 
 
 def preg(rclass: str, index: int) -> Reg:
-    return Reg(rclass, index, is_physical=True)
+    return _PHYSICAL.get((rclass, index)) or Reg(rclass, index, is_physical=True)
 
 
 NUM_INT_REGS = 16
 NUM_FLOAT_REGS = 32
+
+#: Every physical register, made once: registers are immutable, so all
+#: uses of one can share it.
+_PHYSICAL = {
+    (rclass, index): Reg(rclass, index, is_physical=True)
+    for rclass, count in ((CLASS_INT, NUM_INT_REGS), (CLASS_FLOAT, NUM_FLOAT_REGS))
+    for index in range(count)
+}
 
 INT_ARG_REGS = [preg(CLASS_INT, i) for i in range(4)]
 FLOAT_ARG_REGS = [preg(CLASS_FLOAT, i) for i in range(4)]
@@ -218,17 +216,24 @@ class Frame:
     def __init__(self) -> None:
         self.slot_sizes: List[int] = []
         self.slot_names: List[str] = []
+        #: words in all slots, ``sum(slot_sizes)``
+        self.size = 0
 
     def add_slot(self, size: int = 1, name: str = "") -> int:
         """Reserve ``size`` words; returns the slot's word offset."""
         offset = self.size
         self.slot_sizes.append(size)
         self.slot_names.append(name or f"slot{len(self.slot_sizes)}")
+        self.size += size
         return offset
 
-    @property
-    def size(self) -> int:
-        return sum(self.slot_sizes)
+    def copy(self) -> "Frame":
+        """An independent frame with the same slots."""
+        frame = Frame()
+        frame.slot_sizes = list(self.slot_sizes)
+        frame.slot_names = list(self.slot_names)
+        frame.size = self.size
+        return frame
 
 
 class MachineFunction:

@@ -8,16 +8,20 @@ the register/stack-slot half of the idempotence property; the memory half
 is checked at the IR level (:mod:`repro.core.verify`) plus the store
 buffer's commit discipline.
 
-Used in tests and by :func:`repro.compiler.compile_minic` (opt-in) to
-catch construction or allocation bugs.
+:func:`repro.compiler.compile_ir_module` runs it on every idempotent
+build, after register allocation, and raises ``CompilationError`` on a
+violation; tests call it on original builds too.  It reads only the
+allocated code: it builds its own :class:`~repro.codegen.regalloc.Linearized`
+view and region map over the rewritten function, whose positions differ
+from the allocator's once spill code is in.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from repro.codegen.machine import MachineFunction, MachineInstr
-from repro.codegen.regalloc import Linearized, machine_regions, _REGION_ENDERS
+from repro.codegen.regalloc import Linearized, _REGION_ENDERS
 
 #: an abstract storage location
 Loc = Tuple[str, int]
@@ -56,39 +60,51 @@ class MachineIdempotenceViolation:
         )
 
 
+def _locations(lin: Linearized) -> Tuple[List[List[Loc]], List[List[Loc]]]:
+    """The locations each position reads, and those it writes."""
+    mfunc = lin.mfunc
+    return (
+        [_reads_of(instr, mfunc) for instr in lin.instrs],
+        [_writes_of(instr) for instr in lin.instrs],
+    )
+
+
 def verify_machine_function(mfunc: MachineFunction) -> List[MachineIdempotenceViolation]:
     """All region-input overwrites in ``mfunc`` (empty list = idempotent)."""
     lin = Linearized(mfunc)
+    reads, writes = _locations(lin)
+    # Writes a region answers for: an ender's lands in the next window,
+    # and a self-move is idempotent.
+    charged = [
+        []
+        if instr.opcode in _REGION_ENDERS
+        or (instr.opcode in ("mov", "fmov") and instr.dst == instr.srcs[0])
+        else locs
+        for instr, locs in zip(lin.instrs, writes)
+    ]
     violations: List[MachineIdempotenceViolation] = []
 
-    for header, members in machine_regions(mfunc, lin):
+    for header, members in lin.regions:
         if not members:
             continue
-        inputs, read_positions = _region_inputs(mfunc, lin, header, members)
-        ender_positions = {
-            p for p in members if lin.instrs[p].opcode in _REGION_ENDERS
-        }
-        writes: Dict[Loc, int] = {}
+        inputs, read_positions = _region_inputs(lin, reads, writes, header, members)
+        write_witness: Dict[Loc, int] = {}
         for pos in members:
-            if pos in ender_positions:
-                continue  # the ender's write lands in the next window
-            instr = lin.instrs[pos]
-            if instr.opcode in ("mov", "fmov") and instr.dst == instr.srcs[0]:
-                continue  # self-move is idempotent
-            for loc in _writes_of(instr):
-                writes.setdefault(loc, pos)
-        for loc in inputs & set(writes):
+            for loc in charged[pos]:
+                write_witness.setdefault(loc, pos)
+        for loc in inputs & set(write_witness):
             violations.append(
                 MachineIdempotenceViolation(
-                    mfunc.name, header, loc, read_positions[loc], writes[loc]
+                    mfunc.name, header, loc, read_positions[loc], write_witness[loc]
                 )
             )
     return violations
 
 
 def _region_inputs(
-    mfunc: MachineFunction,
     lin: Linearized,
+    reads: List[List[Loc]],
+    writes: List[List[Loc]],
     header: int,
     members: Set[int],
 ) -> Tuple[Set[Loc], Dict[Loc, int]]:
@@ -96,19 +112,9 @@ def _region_inputs(
 
     Forward dataflow inside the region: ``definitely_written[pos]`` is the
     intersection over header→pos paths of locations written so far. A read
-    of a location outside that set marks it as a region input.
+    of a location outside that set marks it as a region input.  ``reads``
+    and ``writes`` are :func:`_locations` of the function.
     """
-    # Map each position to its block's end (exclusive) and successor starts.
-    block_end_of: Dict[int, int] = {}
-    succs_of_pos: Dict[int, List[int]] = {}
-    for block in mfunc.blocks:
-        start = lin.block_start[block.name]
-        end = lin.block_end[block.name]
-        succ_starts = [lin.block_start[name] for name in block.successor_names()]
-        for pos in range(start, end):
-            block_end_of[pos] = end
-            succs_of_pos[pos] = succ_starts
-
     # State at a segment start = locations definitely written since the
     # region header on every path (meet = intersection).
     state_at: Dict[int, FrozenSet[Loc]] = {header: frozenset()}
@@ -119,26 +125,27 @@ def _region_inputs(
     while worklist:
         start = worklist.pop()
         current: Set[Loc] = set(state_at[start])
+        block = lin.block_at[start]
+        end = lin.block_end[block]
         pos = start
         hit_ender = False
         while pos in members:
-            instr = lin.instrs[pos]
-            for loc in _reads_of(instr, mfunc):
+            for loc in reads[pos]:
                 if loc not in current and loc not in inputs:
                     inputs.add(loc)
                     witness[loc] = pos
-            if instr.opcode in _REGION_ENDERS:
+            if lin.instrs[pos].opcode in _REGION_ENDERS:
                 hit_ender = True
                 break
-            for loc in _writes_of(instr):
-                current.add(loc)
-            if pos + 1 >= block_end_of[pos]:
+            current.update(writes[pos])
+            if pos + 1 >= end:
                 break  # end of block: fall through to successors
             pos += 1
         if hit_ender or pos not in members:
             continue
         frozen = frozenset(current)
-        for succ_start in succs_of_pos[pos]:
+        for succ in lin.succs[block]:
+            succ_start = lin.block_start[succ]
             if succ_start not in members:
                 continue
             old = state_at.get(succ_start)

@@ -18,7 +18,10 @@ merely avoid the argument/return registers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from functools import cached_property
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.codegen.machine import (
@@ -28,7 +31,6 @@ from repro.codegen.machine import (
     FLOAT_SCRATCH,
     INT_ALLOCATABLE,
     INT_SCRATCH,
-    MachineBlock,
     MachineFunction,
     MachineInstr,
     Reg,
@@ -44,55 +46,72 @@ class RegAllocError(RuntimeError):
 # Linearization and liveness
 # ----------------------------------------------------------------------
 class Linearized:
-    """Flat view: positions, block ranges, successor edges."""
+    """Flat view of one machine function: positions, blocks and edges.
+
+    Built once per pass over a function, so that no analysis rescans the
+    blocks: ``block_at`` names the block of every position and ``succs``
+    holds each block's successors, read off its branches once.  The
+    vreg liveness and the region map are computed on first use and kept.
+    """
 
     def __init__(self, mfunc: MachineFunction) -> None:
         self.mfunc = mfunc
         self.instrs: List[MachineInstr] = []
         self.block_start: Dict[str, int] = {}
         self.block_end: Dict[str, int] = {}  # exclusive
+        self.block_at: List[str] = []
+        self.succs: Dict[str, List[str]] = {}
         for block in mfunc.blocks:
-            self.block_start[block.name] = len(self.instrs)
+            name = block.name
+            self.block_start[name] = len(self.instrs)
             self.instrs.extend(block.instructions)
-            self.block_end[block.name] = len(self.instrs)
-        self.position: Dict[int, int] = {
-            id(instr): i for i, instr in enumerate(self.instrs)
-        }
+            self.block_end[name] = len(self.instrs)
+            self.block_at.extend([name] * len(block.instructions))
+            self.succs[name] = block.successor_names()
 
-    def successors(self, block: MachineBlock) -> List[str]:
-        return block.successor_names()
+    @cached_property
+    def liveness(self) -> Tuple[Dict[str, Set[Reg]], Dict[str, Set[Reg]]]:
+        """:func:`block_liveness` of the function."""
+        return block_liveness(self)
+
+    @cached_property
+    def regions(self) -> List[Tuple[int, Set[int]]]:
+        """:func:`machine_regions` of the function."""
+        return machine_regions(self)
 
 
-def block_liveness(mfunc: MachineFunction) -> Tuple[Dict[str, Set[Reg]], Dict[str, Set[Reg]]]:
+def block_liveness(lin: Linearized) -> Tuple[Dict[str, Set[Reg]], Dict[str, Set[Reg]]]:
     """Live-in/live-out *virtual* register sets per machine block."""
+    blocks = lin.mfunc.blocks
     use_sets: Dict[str, Set[Reg]] = {}
     def_sets: Dict[str, Set[Reg]] = {}
-    for block in mfunc.blocks:
+    for block in blocks:
         uses: Set[Reg] = set()
         defs: Set[Reg] = set()
         for instr in block.instructions:
-            for src in instr.regs_read():
+            for src in instr.srcs:
                 if not src.is_physical and src not in defs:
                     uses.add(src)
-            for dst in instr.regs_written():
-                if not dst.is_physical:
-                    defs.add(dst)
+            dst = instr.dst
+            if dst is not None and not dst.is_physical:
+                defs.add(dst)
         use_sets[block.name] = uses
         def_sets[block.name] = defs
 
-    live_in: Dict[str, Set[Reg]] = {b.name: set() for b in mfunc.blocks}
-    live_out: Dict[str, Set[Reg]] = {b.name: set() for b in mfunc.blocks}
+    live_in: Dict[str, Set[Reg]] = {b.name: set() for b in blocks}
+    live_out: Dict[str, Set[Reg]] = {b.name: set() for b in blocks}
+    order = [block.name for block in reversed(blocks)]
     changed = True
     while changed:
         changed = False
-        for block in reversed(mfunc.blocks):
+        for name in order:
             out: Set[Reg] = set()
-            for succ in block.successor_names():
+            for succ in lin.succs[name]:
                 out |= live_in[succ]
-            new_in = use_sets[block.name] | (out - def_sets[block.name])
-            if out != live_out[block.name] or new_in != live_in[block.name]:
-                live_out[block.name] = out
-                live_in[block.name] = new_in
+            new_in = use_sets[name] | (out - def_sets[name])
+            if out != live_out[name] or new_in != live_in[name]:
+                live_out[name] = out
+                live_in[name] = new_in
                 changed = True
     return live_in, live_out
 
@@ -102,6 +121,8 @@ class Interval:
     reg: Reg
     start: int
     end: int
+    #: whether a ``call`` (``callb``) lies strictly inside; set once
+    #: the interval is final (:func:`_mark_call_crossings`)
     crosses_call: bool = False
     crosses_builtin: bool = False
     assigned: Optional[int] = None  # physical index
@@ -115,12 +136,12 @@ class Interval:
         return self.slot is not None
 
 
-def _machine_loop_depths(mfunc: MachineFunction) -> Dict[str, int]:
+def _machine_loop_depths(lin: Linearized) -> Dict[str, int]:
     """Loop-nesting depth per machine block (natural loops on block names)."""
-    names = [b.name for b in mfunc.blocks]
+    names = [b.name for b in lin.mfunc.blocks]
     if not names:
         return {}
-    succs = {b.name: b.successor_names() for b in mfunc.blocks}
+    succs = lin.succs
     preds: Dict[str, List[str]] = {name: [] for name in names}
     for name, targets in succs.items():
         for target in targets:
@@ -145,6 +166,15 @@ def _machine_loop_depths(mfunc: MachineFunction) -> Dict[str, int]:
             stack.pop()
     order.reverse()
     index = {name: i for i, name in enumerate(order)}
+    depths = {name: 0 for name in names}
+    # A back edge enters a block that dominates its tail, so the block
+    # comes first in reverse post-order: without a retreating edge
+    # there is no loop, and no dominator tree to build.
+    if not any(
+        index[header] <= index[tail]
+        for tail in order for header in succs[tail]
+    ):
+        return depths
     idom: Dict[str, Optional[str]] = {order[0]: order[0]}
 
     def intersect(a: str, b: str) -> str:
@@ -177,12 +207,9 @@ def _machine_loop_depths(mfunc: MachineFunction) -> Dict[str, int]:
                 return node == a
             node = parent
 
-    depths = {name: 0 for name in names}
-    for tail, targets in succs.items():
-        if tail not in index:
-            continue
-        for header in targets:
-            if not dominates(header, tail):
+    for tail in order:
+        for header in succs[tail]:
+            if index[header] > index[tail] or not dominates(header, tail):
                 continue
             # Collect the natural loop body and bump its depth.
             body = {header}
@@ -198,86 +225,102 @@ def _machine_loop_depths(mfunc: MachineFunction) -> Dict[str, int]:
     return depths
 
 
-def build_intervals(mfunc: MachineFunction, lin: Linearized) -> Dict[Reg, Interval]:
-    """Coarse [first, last] position intervals for every virtual register."""
-    live_in, live_out = block_liveness(mfunc)
+def build_intervals(lin: Linearized) -> Dict[Reg, Interval]:
+    """Coarse [first, last] position intervals for every virtual register.
+
+    Blocks are visited in layout order, each as its live-ins (at its
+    first position), its instructions, then its live-outs (at its last),
+    so positions never decrease: a vreg's first touch is its start and
+    its last touch its end.
+    """
+    live_in, live_out = lin.liveness
+    depths = _machine_loop_depths(lin)
     intervals: Dict[Reg, Interval] = {}
+    instrs = lin.instrs
 
     def touch(reg: Reg, pos: int) -> None:
         interval = intervals.get(reg)
         if interval is None:
             intervals[reg] = Interval(reg, pos, pos)
         else:
-            interval.start = min(interval.start, pos)
-            interval.end = max(interval.end, pos)
+            interval.end = pos
 
-    depths = _machine_loop_depths(mfunc)
-    for block in mfunc.blocks:
+    for block in lin.mfunc.blocks:
         start = lin.block_start[block.name]
         end = lin.block_end[block.name]
         access_weight = 10.0 ** min(depths.get(block.name, 0), 4)
         for reg in live_in[block.name]:
             touch(reg, start)
+        for pos in range(start, end):
+            instr = instrs[pos]
+            for reg in (*instr.srcs, instr.dst):
+                if reg is None or reg.is_physical:
+                    continue
+                interval = intervals.get(reg)
+                if interval is None:
+                    interval = intervals[reg] = Interval(reg, pos, pos)
+                else:
+                    interval.end = pos
+                interval.weight += access_weight
+        last = max(start, end - 1)
         for reg in live_out[block.name]:
-            touch(reg, max(start, end - 1))
-        for i in range(start, end):
-            instr = lin.instrs[i]
-            for src in instr.regs_read():
-                if not src.is_physical:
-                    touch(src, i)
-                    intervals[src].weight += access_weight
-            for dst in instr.regs_written():
-                if not dst.is_physical:
-                    touch(dst, i)
-                    intervals[dst].weight += access_weight
-
-    call_positions = [
-        i for i, instr in enumerate(lin.instrs) if instr.opcode == "call"
-    ]
-    builtin_positions = [
-        i for i, instr in enumerate(lin.instrs) if instr.opcode == "callb"
-    ]
-    for interval in intervals.values():
-        interval.crosses_call = any(
-            interval.start < p < interval.end for p in call_positions
-        )
-        interval.crosses_builtin = any(
-            interval.start < p < interval.end for p in builtin_positions
-        )
+            touch(reg, last)
     return intervals
 
 
-def physical_ranges(mfunc: MachineFunction, lin: Linearized) -> Dict[Tuple[str, int], List[Tuple[int, int]]]:
+def _mark_call_crossings(lin: Linearized, intervals: Dict[Reg, Interval]) -> None:
+    """Set ``crosses_call``/``crosses_builtin`` of the final intervals."""
+    calls = [pos for pos, instr in enumerate(lin.instrs) if instr.opcode == "call"]
+    builtins = [pos for pos, instr in enumerate(lin.instrs) if instr.opcode == "callb"]
+    if calls:
+        for interval in intervals.values():
+            interval.crosses_call = _any_inside(calls, interval.start, interval.end)
+    if builtins:
+        for interval in intervals.values():
+            interval.crosses_builtin = _any_inside(builtins, interval.start, interval.end)
+
+
+def _any_inside(positions: List[int], start: int, end: int) -> bool:
+    """Whether the sorted ``positions`` hold one strictly between the two."""
+    i = bisect_right(positions, start)
+    return i < len(positions) and positions[i] < end
+
+
+def physical_ranges(lin: Linearized) -> Dict[Tuple[str, int], List[Tuple[int, int]]]:
     """Micro live ranges of physical registers (arg/result plumbing).
 
     Physical registers are only live within single blocks in isel output:
     from their def (or block start, for incoming arguments) to their last
     use. Returns ``(class, index) -> [(start, end)]``.
     """
+    mfunc = lin.mfunc
     ranges: Dict[Tuple[str, int], List[Tuple[int, int]]] = {}
-    for block in mfunc.blocks:
+    ret_key = None
+    if mfunc.returns_value:
+        ret_key = (CLASS_FLOAT, 0) if mfunc.returns_float else (CLASS_INT, 0)
+    for number, block in enumerate(mfunc.blocks):
         start = lin.block_start[block.name]
         last_def: Dict[Tuple[str, int], int] = {}
-        if block is mfunc.blocks[0]:
+        if number == 0:
             for i in range(mfunc.int_args):
                 last_def[(CLASS_INT, i)] = start - 1
             for i in range(mfunc.float_args):
                 last_def[(CLASS_FLOAT, i)] = start - 1
         for pos in range(start, lin.block_end[block.name]):
             instr = lin.instrs[pos]
-            for src in instr.regs_read():
+            for src in instr.srcs:
                 if src.is_physical:
                     key = (src.rclass, src.index)
                     begin = last_def.get(key, start - 1)
                     ranges.setdefault(key, []).append((begin, pos))
-            if instr.opcode == "ret" and mfunc.returns_value:
-                key = (CLASS_FLOAT, 0) if mfunc.returns_float else (CLASS_INT, 0)
-                begin = last_def.get(key, start - 1)
-                ranges.setdefault(key, []).append((begin, pos))
-            for dst in instr.regs_written():
-                if dst.is_physical:
-                    last_def[(dst.rclass, dst.index)] = pos
-            if instr.is_call:
+            opcode = instr.opcode
+            if opcode == "ret" and ret_key is not None:
+                begin = last_def.get(ret_key, start - 1)
+                ranges.setdefault(ret_key, []).append((begin, pos))
+            dst = instr.dst
+            if dst is not None and dst.is_physical:
+                last_def[(dst.rclass, dst.index)] = pos
+            if opcode == "call" or opcode == "callb":
                 # Calls produce their result in r0/f0.
                 last_def[(CLASS_INT, 0)] = pos
                 last_def[(CLASS_FLOAT, 0)] = pos
@@ -290,7 +333,7 @@ def physical_ranges(mfunc: MachineFunction, lin: Linearized) -> Dict[Tuple[str, 
 _REGION_ENDERS = ("rcb", "call", "callb")
 
 
-def machine_regions(mfunc: MachineFunction, lin: Linearized) -> List[Tuple[int, Set[int]]]:
+def machine_regions(lin: Linearized) -> List[Tuple[int, Set[int]]]:
     """Per-region ``(header position, member position set)`` pairs.
 
     Headers sit at the function start and immediately after every restart
@@ -299,15 +342,10 @@ def machine_regions(mfunc: MachineFunction, lin: Linearized) -> List[Tuple[int, 
     include positions *before* its header in layout order (blocks reached
     through back edges).
     """
-    headers: List[int] = [0] if lin.instrs else []
-    for i, instr in enumerate(lin.instrs):
-        if instr.opcode in _REGION_ENDERS and i + 1 < len(lin.instrs):
-            headers.append(i + 1)
-
-    block_of_pos: Dict[int, MachineBlock] = {}
-    for block in mfunc.blocks:
-        for pos in range(lin.block_start[block.name], lin.block_end[block.name]):
-            block_of_pos[pos] = block
+    instrs = lin.instrs
+    enders = [pos for pos, instr in enumerate(instrs) if instr.opcode in _REGION_ENDERS]
+    headers: List[int] = [0] if instrs else []
+    headers += [pos + 1 for pos in enders if pos + 1 < len(instrs)]
 
     regions: List[Tuple[int, Set[int]]] = []
     for header in headers:
@@ -316,56 +354,52 @@ def machine_regions(mfunc: MachineFunction, lin: Linearized) -> List[Tuple[int, 
         seen: Set[int] = set()
         while stack:
             pos = stack.pop()
-            if pos in seen or pos >= len(lin.instrs):
+            if pos in seen or pos >= len(instrs):
                 continue
             seen.add(pos)
-            block = block_of_pos[pos]
-            end = lin.block_end[block.name]
-            i = pos
-            stopped = False
-            while i < end:
-                instr = lin.instrs[i]
-                if instr.opcode in _REGION_ENDERS:
-                    members.add(i)  # the boundary op re-executes on recovery
-                    stopped = True
-                    break
-                members.add(i)
-                i += 1
-            if not stopped:
-                for succ in block.successor_names():
+            name = lin.block_at[pos]
+            end = lin.block_end[name]
+            i = bisect_left(enders, pos)
+            if i < len(enders) and enders[i] < end:
+                # The boundary op re-executes on recovery: a member too.
+                members.update(range(pos, enders[i] + 1))
+            else:
+                members.update(range(pos, end))
+                for succ in lin.succs[name]:
                     stack.append(lin.block_start[succ])
         regions.append((header, members))
     return regions
 
 
-def _live_vregs_at(
-    mfunc: MachineFunction,
-    lin: Linearized,
-    live_out: Dict[str, Set[Reg]],
-    pos: int,
-) -> Set[Reg]:
-    """Precise virtual-register liveness just before position ``pos``."""
-    block = None
-    for candidate in mfunc.blocks:
-        if lin.block_start[candidate.name] <= pos < lin.block_end[candidate.name]:
-            block = candidate
-            break
-    assert block is not None
-    live = set(live_out[block.name])
-    for i in range(lin.block_end[block.name] - 1, pos - 1, -1):
-        instr = lin.instrs[i]
-        for dst in instr.regs_written():
-            if not dst.is_physical:
-                live.discard(dst)
-        for src in instr.regs_read():
-            if not src.is_physical:
-                live.add(src)
-    return live
+def _live_vregs_at(lin: Linearized, positions: List[int]) -> Dict[int, Set[Reg]]:
+    """Precise virtual-register liveness just before each of ``positions``.
+
+    ``positions`` ascend; each block holding some of them is scanned once,
+    backwards from its live-outs.
+    """
+    live_out = lin.liveness[1]
+    by_block: Dict[str, List[int]] = {}
+    for pos in positions:
+        by_block.setdefault(lin.block_at[pos], []).append(pos)
+    live_at: Dict[int, Set[Reg]] = {}
+    for name, wanted in by_block.items():
+        live = set(live_out[name])
+        i = lin.block_end[name] - 1
+        for pos in reversed(wanted):
+            while i >= pos:
+                instr = lin.instrs[i]
+                dst = instr.dst
+                if dst is not None and not dst.is_physical:
+                    live.discard(dst)
+                for src in instr.srcs:
+                    if not src.is_physical:
+                        live.add(src)
+                i -= 1
+            live_at[pos] = set(live)
+    return live_at
 
 
-def extend_for_idempotence(
-    mfunc: MachineFunction, lin: Linearized, intervals: Dict[Reg, Interval]
-) -> int:
+def extend_for_idempotence(lin: Linearized, intervals: Dict[Reg, Interval]) -> int:
     """§4.4: region live-ins stay live across the whole region.
 
     A vreg live at a region's header (precise dataflow liveness, not the
@@ -374,14 +408,15 @@ def extend_for_idempotence(
     spill slot. Returns the number of extensions. Liveness is a property
     of the code, not of the intervals, so one pass suffices.
     """
-    _, live_out = block_liveness(mfunc)
+    regions = lin.regions
+    live_at = _live_vregs_at(lin, [header for header, _ in regions])
     extended = 0
-    for header, members in machine_regions(mfunc, lin):
+    for header, members in regions:
         if not members:
             continue
         lo = min(members)
         hi = max(members)
-        for reg in _live_vregs_at(mfunc, lin, live_out, header):
+        for reg in live_at[header]:
             interval = intervals.get(reg)
             if interval is None:
                 continue
@@ -389,20 +424,10 @@ def extend_for_idempotence(
                 interval.start = min(interval.start, lo)
                 interval.end = max(interval.end, hi)
                 extended += 1
-    call_positions = [i for i, ins in enumerate(lin.instrs) if ins.opcode == "call"]
-    builtin_positions = [i for i, ins in enumerate(lin.instrs) if ins.opcode == "callb"]
-    for interval in intervals.values():
-        interval.crosses_call = any(
-            interval.start < p < interval.end for p in call_positions
-        )
-        interval.crosses_builtin = any(
-            interval.start < p < interval.end for p in builtin_positions
-        )
     return extended
 
 
 def _extend_physical_inputs(
-    mfunc: MachineFunction,
     lin: Linearized,
     phys_ranges: Dict[Tuple[str, int], List[Tuple[int, int]]],
 ) -> None:
@@ -414,20 +439,32 @@ def _extend_physical_inputs(
     micro-range that starts at function entry or at a call to span its
     enclosing region, preventing any vreg from clobbering it mid-region.
     """
-    regions = machine_regions(mfunc, lin)
     call_positions = {
-        i for i, instr in enumerate(lin.instrs) if instr.is_call
+        pos for pos, instr in enumerate(lin.instrs) if instr.opcode in ("call", "callb")
     }
+
+    def protected(begin: int) -> bool:
+        return begin == -1 or begin in call_positions
+
+    read_positions = {
+        begin + 1
+        for ranges in phys_ranges.values()
+        for begin, _ in ranges
+        if protected(begin)
+    }
+    # The last member of every region holding each read position.
+    region_end: Dict[int, int] = {}
+    for _, members in lin.regions:
+        held = read_positions & members
+        if held:
+            hi = max(members)
+            for pos in held:
+                region_end[pos] = max(region_end.get(pos, hi), hi)
     for key, ranges in phys_ranges.items():
-        widened: List[Tuple[int, int]] = []
-        for begin, end in ranges:
-            if begin == -1 or begin in call_positions:
-                read_pos = begin + 1
-                for _, members in regions:
-                    if read_pos in members:
-                        end = max(end, max(members))
-            widened.append((begin, end))
-        phys_ranges[key] = widened
+        phys_ranges[key] = [
+            (begin, max(end, region_end.get(begin + 1, end)) if protected(begin) else end)
+            for begin, end in ranges
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -442,27 +479,60 @@ class AllocationStats:
     spill_stores: int = 0
 
 
+#: Allocatable registers in the order the scan tries them: highest first,
+#: to keep the argument registers free.
+_PREFERENCE = {
+    CLASS_INT: INT_ALLOCATABLE[::-1],
+    CLASS_FLOAT: FLOAT_ALLOCATABLE[::-1],
+}
+
+#: Argument registers (``r0``-``r3``, ``f0``-``f3``), which an interval
+#: crossing a builtin call must avoid.
+_ARG_REG_COUNT = 4
+
+
 def allocate_function(mfunc: MachineFunction, idempotent: bool = False) -> AllocationStats:
     """Assign physical registers in place; insert spill code."""
     lin = Linearized(mfunc)
-    intervals = build_intervals(mfunc, lin)
+    intervals = build_intervals(lin)
     stats = AllocationStats(vregs=len(intervals))
-
+    phys_ranges = physical_ranges(lin)
     if idempotent:
-        stats.extended = extend_for_idempotence(mfunc, lin, intervals)
+        stats.extended = extend_for_idempotence(lin, intervals)
+        _extend_physical_inputs(lin, phys_ranges)
+    _mark_call_crossings(lin, intervals)
+    _scan(mfunc, intervals, phys_ranges, stats)
+    _rewrite(mfunc, intervals, stats)
+    return stats
 
-    phys_ranges = physical_ranges(mfunc, lin)
-    if idempotent:
-        _extend_physical_inputs(mfunc, lin, phys_ranges)
+
+def _scan(
+    mfunc: MachineFunction,
+    intervals: Dict[Reg, Interval],
+    phys_ranges: Dict[Tuple[str, int], List[Tuple[int, int]]],
+    stats: AllocationStats,
+) -> None:
+    """Linear scan: give each interval a register or a spill slot.
+
+    ``held`` maps each register of a class to the active interval in it,
+    numbered by when it took the register: an eviction breaks weight ties
+    in that order.  An interval stays active until one starts after its
+    end; ``expiry`` orders the active intervals by end.
+    """
+    # Physical ranges per class and register.
+    blocked: Dict[str, Dict[int, List[Tuple[int, int]]]] = {CLASS_INT: {}, CLASS_FLOAT: {}}
+    for (rclass, index), ranges in phys_ranges.items():
+        blocked[rclass][index] = ranges
 
     def overlaps_physical(interval: Interval, index: int) -> bool:
-        for begin, end in phys_ranges.get((interval.reg.rclass, index), ()):
+        for begin, end in blocked[interval.reg.rclass].get(index, ()):
             if interval.start <= end and begin <= interval.end:
                 return True
         return False
 
-    allocatable = {CLASS_INT: INT_ALLOCATABLE, CLASS_FLOAT: FLOAT_ALLOCATABLE}
-    arg_reg_count = 4
+    def spill(interval: Interval) -> None:
+        interval.slot = mfunc.frame.add_slot(1, f"spill.{interval.reg}")
+        stats.spilled += 1
 
     # Total order: interval ties must not fall back to dict insertion
     # order, which follows Set[Reg] iteration (= string hashing) in
@@ -471,50 +541,47 @@ def allocate_function(mfunc: MachineFunction, idempotent: bool = False) -> Alloc
         intervals.values(),
         key=lambda iv: (iv.start, iv.end, iv.reg.rclass, iv.reg.index),
     )
-    active: List[Interval] = []
+    held: Dict[str, Dict[int, Tuple[int, Interval]]] = {CLASS_INT: {}, CLASS_FLOAT: {}}
+    expiry: List[Tuple[int, int, Interval]] = []
+    taken = 0
 
     for interval in ordered:
-        active = [iv for iv in active if iv.end >= interval.start]
+        while expiry and expiry[0][0] < interval.start:
+            expired = heappop(expiry)[2]
+            if expired.assigned is not None:
+                del held[expired.reg.rclass][expired.assigned]
         if interval.crosses_call:
-            interval.slot = mfunc.frame.add_slot(1, f"spill.{interval.reg}")
-            stats.spilled += 1
+            spill(interval)
             continue
-        in_use = {iv.assigned for iv in active if iv.reg.rclass == interval.reg.rclass}
-        candidates = [
-            index
-            for index in allocatable[interval.reg.rclass]
-            if index not in in_use
-            and not overlaps_physical(interval, index)
-            and not (interval.crosses_builtin and index < arg_reg_count)
-        ]
-        if candidates:
-            # Prefer high registers to keep arg registers free.
-            interval.assigned = candidates[-1]
-            active.append(interval)
-            continue
-        # No free register: evict the *cheapest* conflicting interval
-        # (fewest loop-depth-weighted accesses) — possibly ourselves.
-        stealable = [
-            iv
-            for iv in active
-            if iv.reg.rclass == interval.reg.rclass
-            and not overlaps_physical(interval, iv.assigned)
-            and not (interval.crosses_builtin and iv.assigned < arg_reg_count)
-        ]
-        victim = min(stealable, key=lambda iv: iv.weight, default=None)
-        if victim is not None and victim.weight < interval.weight:
-            victim.slot = mfunc.frame.add_slot(1, f"spill.{victim.reg}")
-            stats.spilled += 1
-            interval.assigned = victim.assigned
-            victim.assigned = None
-            active.remove(victim)
-            active.append(interval)
+        rclass = interval.reg.rclass
+        in_use = held[rclass]
+        lowest = _ARG_REG_COUNT if interval.crosses_builtin else 0
+        for index in _PREFERENCE[rclass]:
+            if (
+                index >= lowest
+                and index not in in_use
+                and not overlaps_physical(interval, index)
+            ):
+                break
         else:
-            interval.slot = mfunc.frame.add_slot(1, f"spill.{interval.reg}")
-            stats.spilled += 1
-
-    _rewrite(mfunc, intervals, stats)
-    return stats
+            # No free register: evict the *cheapest* conflicting interval
+            # (fewest loop-depth-weighted accesses) — possibly ourselves.
+            stealable = sorted(
+                (number, iv)
+                for index, (number, iv) in in_use.items()
+                if index >= lowest and not overlaps_physical(interval, index)
+            )
+            victim = min((iv for _, iv in stealable), key=lambda iv: iv.weight, default=None)
+            if victim is None or victim.weight >= interval.weight:
+                spill(interval)
+                continue
+            spill(victim)
+            index = victim.assigned
+            victim.assigned = None
+        interval.assigned = index
+        in_use[index] = (taken, interval)
+        heappush(expiry, (interval.end, taken, interval))
+        taken += 1
 
 
 def _remat_defs(mfunc: MachineFunction, intervals: Dict[Reg, Interval]) -> Dict[Reg, MachineInstr]:
@@ -529,14 +596,16 @@ def _remat_defs(mfunc: MachineFunction, intervals: Dict[Reg, Interval]) -> Dict[
     2-cycle reload per use in hot loops.
     """
     _REMAT_OPS = ("movi", "fmovi", "ga", "lea")
+    spilled = [reg for reg, interval in intervals.items() if interval.spilled]
+    if not spilled:
+        return {}
     defs: Dict[Reg, List[MachineInstr]] = {}
-    for instr in mfunc.instructions():
-        if instr.dst is not None and not instr.dst.is_physical:
-            defs.setdefault(instr.dst, []).append(instr)
+    for block in mfunc.blocks:
+        for instr in block.instructions:
+            if instr.dst is not None and not instr.dst.is_physical:
+                defs.setdefault(instr.dst, []).append(instr)
     remat: Dict[Reg, MachineInstr] = {}
-    for reg, interval in intervals.items():
-        if not interval.spilled:
-            continue
+    for reg in spilled:
         reg_defs = defs.get(reg, [])
         if len(reg_defs) == 1 and reg_defs[0].opcode in _REMAT_OPS:
             remat[reg] = reg_defs[0]
@@ -545,82 +614,93 @@ def _remat_defs(mfunc: MachineFunction, intervals: Dict[Reg, Interval]) -> Dict[
 
 def _rewrite(mfunc: MachineFunction, intervals: Dict[Reg, Interval], stats: AllocationStats) -> None:
     """Substitute physical registers and materialize spill code."""
-    scratch_pool = {CLASS_INT: INT_SCRATCH, CLASS_FLOAT: FLOAT_SCRATCH}
     remat = _remat_defs(mfunc, intervals)
-
+    # vreg -> its register, or None where it lives in a slot
+    rename: Dict[Reg, Optional[Reg]] = {
+        reg: None if interval.assigned is None else preg(reg.rclass, interval.assigned)
+        for reg, interval in intervals.items()
+    }
     for block in mfunc.blocks:
         new_instrs: List[MachineInstr] = []
         for instr in block.instructions:
-            scratch_used = {CLASS_INT: 0, CLASS_FLOAT: 0}
-            pre: List[MachineInstr] = []
-            post: List[MachineInstr] = []
-
-            def map_reg(reg: Reg, is_def: bool) -> Reg:
-                if reg.is_physical:
-                    return reg
-                interval = intervals[reg]
-                if interval.assigned is not None:
-                    return preg(reg.rclass, interval.assigned)
-                assert interval.slot is not None
-                pool = scratch_pool[reg.rclass]
-                index = scratch_used[reg.rclass]
-                if index >= len(pool):
-                    if is_def:
-                        # The destination is written after every source has
-                        # been read, so it may reuse a source's scratch.
-                        index = 0
-                    else:
-                        raise RegAllocError(
-                            f"out of scratch registers rewriting {instr!r}"
-                        )
-                else:
-                    scratch_used[reg.rclass] += 1
-                scratch = preg(reg.rclass, pool[index])
-                remat_def = remat.get(reg)
-                if remat_def is not None:
-                    if is_def:
-                        pass  # value is recomputed at uses; no slot write
-                    else:
-                        pre.append(
-                            MachineInstr(
-                                remat_def.opcode,
-                                dst=scratch,
-                                imm=remat_def.imm,
-                            )
-                        )
-                elif is_def:
-                    post.append(
-                        MachineInstr("stslot", srcs=[scratch], imm=interval.slot)
-                    )
-                    stats.spill_stores += 1
-                else:
-                    pre.append(
-                        MachineInstr("ldslot", dst=scratch, imm=interval.slot)
-                    )
-                    stats.spill_loads += 1
-                return scratch
-
-            # Reuse one scratch when the same spilled vreg appears twice.
-            seen_srcs: Dict[Reg, Reg] = {}
-            new_srcs = []
-            for src in instr.srcs:
-                if src in seen_srcs:
-                    new_srcs.append(seen_srcs[src])
-                    continue
-                mapped = map_reg(src, is_def=False)
-                seen_srcs[src] = mapped
-                new_srcs.append(mapped)
-            instr.srcs = new_srcs
-            if instr.dst is not None:
-                # A spilled dst may reuse a source scratch register safely
-                # only after all sources are read — which is the case since
-                # the dst write happens last; use a fresh scratch anyway.
-                instr.dst = map_reg(instr.dst, is_def=True)
-
-            new_instrs.extend(pre)
+            srcs = [rename.get(src, src) for src in instr.srcs]
+            dst = instr.dst
+            if dst is not None:
+                dst = rename.get(dst, dst)
+            if None in srcs or (dst is None and instr.dst is not None):
+                # An operand lives in a slot: spill code goes around it.
+                new_instrs.extend(_rewrite_spilled(instr, intervals, remat, stats))
+                continue
+            instr.srcs = srcs
+            instr.dst = dst
             new_instrs.append(instr)
-            new_instrs.extend(post)
         block.instructions = new_instrs
+
+
+def _rewrite_spilled(
+    instr: MachineInstr,
+    intervals: Dict[Reg, Interval],
+    remat: Dict[Reg, MachineInstr],
+    stats: AllocationStats,
+) -> List[MachineInstr]:
+    """``instr`` with a spilled operand, and the spill code around it.
+
+    Each spilled source is reloaded (or recomputed) into a scratch
+    register before ``instr``, and a spilled destination is stored from
+    one after it.
+    """
+    scratch_pool = {CLASS_INT: INT_SCRATCH, CLASS_FLOAT: FLOAT_SCRATCH}
+    scratch_used = {CLASS_INT: 0, CLASS_FLOAT: 0}
+    pre: List[MachineInstr] = []
+    post: List[MachineInstr] = []
+
+    def map_reg(reg: Reg, is_def: bool) -> Reg:
+        if reg.is_physical:
+            return reg
+        interval = intervals[reg]
+        if interval.assigned is not None:
+            return preg(reg.rclass, interval.assigned)
+        assert interval.slot is not None
+        pool = scratch_pool[reg.rclass]
+        index = scratch_used[reg.rclass]
+        if index >= len(pool):
+            if is_def:
+                # The destination is written after every source has
+                # been read, so it may reuse a source's scratch.
+                index = 0
+            else:
+                raise RegAllocError(
+                    f"out of scratch registers rewriting {instr!r}"
+                )
+        else:
+            scratch_used[reg.rclass] += 1
+        scratch = preg(reg.rclass, pool[index])
+        remat_def = remat.get(reg)
+        if remat_def is not None:
+            if not is_def:  # a def writes no slot: uses recompute it
+                pre.append(MachineInstr(remat_def.opcode, dst=scratch, imm=remat_def.imm))
+        elif is_def:
+            post.append(MachineInstr("stslot", srcs=[scratch], imm=interval.slot))
+            stats.spill_stores += 1
+        else:
+            pre.append(MachineInstr("ldslot", dst=scratch, imm=interval.slot))
+            stats.spill_loads += 1
+        return scratch
+
+    # Reuse one scratch when the same spilled vreg appears twice.
+    seen_srcs: Dict[Reg, Reg] = {}
+    new_srcs = []
+    for src in instr.srcs:
+        if src not in seen_srcs:
+            seen_srcs[src] = map_reg(src, is_def=False)
+        new_srcs.append(seen_srcs[src])
+    instr.srcs = new_srcs
+    if instr.dst is not None:
+        # A spilled dst may reuse a source scratch register safely
+        # only after all sources are read — which is the case since
+        # the dst write happens last; use a fresh scratch anyway.
+        instr.dst = map_reg(instr.dst, is_def=True)
+    return pre + [instr] + post
 
 
 def allocate_program(program, idempotent: bool = False) -> Dict[str, AllocationStats]:

@@ -36,7 +36,7 @@ from repro.obs.context import get_observer
 
 #: Stamp mixed into every cache key.  Bump when the compiler pipeline
 #: changes in a way that affects build output for unchanged inputs.
-PIPELINE_VERSION = "idem-pipeline-v2"  # v2: deterministic regalloc order
+PIPELINE_VERSION = "idem-pipeline-v3"  # v3: frames store their size
 
 #: Default on-disk location, overridable via ``REPRO_CACHE_DIR``.
 DEFAULT_CACHE_DIR = ".repro-cache"

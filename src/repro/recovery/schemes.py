@@ -99,8 +99,7 @@ def _instrumented(program: MachineProgram) -> MachineProgram:
             mfunc.name, mfunc.int_args, mfunc.float_args,
             mfunc.returns_float, mfunc.returns_value,
         ))
-        logged.frame.slot_sizes = list(mfunc.frame.slot_sizes)
-        logged.frame.slot_names = list(mfunc.frame.slot_names)
+        logged.frame = mfunc.frame.copy()
         for block in mfunc.blocks:
             logged.blocks.append(MachineBlock(block.name))
             new_instrs = logged.blocks[-1].instructions

@@ -248,7 +248,7 @@ int main() {
         for mfunc in result.program.functions.values():
             lin = Linearized(mfunc)
             covered = set()
-            for _, members in machine_regions(mfunc, lin):
+            for _, members in machine_regions(lin):
                 covered |= members
             assert covered == set(range(len(lin.instrs)))
 
@@ -257,7 +257,7 @@ int main() {
         optimize_module(module)
         program = select_module(module)
         mfunc = program.functions["scale"]
-        live_in, live_out = block_liveness(mfunc)
+        live_in, live_out = block_liveness(Linearized(mfunc))
         loop_block = next(b for b in mfunc.blocks if "loop" in b.name)
         assert live_in[loop_block.name]  # the φ web is live around the loop
 

@@ -10,6 +10,7 @@ from repro.codegen.machine import (
     preg,
 )
 from repro.codegen.mverify import (
+    _locations,
     _reads_of,
     _region_inputs,
     _writes_of,
@@ -59,8 +60,8 @@ class TestRegionInputs:
         block.append(MachineInstr("add", dst=R1, srcs=[R1, R2]))
         block.append(MachineInstr("ret"))
         lin = Linearized(mfunc)
-        (header, members), = machine_regions(mfunc, lin)
-        inputs, witness = _region_inputs(mfunc, lin, header, members)
+        (header, members), = machine_regions(lin)
+        inputs, witness = _region_inputs(lin, *_locations(lin), header, members)
         assert ("i", 0) in inputs
         assert ("i", 2) not in inputs  # written before read
         assert witness[("i", 0)] == 0
@@ -81,8 +82,8 @@ class TestRegionInputs:
         join.append(MachineInstr("mov", dst=R2, srcs=[R1]))  # reads r1
         join.append(MachineInstr("ret"))
         lin = Linearized(mfunc)
-        (header, members), = machine_regions(mfunc, lin)
-        inputs, _ = _region_inputs(mfunc, lin, header, members)
+        (header, members), = machine_regions(lin)
+        inputs, _ = _region_inputs(lin, *_locations(lin), header, members)
         assert ("i", 1) in inputs  # not definitely written on all paths
 
     def test_written_on_all_paths_not_input(self):
@@ -101,8 +102,8 @@ class TestRegionInputs:
         join.append(MachineInstr("mov", dst=R2, srcs=[R1]))
         join.append(MachineInstr("ret"))
         lin = Linearized(mfunc)
-        (header, members), = machine_regions(mfunc, lin)
-        inputs, _ = _region_inputs(mfunc, lin, header, members)
+        (header, members), = machine_regions(lin)
+        inputs, _ = _region_inputs(lin, *_locations(lin), header, members)
         assert ("i", 1) not in inputs
 
 

@@ -43,7 +43,7 @@ class TestLinearized:
 class TestLoopDepths:
     def test_flat_function(self):
         mfunc = _machine_of("int main() { return 5; }")
-        depths = _machine_loop_depths(mfunc)
+        depths = _machine_loop_depths(Linearized(mfunc))
         assert set(depths.values()) == {0}
 
     def test_single_loop(self):
@@ -56,7 +56,7 @@ int main() {
 }
 """
         )
-        depths = _machine_loop_depths(mfunc)
+        depths = _machine_loop_depths(Linearized(mfunc))
         assert max(depths.values()) >= 1
         # Entry block stays at depth zero.
         assert depths[mfunc.blocks[0].name] == 0
@@ -73,7 +73,7 @@ int main() {
 }
 """
         )
-        depths = _machine_loop_depths(mfunc)
+        depths = _machine_loop_depths(Linearized(mfunc))
         assert max(depths.values()) >= 2
 
 
@@ -81,7 +81,7 @@ class TestIntervals:
     def test_every_vreg_has_interval(self):
         mfunc = _machine_of("int main() { int x = 2; return x * x + 1; }")
         lin = Linearized(mfunc)
-        intervals = build_intervals(mfunc, lin)
+        intervals = build_intervals(lin)
         vregs = set()
         for instr in mfunc.instructions():
             for reg in instr.srcs + ([instr.dst] if instr.dst else []):
@@ -92,7 +92,7 @@ class TestIntervals:
     def test_interval_spans_defs_and_uses(self):
         mfunc = _machine_of("int main() { int x = 2; return x * x + 1; }")
         lin = Linearized(mfunc)
-        intervals = build_intervals(mfunc, lin)
+        intervals = build_intervals(lin)
         for i, instr in enumerate(lin.instrs):
             for src in instr.srcs:
                 if not src.is_physical:
@@ -115,7 +115,7 @@ int main() {
 """
         )
         lin = Linearized(mfunc)
-        intervals = build_intervals(mfunc, lin)
+        intervals = build_intervals(lin)
         weights = sorted(iv.weight for iv in intervals.values())
         assert weights[-1] > weights[0]  # loop values dominate
 
@@ -124,7 +124,7 @@ class TestPhysicalRanges:
     def test_entry_args_blocked(self):
         mfunc = _machine_of("int f(int a) { return a + 1; }", name="f")
         lin = Linearized(mfunc)
-        ranges = physical_ranges(mfunc, lin)
+        ranges = physical_ranges(lin)
         assert (CLASS_INT, 0) in ranges
         begin, end = ranges[(CLASS_INT, 0)][0]
         assert begin == -1  # live from function entry
@@ -132,7 +132,7 @@ class TestPhysicalRanges:
     def test_return_value_blocked(self):
         mfunc = _machine_of("int f() { return 7; }", name="f")
         lin = Linearized(mfunc)
-        ranges = physical_ranges(mfunc, lin)
+        ranges = physical_ranges(lin)
         assert (CLASS_INT, 0) in ranges  # mov r0 + ret use
 
 
@@ -156,7 +156,7 @@ int main() {
         construct_module_regions(module)
         mfunc = select_module(module).functions["main"]
         lin = Linearized(mfunc)
-        regions = machine_regions(mfunc, lin)
+        regions = machine_regions(lin)
         headers = [h for h, _ in regions]
         assert headers[0] == 0
         # Every rcb/call is followed by a header.
@@ -167,7 +167,7 @@ int main() {
     def test_members_disjoint_from_next_header_prefix(self):
         mfunc = _machine_of("int main() { return 3; }")
         lin = Linearized(mfunc)
-        regions = machine_regions(mfunc, lin)
+        regions = machine_regions(lin)
         assert len(regions) >= 1
         _, members = regions[0]
         assert 0 in members
@@ -262,7 +262,7 @@ class TestBlockLiveness:
         b.append(MachineInstr("movi", dst=w, imm=2))
         b.append(MachineInstr("mov", dst=preg(CLASS_INT, 0), srcs=[w]))
         b.append(MachineInstr("ret"))
-        live_in, live_out = block_liveness(mfunc)
+        live_in, live_out = block_liveness(Linearized(mfunc))
         assert v not in live_in["entry"]
         assert live_out["entry"] == set()
 
@@ -281,6 +281,6 @@ class TestBlockLiveness:
         loop.append(MachineInstr("b", imm="out"))
         out.append(MachineInstr("mov", dst=preg(CLASS_INT, 0), srcs=[v]))
         out.append(MachineInstr("ret"))
-        live_in, live_out = block_liveness(mfunc)
+        live_in, live_out = block_liveness(Linearized(mfunc))
         assert v in live_in["loop"]
         assert v in live_out["loop"]
